@@ -109,7 +109,10 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run both consistency checks on a composition")
     p.add_argument("--super", dest="super_path", required=True)
-    p.add_argument("--layers", required=True)
+    p.add_argument("--layers", required=True,
+                   help="the layers the composition was built from; for a "
+                        "composition made with dynamics flags, the output of "
+                        "`transform` run with the same flags")
     p.add_argument("--ego-file", required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(handler=_cmd_verify)

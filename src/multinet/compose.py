@@ -43,6 +43,7 @@ from .graph import (
     STRUCTURAL_TOL,
     LayerGraph,
     _canonical,
+    _degree_scaling,
 )
 
 
@@ -104,19 +105,11 @@ class EgoBlock:
     x: np.ndarray
 
     @property
-    def degrees(self):
-        return np.diag(self.x).copy()
-
-    @property
     def inter_layer(self):
         """The off-diagonal part (pure inter-layer weights, zero diagonal)."""
         w = self.x.copy()
         np.fill_diagonal(w, 0.0)
         return w
-
-    @property
-    def max_asymmetry(self):
-        return float(np.max(np.abs(self.x - self.x.T), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -235,7 +228,8 @@ def _check_layers(layers):
     return n, len(layers)
 
 
-def _ordered_egos(egos, n, l):
+def _ego_stack(egos, n, l):
+    """The ego matrices as an (n, l, l) array indexed by vertex."""
     if len(egos) != n:
         raise DimensionMismatch(f"expected one ego matrix per vertex ({n})")
     by_vertex = {}
@@ -246,29 +240,33 @@ def _ordered_egos(egos, n, l):
             )
         if ego.vertex in by_vertex:
             raise DimensionMismatch(f"duplicate ego for vertex {ego.vertex}")
-        by_vertex[ego.vertex] = ego
+        by_vertex[ego.vertex] = ego.m
     if set(by_vertex) != set(range(n)):
         raise DimensionMismatch("ego vertices must cover 0..n-1 exactly")
-    return [by_vertex[u] for u in range(n)]
+    return np.array([by_vertex[u] for u in range(n)]).reshape(n, l, l)
 
 
-def _assemble(layers, blocks):
-    """Fill diagonal blocks from the layers and off-diagonals from the
-    per-vertex ego blocks; returns the SuperAdjacency."""
+def _assemble(layers, vertex, src, dst, weight):
+    """The one composition kernel: the layers as diagonal blocks plus one
+    inter-layer edge (vertex, src) -> (vertex, dst) of the given weight per
+    entry of the flat coupling arrays, built as a single COO matrix."""
     n, l = _check_layers(layers)
-    grid = [[None] * l for _ in range(l)]
-    for i in range(l):
-        grid[i][i] = layers[i].graph.matrix
-    for i in range(l):
-        for j in range(l):
-            if i == j:
-                continue
-            # weight of (u,i)->(u,j) is entry (j,i) of vertex u's ego block
-            vec = np.array([blocks[u][j, i] for u in range(n)])
-            if np.any(vec != 0.0):
-                grid[i][j] = sparse.diags_array(vec, format="csc")
-    full = sparse.block_array(grid, format="csc")
+    diag = sparse.block_diag([lay.graph.matrix for lay in layers], format="coo")
+    full = sparse.coo_array(
+        (np.concatenate([diag.data, weight]),
+         (np.concatenate([diag.row, src * n + vertex]),
+          np.concatenate([diag.col, dst * n + vertex]))),
+        shape=(n * l, n * l),
+    )
     return SuperAdjacency(n=n, l=l, matrix=full)
+
+
+def _block_couplings(x):
+    """Flat coupling arrays of an (n, l, l) stack of ego blocks, where
+    ``x[u, j, i]`` weighs (u, i) -> (u, j); the diagonal is ignored."""
+    mask = (x != 0.0) & ~np.eye(x.shape[1], dtype=bool)
+    vertex, dst, src = np.nonzero(mask)
+    return vertex, src, dst, x[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +295,41 @@ def ego_block(u, m_u: EgoMarkov, degrees) -> EgoBlock:
     while the walk on the result reproduces m_u.
     """
     deg = np.asarray(degrees, dtype=np.float64)
-    l = m_u.l
-    if deg.shape != (l,):
-        raise DimensionMismatch(f"expected {l} degrees for vertex {u}")
-    stay = np.diag(m_u.m)
-    if stay.min() <= 0.0:
-        raise ZeroDiagonal(u, int(np.argmin(stay)))
-    for i in np.flatnonzero(deg == 0.0):
-        inbound = m_u.m[i, :].copy()
-        inbound[i] = 0.0
-        if inbound.max(initial=0.0) > 0.0:
-            raise ZeroDegree(u, int(i))
+    if deg.shape != (m_u.l,):
+        raise DimensionMismatch(f"expected {m_u.l} degrees for vertex {u}")
+    return EgoBlock(vertex=u, x=_ego_blocks([u], m_u.m[None], deg[None])[0])
+
+
+def _ego_blocks(vertices, m, deg):
+    """ego_block broadcast over an (n, l, l) stack of ego matrices and the
+    (n, l) degrees of the given vertices; returns the (n, l, l) blocks."""
+    l = m.shape[1]
+    idx = np.arange(l)
+    # a layer the vertex is absent from must receive no transitions
+    inbound = m.copy()
+    inbound[:, idx, idx] = 0.0
+    bad = np.argwhere((deg == 0.0) & (inbound.max(axis=2, initial=0.0) > 0.0))
+    if bad.size:
+        k, i = bad[0]
+        raise ZeroDegree(int(vertices[k]), int(i))
+    stay = m[:, idx, idx]
     gamma = np.where(deg > 0.0, deg / stay, 0.0)
-    x = m_u.m * gamma[np.newaxis, :]
-    np.fill_diagonal(x, deg)
-    return EgoBlock(vertex=u, x=x)
+    x = m * gamma[:, np.newaxis, :]
+    x[:, idx, idx] = deg
+    return x
+
+
+def _feasibility_report(x, tol):
+    """Symmetry diagnosis of an (n, l, l) stack of ego blocks."""
+    l = x.shape[1]
+    asym = np.abs(x - x.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    return FeasibilityReport(
+        tol=tol,
+        asymmetry_per_vertex=asym,
+        constraint_count=l * (l + 1) // 2 - 1,
+        unknown_count=l * (l - 1) // 2,
+        excess_constraints=l - 1,
+    )
 
 
 def compose_ego(layers, egos, require_undirected=False,
@@ -325,16 +343,14 @@ def compose_ego(layers, egos, require_undirected=False,
     unless force_symmetrize averages them.
     """
     n, l = _check_layers(layers)
-    ordered = _ordered_egos(egos, n, l)
-    deg = degree_table(layers)
-    blocks = [ego_block(u, ordered[u], deg[u]).x for u in range(n)]
+    x = _ego_blocks(np.arange(n), _ego_stack(egos, n, l), degree_table(layers))
     if require_undirected:
-        report = check_undirected_feasibility(egos, deg)
+        report = _feasibility_report(x, ITERATIVE_TOL)
         if not report.feasible:
             if not force_symmetrize:
                 raise InfeasibleComposition(report)
-            blocks = [(x + x.T) * 0.5 for x in blocks]
-    return _assemble(layers, blocks)
+            x = (x + x.transpose(0, 2, 1)) * 0.5
+    return _assemble(layers, *_block_couplings(x))
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +359,8 @@ def compose_ego(layers, egos, require_undirected=False,
 
 def _guarded_walk(block):
     """Column-stochastic walk of an adjacency, zero columns where degree is 0."""
-    mass = np.asarray(block.sum(axis=1)).ravel()
-    safe = np.where(mass > 0.0, mass, 1.0)
-    return (sparse.diags_array(1.0 / safe) @ block).T
+    _, inverse = _degree_scaling(block, strict=False)
+    return block.multiply(inverse[:, None]).T
 
 
 @dataclass(frozen=True)
@@ -435,24 +450,25 @@ def verify_ego_consistency(s: SuperAdjacency, egos,
     instance (v, i) (self-loops included); the marginal combines it with the
     normalized inter-layer slice: Q + M_slice (I - Q).
     """
-    ordered = _ordered_egos(egos, s.n, s.l)
+    n, l = s.n, s.l
+    m = _ego_stack(egos, n, l)
     outdeg = s.out_degrees()
-    for flat in np.flatnonzero(outdeg == 0.0):
-        u, i = split_flat(int(flat), s.n)
-        raise IsolatedInstance(u, i)
-    devs = np.zeros(s.n)
-    for u in range(s.n):
-        slice_u = s.vertex_slice(u)  # (i, j) = weight (u,i)->(u,j)
-        inter = slice_u.copy()
-        np.fill_diagonal(inter, 0.0)
-        inter_out = inter.sum(axis=1)
-        total_out = outdeg[u + s.n * np.arange(s.l)]
-        q = (total_out - inter_out) / total_out
-        safe = np.where(inter_out > 0.0, inter_out, 1.0)
-        m_slice = (inter / safe[:, np.newaxis]).T  # column i = distribution from i
-        marginal = np.diag(q) + m_slice * (1.0 - q)[np.newaxis, :]
-        devs[u] = float(np.max(np.abs(marginal - ordered[u].m)))
-    worst_vertex = int(np.argmax(devs)) if s.n else 0
+    dead = np.flatnonzero(outdeg == 0.0)
+    if dead.size:
+        raise IsolatedInstance(*split_flat(int(dead[0]), n))
+    # inter[u, i, j] = weight (u,i)->(u,j), read from the off-diagonal blocks
+    coo = s.matrix.tocoo()
+    off = (coo.row // n) != (coo.col // n)
+    inter = np.zeros((n, l, l))
+    inter[coo.row[off] % n, coo.row[off] // n, coo.col[off] // n] = coo.data[off]
+    total_out = outdeg.reshape(l, n).T
+    # column i of the marginal = distribution from layer i; off the diagonal
+    # M_slice (I - Q) reduces to the inter-layer weight over the total
+    marginal = (inter / total_out[:, :, np.newaxis]).transpose(0, 2, 1)
+    idx = np.arange(l)
+    marginal[:, idx, idx] = (total_out - inter.sum(axis=2)) / total_out
+    devs = np.abs(marginal - m).max(axis=(1, 2), initial=0.0)
+    worst_vertex = int(np.argmax(devs)) if n else 0
     return EgoConsistencyReport(
         tol=tol, max_deviation_per_vertex=devs, worst_vertex=worst_vertex
     )
@@ -467,21 +483,9 @@ def check_undirected_feasibility(egos, degrees,
     and the constraint-vs-unknown counting behind the overdetermination.
     """
     deg = np.asarray(degrees, dtype=np.float64)
-    n = deg.shape[0]
-    if len(egos) != n:
-        raise DimensionMismatch("one ego matrix per degree row expected")
-    l = egos[0].l
-    ordered = _ordered_egos(list(egos), n, l)
-    asym = np.zeros(n)
-    for u in range(n):
-        asym[u] = ego_block(u, ordered[u], deg[u]).max_asymmetry
-    return FeasibilityReport(
-        tol=tol,
-        asymmetry_per_vertex=asym,
-        constraint_count=l * (l + 1) // 2 - 1,
-        unknown_count=l * (l - 1) // 2,
-        excess_constraints=l - 1,
-    )
+    n, l = deg.shape
+    m = _ego_stack(egos, n, l)
+    return _feasibility_report(_ego_blocks(np.arange(n), m, deg), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -684,20 +688,16 @@ def compose_stationary(layers, pis) -> SuperAdjacency:
     if pis.shape != (n, l):
         raise DimensionMismatch(f"pis must have shape ({n}, {l})")
     deg = degree_table(layers)
-    blocks = []
+    x = np.zeros((n, l, l))  # NaN rows keep zero couplings
     failures = []
-    for u in range(n):
-        if np.any(np.isnan(pis[u])):
-            blocks.append(np.diag(deg[u]))
-            continue
+    for u in np.flatnonzero(~np.isnan(pis).any(axis=1)):
         try:
-            blocks.append(ego_block_from_stationary(u, pis[u], deg[u]).x)
+            x[u] = ego_block_from_stationary(int(u), pis[u], deg[u]).x
         except (Infeasible, Degenerate, Underdetermined, ZeroDegree) as exc:
-            failures.append((u, exc))
-            blocks.append(None)
+            failures.append((int(u), exc))
     if failures:
         raise StationaryCompositionError(failures)
-    return _assemble(layers, blocks)
+    return _assemble(layers, *_block_couplings(x))
 
 
 # ---------------------------------------------------------------------------
@@ -726,28 +726,22 @@ def compose_distance(layers, dist, c, kernel="reciprocal",
         raise NonPositiveCoupling(f"coupling must be positive, got {c}")
     if kernel not in _DISTANCE_KERNELS:
         raise ValueError(f"kernel must be one of {_DISTANCE_KERNELS}")
-    deg = degree_table(layers)
-    present = deg > 0.0  # (n, l)
-    grid = [[None] * l for _ in range(l)]
-    for i in range(l):
-        grid[i][i] = layers[i].graph.matrix
-    for i in range(l):
-        for j in range(i + 1, l):
-            if adjacent_only and j != i + 1:
-                continue
-            d_ij = dist[i, j]
-            if d_ij <= 0.0:
-                raise ValueError(
-                    f"coupled layers ({i}, {j}) need a positive distance"
-                )
-            w = c / d_ij if kernel == "reciprocal" else c
-            vec = np.where(present[:, i] & present[:, j], w, 0.0)
-            if np.any(vec != 0.0):
-                block = sparse.diags_array(vec, format="csc")
-                grid[i][j] = block
-                grid[j][i] = block
-    full = sparse.block_array(grid, format="csc")
-    return SuperAdjacency(n=n, l=l, matrix=full)
+    if adjacent_only:
+        src = np.arange(l - 1)
+        dst = src + 1
+    else:
+        src, dst = np.triu_indices(l, 1)
+    d = dist[src, dst]
+    bad = np.flatnonzero(d <= 0.0)
+    if bad.size:
+        raise ValueError(f"coupled layers ({src[bad[0]]}, {dst[bad[0]]}) "
+                         "need a positive distance")
+    w = c / d if kernel == "reciprocal" else np.full(d.shape, c, dtype=np.float64)
+    # couple both directions of every pair, at vertices present in both layers
+    src, dst, w = np.r_[src, dst], np.r_[dst, src], np.r_[w, w]
+    present = degree_table(layers) > 0.0  # (n, l)
+    vertex, pair = np.nonzero(present[:, src] & present[:, dst])
+    return _assemble(layers, vertex, src[pair], dst[pair], w[pair])
 
 
 # ---------------------------------------------------------------------------

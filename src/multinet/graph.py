@@ -169,12 +169,18 @@ def urw_transition(g: LayerGraph) -> TransitionMatrix:
     Returns M with ``M[v, u] = a[u, v] / out_degree(u)``. Every vertex must
     have positive out-degree; otherwise the walk is undefined at it.
     """
-    d = g.out_degrees()
-    dead = np.flatnonzero(d <= 0.0)
-    if dead.size:
-        raise DanglingVertex(int(dead[0]))
-    scaled = sparse.diags_array(1.0 / d) @ g.matrix
-    return TransitionMatrix(g.n, scaled.T)
+    _, inverse = _degree_scaling(g.matrix)
+    return TransitionMatrix(g.n, g.matrix.multiply(inverse[:, None]).T)
+
+
+def _degree_scaling(matrix, strict=True):
+    """Row sums d of an adjacency and their inverses 1/d; a zero row raises
+    DanglingVertex when strict, else scales by 1 and stays zero."""
+    d = np.asarray(matrix.sum(axis=1)).ravel()
+    dead = d <= 0.0
+    if strict and dead.any():
+        raise DanglingVertex(int(np.argmax(dead)))
+    return d, 1.0 / np.where(dead, 1.0, d)
 
 
 def reconstruct_adjacency(m: TransitionMatrix, gamma) -> LayerGraph:
@@ -208,16 +214,21 @@ def stationary(
     retries once at 0.15 and keeps the result only if it still fixes the
     original operator. The returned pi satisfies ``|M pi - pi|_1 <= tol``.
     """
-    x, converged = _power_iterate(m.matrix, tol, max_iter, damping)
-    if not converged and auto_retry and damping == 0.0:
-        x, converged = _power_iterate(m.matrix, tol, max_iter, 0.15)
-    residual = float(np.abs(m.matrix @ x - x).sum())
-    if residual > tol:
+    x, residual = _power_iterate(m.matrix, tol, max_iter, damping)
+    if residual <= tol:
+        return StationaryDistribution(x)
+    if not (auto_retry and damping == 0.0):
         raise NoConvergence(residual, max_iter)
-    return StationaryDistribution(x)
+    retry, retry_residual = _power_iterate(m.matrix, tol, max_iter, 0.15)
+    if retry_residual <= tol:
+        return StationaryDistribution(retry)
+    raise NoConvergence(residual, max_iter, (
+        f"undamped: residual {residual:.3e}; retry at damping 0.15: residual "
+        f"{retry_residual:.3e}; each after {max_iter} iterations"))
 
 
 def _power_iterate(mat, tol, max_iter, damping):
+    """Last iterate and its residual |M x - x|_1 under the undamped M."""
     n = mat.shape[0]
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
@@ -225,10 +236,10 @@ def _power_iterate(mat, tol, max_iter, damping):
         if damping:
             y = (1.0 - damping) * y + damping / n
         if np.abs(y - x).sum() <= tol:
-            return x, True
+            break
         x = 0.5 * (x + y)
         x /= x.sum()
-    return x, False
+    return x, float(np.abs(mat @ x - x).sum())
 
 
 def is_detailed_balanced(m: TransitionMatrix, pi: StationaryDistribution,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -43,19 +43,14 @@ ENV_SEED = "MULTINET_SEED"
 class RunConfig:
     """Solver and reporting knobs shared by the CLI and demos."""
 
-    structural_tol: float = 1e-12
-    iterative_tol: float = 1e-10
     eigen_tol: float = 1e-8
     max_iter: int = 100_000
     damping: float = 0.0
-    conductance_one_sided: bool = False
-    output_dir: str = "."
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("structural_tol", "iterative_tol", "eigen_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        if self.eigen_tol <= 0.0:
+            raise ValueError("eigen_tol must be positive")
         if self.max_iter <= 0:
             raise ValueError("max_iter must be positive")
 
@@ -72,8 +67,6 @@ class LayeredDataset:
     layer_names: list
     layers: list  # LayerGraph per name, same order
     labels: list  # id -> label
-    dynamics: dict = field(default_factory=dict)  # layer name -> DynamicsParams
-    composition: object = None  # optional CompositionSpec payload
 
     @property
     def n(self):

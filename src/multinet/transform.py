@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import DanglingVertex, DelayBelowOne, DimensionMismatch, NegativeEntry
-from .graph import LayerGraph
+from .errors import DelayBelowOne, DimensionMismatch, NegativeEntry
+from .graph import LayerGraph, _degree_scaling
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,19 @@ class DynamicsParams:
         object.__setattr__(self, "delay", delay)
         if bias.shape != delay.shape:
             raise DimensionMismatch("bias and delay must have equal length")
-        if bias.min(initial=np.inf) <= 0.0 or not np.all(np.isfinite(bias)):
-            raise NegativeEntry("bias entries must be strictly positive and finite")
-        if delay.min(initial=np.inf) < 1.0 or not np.all(np.isfinite(delay)):
-            raise DelayBelowOne("delay entries must be finite and >= 1")
+        _check_dynamics(bias, delay)
 
     @classmethod
     def identity(cls, n):
         return cls(np.ones(n), np.ones(n))
+
+
+def _check_dynamics(bias=(), delay=()):
+    """Raise unless every bias is finite and > 0 and every delay finite and >= 1."""
+    if np.min(bias, initial=np.inf) <= 0.0 or not np.all(np.isfinite(bias)):
+        raise NegativeEntry("bias entries must be strictly positive and finite")
+    if np.min(delay, initial=np.inf) < 1.0 or not np.all(np.isfinite(delay)):
+        raise DelayBelowOne("delay entries must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -64,8 +69,7 @@ def bias_transform(g: LayerGraph, b) -> LayerGraph:
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (g.n,):
         raise DimensionMismatch(f"bias must have length {g.n}")
-    if b.min(initial=np.inf) <= 0.0 or not np.all(np.isfinite(b)):
-        raise NegativeEntry("bias entries must be strictly positive and finite")
+    _check_dynamics(bias=b)
     coo = g.matrix.tocoo()
     if g.directed:
         data = coo.data * b[coo.row]
@@ -89,8 +93,7 @@ def delay_transform(g_prime: LayerGraph, tau) -> InteractionMatrix:
         tau = np.full(g_prime.n, float(tau))
     if tau.shape != (g_prime.n,):
         raise DimensionMismatch(f"delay must have length {g_prime.n}")
-    if tau.min(initial=np.inf) < 1.0 or not np.all(np.isfinite(tau)):
-        raise DelayBelowOne("delay entries must be finite and >= 1")
+    _check_dynamics(delay=tau)
     d_prime = g_prime.out_degrees()
     loops = (tau - 1.0) * d_prime
     w = g_prime.matrix + sparse.diags_array(loops, format="csc")
@@ -119,10 +122,5 @@ def degree_proportional_delay(g: LayerGraph, kappa: float) -> np.ndarray:
 
 def laplacian_of(w: InteractionMatrix):
     """Normalized Laplacian (D_w - W) D_w^{-1} of a transformed layer."""
-    d = w.graph.out_degrees()
-    dead = np.flatnonzero(d <= 0.0)
-    if dead.size:
-        raise DanglingVertex(int(dead[0]))
-    mat = w.graph.matrix
-    lap = (sparse.diags_array(d) - mat) @ sparse.diags_array(1.0 / d)
-    return sparse.csc_array(lap)
+    d, inverse = _degree_scaling(w.graph.matrix)
+    return sparse.csc_array((sparse.diags_array(d) - w.graph.matrix).multiply(inverse))

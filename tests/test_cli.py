@@ -114,6 +114,32 @@ def test_compose_ego_verify_round_trip(tmp_path, toy_path, capsys):
                  "--ego-file", str(ego_path)]) == 1
 
 
+def test_verify_dynamics_composition_against_transformed_layers(tmp_path,
+                                                                 toy_path,
+                                                                 capsys):
+    # verify compares with the layers it is given: a composition made with
+    # dynamics verifies against `transform` run with the same flags
+    ds = read_layers(toy_path)
+    m = np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.3], [0.1, 0.2, 0.6]])
+    ego_path = tmp_path / "egos.json"
+    ego_path.write_text(json.dumps({label: m.tolist() for label in ds.labels}))
+    super_path = tmp_path / "super.mm"
+    transformed = tmp_path / "transformed.layers"
+    assert main(["compose", "--layers", str(toy_path), "--mode", "ego",
+                 "--ego-file", str(ego_path), "--degree-delay", "0.5",
+                 "--out", str(super_path)]) == 0
+    assert main(["transform", "--layers", str(toy_path),
+                 "--degree-delay", "0.5", "--out", str(transformed)]) == 0
+    assert main(["verify", "--super", str(super_path),
+                 "--layers", str(transformed), "--ego-file", str(ego_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["layer_consistency"]["passed"]
+    assert report["ego_consistency"]["passed"]
+    # against the raw layers the delay self-loops show up as a mismatch
+    assert main(["verify", "--super", str(super_path),
+                 "--layers", str(toy_path), "--ego-file", str(ego_path)]) == 1
+
+
 def test_compose_multiplex_writes_layered_file(tmp_path, temporal_path):
     out = tmp_path / "flat.layers"
     assert main(["compose", "--layers", str(temporal_path),

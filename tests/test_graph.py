@@ -126,6 +126,22 @@ def test_stationary_reports_residual_on_failure():
     assert exc.value.residual > 1e-12
 
 
+def test_stationary_failed_retry_reports_undamped_residual():
+    edges = [(k, k + 1, 1.0 + k) for k in range(5)]
+    m = urw_transition(LayerGraph.from_edges(6, edges, directed=False))
+    with pytest.raises(NoConvergence) as undamped:
+        stationary(m, tol=1e-12, max_iter=3, auto_retry=False)
+    with pytest.raises(NoConvergence) as both:
+        stationary(m, tol=1e-12, max_iter=3)
+    assert both.value.residual == undamped.value.residual
+    assert both.value.iterations == 3
+    text = str(both.value)
+    assert "undamped" in text and "damping 0.15" in text
+    assert f"{undamped.value.residual:.3e}" in text
+    # one residual per attempt
+    assert text.count("residual") == 2
+
+
 def test_detailed_balance_undirected_true(rng):
     g = random_graph(rng, 8, directed=False)
     m = urw_transition(g)

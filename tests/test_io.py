@@ -301,4 +301,4 @@ def test_run_config_env_seed(monkeypatch):
 
 def test_run_config_validates():
     with pytest.raises(ValueError):
-        RunConfig(iterative_tol=0.0)
+        RunConfig(eigen_tol=0.0)
