@@ -14,16 +14,22 @@ distributions keyed by vertex label, and per-layer bias/delay vectors keyed
 by layer name then vertex label. Super-adjacencies serialize to
 Matrix-Market coordinate files (header comment records n, l, and the
 layer-major index convention) or to a JSON block layout; both round-trip
-weights bit-identically.
+weights bit-identically. Entry order and float spelling are not part of
+either format. Both readers reject indices out of range, non-numeric or
+non-finite weights and duplicate entries; the Matrix-Market reader also
+rejects a missing or foreign banner and an entry count other than declared.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.io
 from scipy import sparse
 
 from .compose import EgoMarkov, SuperAdjacency, split_flat
@@ -386,100 +392,92 @@ def read_super(path, format=None) -> SuperAdjacency:
 
 
 def _write_super_mm(s, path):
-    coo = s.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("%%MatrixMarket matrix coordinate real general\n")
-        handle.write(
-            f"% multinet super-adjacency n={s.n} l={s.l} "
-            "indexing=layer-major flat=layer*n+vertex (1-based below)\n"
-        )
-        handle.write(f"{s.n * s.l} {s.n * s.l} {coo.nnz}\n")
-        for k in order:
-            handle.write(
-                f"{coo.row[k] + 1} {coo.col[k] + 1} {repr(float(coo.data[k]))}\n"
-            )
+    # an open handle stops mmwrite from appending ".mtx" to the name
+    with open(path, "wb") as handle:
+        scipy.io.mmwrite(handle, s.matrix, field="real", symmetry="general",
+                         comment=f" multinet super-adjacency n={s.n} l={s.l} "
+                                 "indexing=layer-major flat=layer*n+vertex (1-based below)")
 
 
 def _read_super_mm(path):
-    n = l = None
-    rows, cols, vals = [], [], []
-    size = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("%"):
-                for token in line.lstrip("% ").split():
-                    if token.startswith("n="):
-                        n = int(token[2:])
-                    elif token.startswith("l="):
-                        l = int(token[2:])
-                continue
-            tokens = line.split()
-            if size is None:
-                if len(tokens) != 3:
-                    raise ParseError(lineno, "expected size header", path)
-                size = int(tokens[0])
-                continue
-            if len(tokens) != 3:
-                raise ParseError(lineno, "expected: <i> <j> <weight>", path)
-            rows.append(int(tokens[0]) - 1)
-            cols.append(int(tokens[1]) - 1)
-            vals.append(float(tokens[2]))
-    if n is None or l is None:
-        raise ParseError(0, "header comment must record n= and l=", path)
-    if size != n * l:
-        raise ParseError(0, f"matrix size {size} does not equal n*l = {n * l}", path)
-    mat = sparse.coo_array((vals, (rows, cols)), shape=(size, size))
-    return SuperAdjacency(n=n, l=l, matrix=mat)
+    with open(path, "rb") as handle:
+        banner = "%%MatrixMarket matrix coordinate real general"
+        if handle.readline().strip() != banner.encode():
+            raise ParseError(1, f"expected the banner {banner!r}", path)
+        header = b"".join(itertools.takewhile(lambda line: line.startswith(b"%"), handle))
+        found = [re.search(rb"\b%s=(\d+)\b" % key, header) for key in (b"n", b"l")]
+        if not all(found):
+            raise ParseError(2, "header comment must record n= and l=", path)
+        n, l = (int(match[1]) for match in found)
+        handle.seek(0)
+        try:
+            coo = sparse.coo_array(scipy.io.mmread(handle))
+        except ValueError as exc:
+            where = re.match(r"Line (\d+): (.*)", str(exc))
+            line, reason = (int(where[1]), where[2]) if where else (0, str(exc))
+            raise ParseError(line, reason, path) from None
+    if coo.shape != (n * l, n * l):
+        raise ParseError(header.count(b"\n") + 2,
+                         f"matrix size {coo.shape} is not n*l = {n * l} square", path)
+    return _super_from_entries(path, n, l, coo.row, coo.col, coo.data)
 
 
 def _write_super_json(s, path):
-    diagonal = []
-    for i in range(s.l):
-        block = s.block(i, i).tocoo()
-        order = np.lexsort((block.col, block.row))
-        diagonal.append(
-            [[int(block.row[k]), int(block.col[k]), float(block.data[k])]
-             for k in order]
-        )
-    off = {}
-    for i in range(s.l):
-        for j in range(s.l):
-            if i == j:
-                continue
-            block = s.block(i, j).tocoo()
-            if block.nnz == 0:
-                continue
-            order = np.argsort(block.row)
-            off[f"{i},{j}"] = [[int(block.row[k]), float(block.data[k])]
-                               for k in order]
+    coo = s.matrix.tocoo()
+    (bi, u), (bj, v) = np.divmod(coo.row, s.n), np.divmod(coo.col, s.n)
+    order = np.lexsort((v, u, bj, bi))
+    cuts = np.flatnonzero(np.diff((bi * s.l + bj)[order])) + 1
+    diagonal, off = [[] for _ in range(s.l)], {}
+    for k in filter(len, np.split(order, cuts)):  # one sorted run per block
+        i, j, w = int(bi[k[0]]), int(bj[k[0]]), coo.data[k].tolist()
+        if i == j:
+            diagonal[i] = list(zip(u[k].tolist(), v[k].tolist(), w))
+        else:
+            off[f"{i},{j}"] = list(zip(u[k].tolist(), w))
     payload = {"n": s.n, "l": s.l, "diagonal_blocks": diagonal,
                "off_diagonal_blocks": off}
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+        handle.write(json.dumps(payload))
 
 
 def _read_super_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    n, l = int(payload["n"]), int(payload["l"])
-    rows, cols, vals = [], [], []
-    for i, triples in enumerate(payload["diagonal_blocks"]):
-        for u, v, w in triples:
-            rows.append(i * n + int(u))
-            cols.append(i * n + int(v))
-            vals.append(float(w))
-    for key, pairs in payload.get("off_diagonal_blocks", {}).items():
-        i, j = (int(part) for part in key.split(","))
-        for u, w in pairs:
-            rows.append(i * n + int(u))
-            cols.append(j * n + int(u))
-            vals.append(float(w))
-    mat = sparse.coo_array((vals, (rows, cols)), shape=(n * l, n * l))
-    return SuperAdjacency(n=n, l=l, matrix=mat)
+    try:
+        n, l = int(payload["n"]), int(payload["l"])
+        blocks = [((i, i), np.asarray(t, dtype=np.float64).reshape(len(t), 3))
+                  for i, t in enumerate(payload["diagonal_blocks"])]
+        if len(blocks) != l:
+            raise ValueError(f"{len(blocks)} diagonal blocks for l = {l}")
+        for key, pairs in payload.get("off_diagonal_blocks", {}).items():
+            entries = np.asarray(pairs, dtype=np.float64).reshape(len(pairs), 2)
+            blocks.append((tuple(map(int, key.split(","))), entries[:, [0, 0, 1]]))
+        offset = np.repeat([ij for ij, _ in blocks], [len(t) for _, t in blocks], axis=0)
+        table = np.concatenate([t for _, t in blocks] + [np.empty((0, 3))])
+        index = table[:, :2]
+        if not np.all((index == np.floor(index)) & (index >= 0) & (index < n)):
+            raise ValueError(f"a vertex index is not an integer in 0..{n - 1}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(0, f"malformed super-adjacency JSON: {exc}", path) from None
+    flat = (offset.reshape(-1, 2) * n + index).astype(np.int64)
+    return _super_from_entries(path, n, l, flat[:, 0], flat[:, 1], table[:, 2])
+
+
+def _super_from_entries(path, n, l, rows, cols, vals):
+    """SuperAdjacency from flat COO arrays; rejects what summing would hide."""
+    try:
+        coo = sparse.coo_array((vals, (rows, cols)), shape=(n * l, n * l))
+        keys = coo.row.astype(np.int64) * (n * l) + coo.col
+        bad = keys[~np.isfinite(coo.data)]
+        if bad.size:
+            raise ValueError(f"non-finite weight at 0-based flat {divmod(int(bad[0]), n * l)}")
+        keys.sort()
+        dup = keys[1:][keys[1:] == keys[:-1]]
+        if dup.size:
+            raise ValueError(f"duplicate entry at 0-based flat {divmod(int(dup[0]), n * l)}")
+        return SuperAdjacency(n=n, l=l, matrix=coo)
+    except ValueError as exc:
+        raise ParseError(0, str(exc), path) from None
 
 
 # ---------------------------------------------------------------------------
