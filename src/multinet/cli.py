@@ -41,7 +41,7 @@ from .transform import (
 )
 
 _IO_ERRORS = (ParseError, DuplicateEdge, UnknownLayer, MissingCategory,
-              OSError, json.JSONDecodeError)
+              OSError, json.JSONDecodeError, UnicodeDecodeError)
 
 
 def main(argv=None) -> int:
@@ -129,7 +129,6 @@ def _build_parser():
                    help="run spectral/stationary analysis on the largest "
                         "connected component (vertices absent from a layer "
                         "leave isolated instances in a super-adjacency)")
-    p.add_argument("--damping", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--dot", help="write a DOT file colored by bisection side")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -203,8 +202,7 @@ def _composition_spec(args, ds):
         raise ValueError("--mode distance requires --coupling")
     l = len(ds.layer_names)
     if args.distances:
-        with open(args.distances, "r", encoding="utf-8") as handle:
-            dist = np.asarray(json.load(handle), dtype=np.float64)
+        dist = np.asarray(mio.read_json(args.distances), dtype=np.float64)
         adjacent_only = bool(args.adjacent_only)
     else:
         idx = np.arange(l, dtype=np.float64)
@@ -270,7 +268,7 @@ def _cmd_analyze(args):
         else:
             raise ValueError("layered input has several layers; pick one with "
                              "--layer or compose first")
-    config = mio.RunConfig(seed=args.seed, damping=args.damping)
+    config = mio.RunConfig(seed=args.seed)
     seed = config.resolved_seed()
 
     full = graph.as_graph() if hasattr(graph, "as_graph") else graph
@@ -307,7 +305,7 @@ def _cmd_analyze(args):
             raise ValueError("--layer-load needs a super-adjacency (--super)")
         report["layer_load"] = layer_load(graph).loads.tolist()
     if args.stationary:
-        pi = stationary(urw_transition(walk_graph), damping=config.damping)
+        pi = stationary(urw_transition(walk_graph))
         report["stationary"] = pi.pi.tolist()
     if args.dot:
         mio.write_dot(graph, args.dot, side=side_full,
@@ -325,8 +323,7 @@ def _cmd_ingest(args):
     highway = tuple(c for c in args.highway_classes.split(",") if c)
     weights = None
     if args.class_weights:
-        with open(args.class_weights, "r", encoding="utf-8") as handle:
-            weights = {k: float(v) for k, v in json.load(handle).items()}
+        weights = {k: float(v) for k, v in mio.read_json(args.class_weights).items()}
     ds = mio.read_dimacs_gr(args.gr, args.categories,
                             highway_classes=highway, class_weights=weights)
     layers = list(ds.layers)

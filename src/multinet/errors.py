@@ -28,13 +28,10 @@ class NonPositiveScale(MultinetError):
 
 
 class NoConvergence(MultinetError):
-    def __init__(self, residual, iterations, message=None):
+    def __init__(self, residual, iterations):
         self.residual = residual
         self.iterations = iterations
-        super().__init__(
-            message
-            or f"residual {residual:.3e} after {iterations} iterations"
-        )
+        super().__init__(f"residual {residual:.3e} after {iterations} iterations")
 
 
 class NotDetailedBalanced(MultinetError):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order as _bfs
 from scipy.sparse.csgraph import connected_components as _cc
 
 from .errors import (
@@ -198,48 +199,30 @@ def reconstruct_adjacency(m: TransitionMatrix, gamma) -> LayerGraph:
     return LayerGraph(m.n, adjacency, directed=True)
 
 
-def stationary(
-    m: TransitionMatrix,
-    tol: float = ITERATIVE_TOL,
-    max_iter: int = 100_000,
-    damping: float = 0.0,
-    auto_retry: bool = True,
-) -> StationaryDistribution:
-    """Fixed point of the walk by damped power iteration.
+def stationary(m: TransitionMatrix, tol: float = ITERATIVE_TOL,
+               max_iter: int = 100_000) -> StationaryDistribution:
+    """Fixed point of the walk: ``|M pi - pi|_1 <= tol``, else NoConvergence.
 
-    Iterates the half-lazy operator (x + Mx)/2, which shares every fixed
-    point with M but is aperiodic, so bipartite structures converge without
-    damping. `damping` blends toward the uniform distribution (changing the
-    chain, PageRank-style); on non-convergence with damping 0 the solver
-    retries once at 0.15 and keeps the result only if it still fixes the
-    original operator. The returned pi satisfies ``|M pi - pi|_1 <= tol``.
+    A detailed-balanced chain (the walk of any undirected layer or
+    composition) starts from its exact balance-ratio vector, which is
+    already fixed, with mass |C|/n on each weakly connected component C; any
+    other chain starts uniform. The loop iterates the half-lazy operator
+    (x + Mx)/2, which shares every fixed point with M but is aperiodic, so
+    bipartite structures converge too.
     """
-    x, residual = _power_iterate(m.matrix, tol, max_iter, damping)
-    if residual <= tol:
-        return StationaryDistribution(x)
-    if not (auto_retry and damping == 0.0):
-        raise NoConvergence(residual, max_iter)
-    retry, retry_residual = _power_iterate(m.matrix, tol, max_iter, 0.15)
-    if retry_residual <= tol:
-        return StationaryDistribution(retry)
-    raise NoConvergence(residual, max_iter, (
-        f"undamped: residual {residual:.3e}; retry at damping 0.15: residual "
-        f"{retry_residual:.3e}; each after {max_iter} iterations"))
-
-
-def _power_iterate(mat, tol, max_iter, damping):
-    """Last iterate and its residual |M x - x|_1 under the undamped M."""
-    n = mat.shape[0]
-    x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        y = mat @ x
-        if damping:
-            y = (1.0 - damping) * y + damping / n
-        if np.abs(y - x).sum() <= tol:
-            break
-        x = 0.5 * (x + y)
-        x /= x.sum()
-    return x, float(np.abs(mat @ x - x).sum())
+    try:
+        x = _balance_stationary(m, tol)
+    except NotDetailedBalanced:
+        x = np.full(m.n, 1.0 / m.n)
+    for step in range(max_iter + 1):
+        y = m.matrix @ x
+        residual = float(np.abs(y - x).sum())
+        if residual <= tol:
+            return StationaryDistribution(x)
+        if step < max_iter:
+            x = 0.5 * (x + y)
+            x /= x.sum()
+    raise NoConvergence(residual, max_iter)
 
 
 def is_detailed_balanced(m: TransitionMatrix, pi: StationaryDistribution,
@@ -256,46 +239,56 @@ def symmetrize_from_markov(m: TransitionMatrix, alpha: float,
                            tol: float = ITERATIVE_TOL) -> LayerGraph:
     """The symmetric adjacency alpha * M Pi of a detailed-balanced walk.
 
-    Pi is recovered exactly from the balance ratios along a spanning tree,
-    then the full balance condition is verified; non-balanced chains are
-    rejected. Results for two alphas differ by exactly their ratio (the one
-    global degree of freedom of an undirected walk).
+    Pi is recovered exactly from the balance ratios along a spanning forest
+    (mass |C|/n on each weakly connected component C) and the full balance
+    condition is verified to `tol`; non-balanced chains raise
+    NotDetailedBalanced. Results for two alphas differ by exactly their
+    ratio (the one global degree of freedom of a connected undirected walk).
     """
     if alpha <= 0:
         raise NonPositiveScale("alpha must be positive")
-    pi = _balance_stationary(m)
-    if not is_detailed_balanced(m, pi, tol):
+    s = (m.matrix @ sparse.diags_array(_balance_stationary(m, tol))) * alpha
+    return LayerGraph(m.n, (s + s.T) * 0.5, directed=False)
+
+
+def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
+    """Stationary vector of a detailed-balanced chain from its balance ratios.
+
+    pi_v / pi_u = P(u -> v) / P(v -> u) is accumulated in log space along one
+    breadth-first spanning forest, rooted at a hub joined to the first vertex
+    of each weakly connected component C, which then gets mass |C|/n. Raises
+    NotDetailedBalanced when a transition has no reverse or some flow
+    pi_u P(u -> v) differs from pi_v P(v -> u) by more than `tol`.
+    """
+    mat, n = m.matrix, m.n
+    # the pattern must be symmetric: first the counts, which cost no transpose
+    if not np.array_equal(np.bincount(mat.indices, minlength=n), np.diff(mat.indptr)):
+        raise NotDetailedBalanced("some transition has no reverse")
+    rev = sparse.csc_array(mat.T)  # entry k: P(v -> u) where mat's entry k is P(u -> v)
+    if not np.array_equal(rev.indices, mat.indices):
+        raise NotDetailedBalanced("some transition has no reverse")
+    src = np.repeat(np.arange(n), np.diff(mat.indptr))  # u of entry k; v is indices[k]
+    count, labels = _cc(mat, directed=False)
+    roots = np.unique(labels, return_index=True)[1]
+    forest = sparse.csr_array(  # row u lists the successors of u; row n the roots
+        (np.ones(mat.nnz + count), np.concatenate([mat.indices, roots]),
+         np.append(mat.indptr, mat.nnz + count)), shape=(n + 1, n + 1))
+    _, up = _bfs(forest, n, directed=True, return_predecessors=True)
+    up = np.append(up[:n], n).astype(np.int64)
+    step = np.zeros(n + 1)  # log pi_v - log pi_up[v]
+    child = np.flatnonzero(up[:n] < n)
+    k = np.searchsorted(src * n + mat.indices, up[child] * n + child)
+    step[child] = np.log(mat.data[k]) - np.log(rev.data[k])
+    while (up < n).any():  # pointer jumping: sum the steps up to the hub
+        step, up = step + step[up], up[up]
+    top = np.full(count, -np.inf)
+    np.maximum.at(top, labels, step[:n])
+    weight = np.exp(step[:n] - top[labels])
+    pi = weight * (np.bincount(labels) / n / np.bincount(labels, weight))[labels]
+    imbalance = pi[src] * mat.data - pi[mat.indices] * rev.data
+    if np.abs(imbalance).max(initial=0.0) > tol:
         raise NotDetailedBalanced("chain is not detailed-balanced")
-    s = (m.matrix @ sparse.diags_array(pi.pi)) * alpha
-    symmetric = (s + s.T) * 0.5
-    return LayerGraph(m.n, symmetric, directed=False)
-
-
-def _balance_stationary(m: TransitionMatrix) -> StationaryDistribution:
-    """Stationary vector from pairwise ratios, exact for balanced chains."""
-    forward = m.matrix  # column u holds the out-transitions of u
-    backward = m.matrix.tocsr()  # row u holds P(v -> u) over v
-    n = m.n
-    pi = np.zeros(n)
-    for root in range(n):
-        if pi[root] > 0:
-            continue
-        pi[root] = 1.0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            lo, hi = forward.indptr[u], forward.indptr[u + 1]
-            for v, p_uv in zip(forward.indices[lo:hi], forward.data[lo:hi]):
-                if pi[v] > 0 or v == u:
-                    continue
-                p_vu = backward[int(u), int(v)]  # probability of v -> u
-                if p_vu <= 0.0:
-                    raise NotDetailedBalanced(
-                        f"transition {u}->{v} has no reverse"
-                    )
-                pi[v] = pi[u] * p_uv / p_vu
-                stack.append(int(v))
-    return StationaryDistribution(pi / pi.sum())
+    return pi
 
 
 def components(matrix) -> list[np.ndarray]:

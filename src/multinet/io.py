@@ -51,7 +51,6 @@ class RunConfig:
 
     eigen_tol: float = 1e-8
     max_iter: int = 100_000
-    damping: float = 0.0
     seed: int = 42
 
     def __post_init__(self):
@@ -175,10 +174,23 @@ def write_layers(ds: LayeredDataset, path):
 # companion JSON payloads
 
 
+def read_json(path):
+    """Parse a UTF-8 JSON file; a key repeated in one object raises ParseError."""
+    def unique_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(0, f"duplicate JSON object key {key!r}", path)
+            seen.add(key)
+        return dict(pairs)
+
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle, object_pairs_hook=unique_keys)
+
+
 def read_ego_file(path, ds: LayeredDataset) -> list:
     """Ego matrices keyed by vertex label, layer order as in the dataset."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = read_json(path)
     ids = ds.label_ids
     egos = []
     for label, matrix in payload.items():
@@ -202,8 +214,7 @@ def read_pi_file(path, ds: LayeredDataset) -> np.ndarray:
 
     Vertices absent from the file are composed without inter-layer coupling.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = read_json(path)
     ids = ds.label_ids
     l = len(ds.layer_names)
     pis = np.full((ds.n, l), np.nan)
@@ -236,8 +247,7 @@ def read_dynamics(bias_path, delay_path, ds: LayeredDataset) -> dict:
     def load(path):
         if path is None:
             return {}
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+        payload = read_json(path)
         for name in payload:
             if name not in ds.layer_names:
                 raise ParseError(0, f"unknown layer {name!r}", path)
@@ -441,8 +451,7 @@ def _write_super_json(s, path):
 
 
 def _read_super_json(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = read_json(path)
     try:
         n, l = int(payload["n"]), int(payload["l"])
         blocks = [((i, i), np.asarray(t, dtype=np.float64).reshape(len(t), 3))

@@ -217,3 +217,38 @@ def test_seed_env_override(tmp_path, temporal_path, capsys, monkeypatch):
     assert main(["analyze", "--super", str(out), "--layer-load"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["seed"] == 123
+
+
+@pytest.mark.parametrize("flag, name", [("--super", "bad.json"),
+                                        ("--layers", "bad.layers")])
+def test_exit_code_non_utf8_input(tmp_path, capsys, flag, name):
+    bad = tmp_path / name
+    bad.write_bytes(b"\xff\xfe\x00layer t1 undirected\n")
+    assert main(["analyze", flag, str(bad), "--stationary"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UnicodeDecodeError"
+
+
+def test_compose_distances_rejects_duplicate_key(tmp_path, temporal_path, capsys):
+    dist = tmp_path / "dist.json"
+    dist.write_text('{"0": [0, 1, 2], "0": [1, 0, 1]}')
+    code = main(["compose", "--layers", str(temporal_path), "--mode", "distance",
+                 "--coupling", "1.0", "--distances", str(dist),
+                 "--out", str(tmp_path / "super.mm")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and "'0'" in err["message"]
+
+
+def test_ingest_class_weights_rejects_duplicate_key(tmp_path, capsys):
+    gr = tmp_path / "roads.gr"
+    gr.write_text(GR)
+    cats = tmp_path / "roads.cat"
+    cats.write_text(CATS)
+    weights = tmp_path / "weights.json"
+    weights.write_text('{"A1": 3.0, "A1": 5.0}')
+    code = main(["ingest-dimacs", "--gr", str(gr), "--categories", str(cats),
+                 "--class-weights", str(weights), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError" and "'A1'" in err["message"]

@@ -302,3 +302,45 @@ def test_run_config_env_seed(monkeypatch):
 def test_run_config_validates():
     with pytest.raises(ValueError):
         RunConfig(eigen_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# a key given twice in one JSON object is a ParseError, never a silent overwrite
+
+
+def assert_rejects_duplicate_key(read, path, key):
+    with pytest.raises(ParseError) as exc:
+        read(path)
+    assert f"duplicate JSON object key {key!r}" in str(exc.value)
+
+
+def test_ego_file_rejects_duplicate_key(toy_path, tmp_path):
+    ds = read_layers(toy_path)
+    eye = json.dumps(np.eye(3).tolist())
+    path = tmp_path / "egos.json"
+    path.write_text(f'{{"alice": {eye}, "bob": {eye}, "carol": {eye}, '
+                    f'"dave": {eye}, "alice": {eye}}}')
+    assert_rejects_duplicate_key(lambda p: read_ego_file(p, ds), path, "alice")
+
+
+def test_pi_file_rejects_duplicate_key(toy_path, tmp_path):
+    ds = read_layers(toy_path)
+    path = tmp_path / "pis.json"
+    path.write_text('{"alice": [0.5, 0.3, 0.2], "alice": [0.2, 0.2, 0.6]}')
+    assert_rejects_duplicate_key(lambda p: read_pi_file(p, ds), path, "alice")
+
+
+def test_read_dynamics_rejects_duplicate_key(toy_path, tmp_path):
+    ds = read_layers(toy_path)
+    path = tmp_path / "bias.json"
+    path.write_text('{"phone": {"alice": 2.0, "alice": 3.0}}')
+    assert_rejects_duplicate_key(lambda p: read_dynamics(p, None, ds), path, "alice")
+
+
+def test_super_json_rejects_duplicate_block_key(tmp_path):
+    # before, the second "0,1" block replaced the first one's couplings
+    path = tmp_path / "super.json"
+    path.write_text('{"n": 2, "l": 2, "diagonal_blocks": [[[0, 1, 1.5], [1, 0, 1.5]], '
+                    '[[0, 1, 2.0], [1, 0, 2.0]]], "off_diagonal_blocks": '
+                    '{"0,1": [[0, 0.25]], "0,1": [[1, 0.75]]}}')
+    assert_rejects_duplicate_key(read_super, path, "0,1")

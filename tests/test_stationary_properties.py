@@ -1,0 +1,162 @@
+"""Property tests of the stationary solver against closed forms and an oracle.
+
+A detailed-balanced walk (any undirected graph, and any directed graph whose
+walk is reversible) must come out as its closed form ``(|C| / n) d / vol_C``
+on every weakly connected component C, without a single iteration. Any other
+walk must reproduce bit for bit the lazy power iteration from the uniform
+vector that is kept below as the oracle.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+
+from multinet import (
+    LayerGraph,
+    TransitionMatrix,
+    as_interaction,
+    compose_distance,
+    reconstruct_adjacency,
+    stationary,
+    symmetrize_from_markov,
+    urw_transition,
+)
+from multinet.errors import NotDetailedBalanced
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def oracle_lazy_iteration(m, tol=1e-10, max_iter=100_000):
+    """Half-lazy power iteration from the uniform vector."""
+    x = np.full(m.n, 1.0 / m.n)
+    for _ in range(max_iter):
+        y = m.matrix @ x
+        if np.abs(y - x).sum() <= tol:
+            return x
+        x = 0.5 * (x + y)
+        x /= x.sum()
+    raise AssertionError("oracle did not converge")
+
+
+def closed_form(adjacency):
+    """(|C| / n) d / vol_C for the row sums d of a symmetric adjacency."""
+    d = np.asarray(adjacency.sum(axis=1)).ravel()
+    _, labels = connected_components(adjacency, directed=False)
+    share = np.bincount(labels) / d.size / np.bincount(labels, d)
+    return d * share[labels]
+
+
+@st.composite
+def undirected_graphs(draw):
+    """Undirected graphs with self-loops and up to four components."""
+    n = draw(st.integers(1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    part = rng.integers(0, draw(st.integers(1, 4)), n)
+    mask = (rng.random((n, n)) < 0.4) & (part[:, None] == part[None, :])
+    a = np.triu(np.where(mask, rng.uniform(0.1, 10.0, (n, n)), 0.0), 1)
+    a = a + a.T
+    a[np.diag_indices(n)] = np.where(rng.random(n) < 0.3,
+                                     rng.uniform(0.1, 10.0, n), 0.0)
+    lonely = a.sum(axis=1) == 0.0
+    a[lonely, lonely] = 1.0
+    return LayerGraph.from_dense(a, directed=False), rng
+
+
+@st.composite
+def non_reversible_chains(draw):
+    """Walks around a ring 0 -> 1 -> ... -> 0 that break detailed balance.
+
+    Either the arc 1 -> 0 is missing (the pattern is not symmetric), or the
+    ring runs both ways with clockwise weights in [1, 2] and counter-clockwise
+    ones in [3, 4], so the two cycle products differ (Kolmogorov's criterion).
+    """
+    n = draw(st.integers(3, 12))
+    symmetric = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.where(rng.random((n, n)) < 0.3, rng.uniform(0.1, 10.0, (n, n)), 0.0)
+    ring = np.arange(n)
+    a[ring, (ring + 1) % n] = rng.uniform(1.0, 2.0, n)
+    if symmetric:
+        a = np.where((a > 0.0) | (a.T > 0.0), rng.uniform(0.1, 10.0, (n, n)), 0.0)
+        a[ring, (ring + 1) % n] = rng.uniform(1.0, 2.0, n)
+        a[(ring + 1) % n, ring] = rng.uniform(3.0, 4.0, n)
+    else:
+        a[1, 0] = 0.0
+    return urw_transition(LayerGraph.from_dense(a, directed=True))
+
+
+@PROPERTY
+@given(undirected_graphs())
+def test_undirected_walk_is_the_closed_form(drawn):
+    g, _ = drawn
+    m = urw_transition(g)
+    pi = stationary(m, max_iter=0).pi  # no iteration: the start is fixed
+    assert np.abs(pi - closed_form(g.matrix)).sum() <= 1e-12
+
+
+@PROPERTY
+@given(undirected_graphs())
+def test_reversible_directed_walk_is_the_closed_form(drawn):
+    g, rng = drawn
+    walk = urw_transition(reconstruct_adjacency(urw_transition(g),
+                                                rng.uniform(0.1, 10.0, g.n)))
+    pi = stationary(walk, max_iter=0).pi
+    assert np.abs(pi - closed_form(g.matrix)).sum() <= 1e-12
+
+
+@PROPERTY
+@given(undirected_graphs(), st.floats(0.1, 10.0))
+def test_symmetrize_is_the_scaled_adjacency(drawn, alpha):
+    g, _ = drawn
+    d = g.out_degrees()
+    expect = alpha * g.toarray() * (closed_form(g.matrix) / d)[:, None]
+    out = symmetrize_from_markov(urw_transition(g), alpha).toarray()
+    assert np.abs(out - expect).max() <= 1e-12 * alpha
+
+
+@PROPERTY
+@given(non_reversible_chains())
+def test_non_reversible_walk_matches_uniform_start_oracle(m):
+    pi = stationary(m).pi
+    assert np.array_equal(pi, oracle_lazy_iteration(m))
+    with pytest.raises(NotDetailedBalanced):
+        symmetrize_from_markov(m, 1.0)
+
+
+def test_two_layer_grid_composition_is_degree_over_volume():
+    side = 100
+    rng = np.random.default_rng(7)
+    grid = np.arange(side * side).reshape(side, side)
+    u = np.concatenate([grid[:, :-1].ravel(), grid[:-1, :].ravel()])
+    v = np.concatenate([grid[:, 1:].ravel(), grid[1:, :].ravel()])
+    layers = []
+    for _ in range(2):
+        w = rng.uniform(0.5, 1.5, u.size)
+        a = sparse.coo_array((np.concatenate([w, w]), (np.concatenate([u, v]),
+                                                      np.concatenate([v, u]))),
+                             shape=(side * side, side * side))
+        layers.append(as_interaction(LayerGraph(side * side, a, directed=False)))
+    s = compose_distance(layers, [[0.0, 1.0], [1.0, 0.0]], 1.0)
+    d = np.asarray(s.matrix.sum(axis=1)).ravel()
+    pi = stationary(urw_transition(s.as_graph()), max_iter=0).pi
+    assert np.abs(pi - d / d.sum()).sum() <= 1e-12
+
+
+def test_birth_death_chain_stays_finite():
+    # up 0.9, down 0.1 on 400 states: pi_k is proportional to 9^k, a range
+    # of 9^399 that overflows unless the logs are shifted before exp
+    n = 400
+    k = np.arange(n)
+    rows = np.concatenate([k[1:], k[:-1], [0, n - 1]])
+    cols = np.concatenate([k[:-1], k[1:], [0, n - 1]])
+    vals = np.concatenate([np.full(n - 1, 0.9), np.full(n - 1, 0.1), [0.1, 0.9]])
+    m = TransitionMatrix(n, sparse.coo_array((vals, (rows, cols)), shape=(n, n)))
+    log_pi = k * np.log(9.0)
+    expect = np.exp(log_pi - log_pi.max())
+    expect /= expect.sum()
+    pi = stationary(m, max_iter=0).pi
+    assert np.all(np.isfinite(pi))
+    assert np.abs(pi - expect).sum() <= 1e-12
