@@ -305,7 +305,7 @@ def _cmd_analyze(args):
             raise ValueError("--layer-load needs a super-adjacency (--super)")
         report["layer_load"] = layer_load(graph).loads.tolist()
     if args.stationary:
-        pi = stationary(urw_transition(walk_graph))
+        pi = stationary(urw_transition(walk_graph), max_iter=config.max_iter)
         report["stationary"] = pi.pi.tolist()
     if args.dot:
         mio.write_dot(graph, args.dot, side=side_full,

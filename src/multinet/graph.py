@@ -61,27 +61,22 @@ class LayerGraph:
 
     @classmethod
     def from_edges(cls, n, edges, directed=True):
-        """Build from an iterable of (u, v, weight) triples.
+        """Build from (u, v, weight) triples: a sequence or an (m, 3) array.
 
-        For undirected graphs each edge is mirrored; a triple given in both
-        orientations with equal weight is accepted once.
+        For undirected graphs each edge is mirrored. An edge given twice
+        raises ValueError; for undirected graphs that includes one triple in
+        each orientation, whatever the weights.
         """
-        rows, cols, vals = [], [], []
-        seen = {}
-        for u, v, w in edges:
-            key = (u, v) if directed or u <= v else (v, u)
-            if key in seen:
-                raise ValueError(f"edge {key} specified twice")
-            seen[key] = w
-            rows.append(u)
-            cols.append(v)
-            vals.append(w)
-            if not directed and u != v:
-                rows.append(v)
-                cols.append(u)
-                vals.append(w)
-        mat = sparse.coo_array((vals, (rows, cols)), shape=(n, n))
-        return cls(n, mat, directed)
+        table = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+        ends, vals = table[:, :2].astype(np.int64), table[:, 2]
+        key = ends if directed else np.sort(ends, axis=1)
+        repeat = first_repeat(np.ravel_multi_index(tuple(key.T), (n, n)))
+        if repeat is not None:
+            raise ValueError(f"edge {tuple(key[repeat].tolist())} specified twice")
+        if not directed:
+            off = ends[:, 0] != ends[:, 1]
+            ends, vals = np.concatenate((ends, ends[off, ::-1])), np.concatenate((vals, vals[off]))
+        return cls(n, sparse.coo_array((vals, tuple(ends.T)), shape=(n, n)), directed)
 
     @classmethod
     def from_dense(cls, array, directed=True):
@@ -289,6 +284,15 @@ def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
     if np.abs(imbalance).max(initial=0.0) > tol:
         raise NotDetailedBalanced("chain is not detailed-balanced")
     return pi
+
+
+def first_repeat(key):
+    """Position of the earliest entry of an integer array equal to an
+    earlier entry, or None when all entries differ."""
+    ranked = np.sort(key)
+    if (ranked[1:] != ranked[:-1]).all():
+        return None
+    return int(np.setdiff1d(np.arange(key.size), np.unique(key, return_index=True)[1])[0])
 
 
 def components(matrix) -> list[np.ndarray]:

@@ -8,7 +8,8 @@ Layered edge-list format (line oriented, ``#`` comments allowed)::
     edge phone alice bob 2.0
     edge email alice carol 1.0
 
-Vertex labels are shared across layers; ids follow first appearance.
+Vertex labels are shared across layers; ids follow first appearance. A
+malformed file raises at its earliest faulty line, a repeated edge included.
 Companion JSON files carry per-vertex ego matrices or stationary layer
 distributions keyed by vertex label, and per-layer bias/delay vectors keyed
 by layer name then vertex label. Super-adjacencies serialize to
@@ -39,7 +40,7 @@ from .errors import (
     ParseError,
     UnknownLayer,
 )
-from .graph import LayerGraph, components
+from .graph import LayerGraph, components, first_repeat
 from .transform import DynamicsParams
 
 ENV_SEED = "MULTINET_SEED"
@@ -90,69 +91,75 @@ class LayeredDataset:
 
 
 def read_layers(path) -> LayeredDataset:
-    """Parse the layered edge-list format."""
-    layer_decl = {}       # name -> directed flag
-    layer_order = []
-    labels = []
-    ids = {}
-    edges = {}
-    seen = set()
+    """Parse the layered edge-list format; the earliest faulty line is reported.
+    One pass checks each line; ids, repeated edges and matrices come from arrays."""
+    declared = {}  # layer name -> (index, directed flag), in declaration order
+    seq, lone = [], []  # label occurrences in file order; where vertex lines put theirs
+    layer, weight, where = [], [], []  # per edge: layer index, weight, line number
+    fault = None  # raised after the lines before it are checked for a repeated edge
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                if "#" in raw:
+                    raw = raw.split("#", 1)[0]
+                tokens = raw.split()
+                if not tokens:
+                    continue
+                kind = tokens[0]
+                if kind == "edge":
+                    if len(tokens) != 5:
+                        raise ParseError(lineno, "expected: edge <layer> <u> <v> <weight>", path)
+                    name = tokens[1]
+                    if name not in declared:
+                        raise UnknownLayer(f"{path}:{lineno}: edge in undeclared layer {name!r}")
+                    try:
+                        w = float(tokens[4])
+                    except ValueError:
+                        raise ParseError(lineno, f"bad weight {tokens[4]!r}", path) from None
+                    if not 0.0 < w < np.inf:
+                        raise ParseError(lineno, "edge weight must be a positive finite number",
+                                         path)
+                    layer.append(declared[name][0])
+                    seq += tokens[2:4]
+                    weight.append(w)
+                    where.append(lineno)
+                elif kind == "vertex":
+                    if len(tokens) != 2:
+                        raise ParseError(lineno, "expected: vertex <label>", path)
+                    lone.append(len(seq))
+                    seq.append(tokens[1])
+                elif kind == "layer":
+                    if len(tokens) != 3 or tokens[2] not in ("directed", "undirected"):
+                        raise ParseError(lineno, "expected: layer <name> directed|undirected", path)
+                    if tokens[1] in declared:
+                        raise ParseError(lineno, f"layer {tokens[1]!r} declared twice", path)
+                    declared[tokens[1]] = (len(declared), tokens[2] == "directed")
+                else:
+                    raise ParseError(lineno, f"unknown directive {kind!r}", path)
+    except (ParseError, UnknownLayer, UnicodeDecodeError) as exc:
+        fault = exc
 
-    def vertex_id(label):
-        if label not in ids:
-            ids[label] = len(labels)
-            labels.append(label)
-        return ids[label]
-
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            kind = tokens[0]
-            if kind == "layer":
-                if len(tokens) != 3 or tokens[2] not in ("directed", "undirected"):
-                    raise ParseError(lineno, "expected: layer <name> directed|undirected", path)
-                name = tokens[1]
-                if name in layer_decl:
-                    raise ParseError(lineno, f"layer {name!r} declared twice", path)
-                layer_decl[name] = tokens[2] == "directed"
-                layer_order.append(name)
-                edges[name] = []
-            elif kind == "vertex":
-                if len(tokens) != 2:
-                    raise ParseError(lineno, "expected: vertex <label>", path)
-                vertex_id(tokens[1])
-            elif kind == "edge":
-                if len(tokens) != 5:
-                    raise ParseError(lineno, "expected: edge <layer> <u> <v> <weight>", path)
-                name = tokens[1]
-                if name not in layer_decl:
-                    raise UnknownLayer(f"{path}:{lineno}: edge in undeclared layer {name!r}")
-                try:
-                    weight = float(tokens[4])
-                except ValueError:
-                    raise ParseError(lineno, f"bad weight {tokens[4]!r}", path) from None
-                if not np.isfinite(weight) or weight <= 0.0:
-                    raise ParseError(lineno, "edge weight must be a positive finite number", path)
-                u = vertex_id(tokens[2])
-                v = vertex_id(tokens[3])
-                key = (name, u, v) if layer_decl[name] or u <= v else (name, v, u)
-                if key in seen:
-                    raise DuplicateEdge(f"{path}:{lineno}: edge {tokens[2]}-{tokens[3]} "
-                                        f"in layer {name!r} given twice")
-                seen.add(key)
-                edges[name].append((u, v, weight))
-            else:
-                raise ParseError(lineno, f"unknown directive {kind!r}", path)
-
-    n = len(labels)
-    layers = [
-        LayerGraph.from_edges(n, edges[name], directed=layer_decl[name])
-        for name in layer_order
-    ]
-    return LayeredDataset(layer_names=layer_order, layers=layers, labels=labels)
+    labels = list(dict.fromkeys(seq))
+    ids = dict(zip(labels, range(len(labels))))
+    ends = np.delete(np.fromiter(map(ids.__getitem__, seq), np.int64, len(seq)),
+                     lone).reshape(-1, 2)
+    index = np.array(layer, dtype=np.int64)
+    directed = np.array([flag for _, flag in declared.values()], dtype=bool)[index]
+    src, dst = np.where(directed[:, None], ends, np.sort(ends, axis=1)).T
+    repeat = first_repeat(np.ravel_multi_index((index, src, dst),
+                                               (len(declared), len(ids), len(ids))))
+    if repeat is not None:
+        u, v = (labels[k] for k in ends[repeat])
+        raise DuplicateEdge(f"{path}:{where[repeat]}: edge {u}-{v} "
+                            f"in layer {list(declared)[layer[repeat]]!r} given twice")
+    if fault is not None:
+        raise fault
+    order = np.argsort(index, kind="stable")
+    groups = np.split(np.column_stack((ends, weight))[order],
+                      np.searchsorted(index[order], np.arange(1, len(declared))))
+    layers = [LayerGraph.from_edges(len(labels), edges, directed=flag)
+              for edges, (_, flag) in zip(groups, declared.values())]
+    return LayeredDataset(layer_names=list(declared), layers=layers, labels=labels)
 
 
 def write_layers(ds: LayeredDataset, path):
@@ -244,6 +251,8 @@ def read_dynamics(bias_path, delay_path, ds: LayeredDataset) -> dict:
     Each file maps layer name -> {vertex label -> value}; missing layers or
     vertices default to 1.0 (identity). Either path may be None.
     """
+    ids = ds.label_ids
+
     def load(path):
         if path is None:
             return {}
@@ -252,13 +261,12 @@ def read_dynamics(bias_path, delay_path, ds: LayeredDataset) -> dict:
             if name not in ds.layer_names:
                 raise ParseError(0, f"unknown layer {name!r}", path)
             for label in payload[name]:
-                if label not in ds.label_ids:
+                if label not in ids:
                     raise ParseError(0, f"unknown vertex label {label!r}", path)
         return payload
 
     bias_payload = load(bias_path)
     delay_payload = load(delay_path)
-    ids = ds.label_ids
     dynamics = {}
     for name in ds.layer_names:
         bias = np.ones(ds.n)
@@ -321,42 +329,28 @@ def read_dimacs_gr(gr_path, category_path,
     if declared is None:
         raise ParseError(0, "missing 'p sp' header", gr_path)
 
-    weights = dict(class_weights or {})
-    highway = set(highway_classes)
-    layered = {name: [] for name in layer_names}
-    vertices = sorted({u for e in arcs for u in e})
-    for (u, v) in sorted(arcs):
-        if (u, v) not in categories:
-            raise MissingCategory(f"no road class for edge {u}-{v}")
-        road_class = categories[(u, v)]
-        name = layer_names[1] if road_class in highway else layer_names[0]
-        default = 2.0 if road_class in highway else 1.0
-        layered[name].append((u, v, float(weights.get(road_class, default))))
+    keys = sorted(arcs)
+    missing = next((key for key in keys if key not in categories), None)
+    if missing is not None:
+        raise MissingCategory(f"no road class for edge {missing[0]}-{missing[1]}")
+    road_class = [categories[key] for key in keys]
+    weights, highway = dict(class_weights or {}), set(highway_classes)
+    on_highway = np.array([c in highway for c in road_class], dtype=bool)
+    weight = [float(weights.get(c, 2.0 if c in highway else 1.0)) for c in road_class]
+    vertices, ends = np.unique(np.array(keys, dtype=np.int64).reshape(-1), return_inverse=True)
+    ends = ends.reshape(-1, 2)
 
     # restrict everything to the largest component of the union graph
-    idx = {label: k for k, label in enumerate(vertices)}
-    rows = [idx[u] for (u, v) in arcs] + [idx[v] for (u, v) in arcs]
-    cols = [idx[v] for (u, v) in arcs] + [idx[u] for (u, v) in arcs]
-    union = sparse.coo_array(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(vertices), len(vertices))
-    )
-    keep = set(components(union)[0]) if vertices else set()
-    kept_vertices = [label for label in vertices if idx[label] in keep]
-    final_ids = {label: k for k, label in enumerate(kept_vertices)}
-    n = len(kept_vertices)
-    layers = []
-    for name in layer_names:
-        triples = [
-            (final_ids[u], final_ids[v], w)
-            for (u, v, w) in layered[name]
-            if u in final_ids and v in final_ids
-        ]
-        layers.append(LayerGraph.from_edges(n, triples, directed=False))
-    return LayeredDataset(
-        layer_names=list(layer_names),
-        layers=layers,
-        labels=[str(label) for label in kept_vertices],
-    )
+    union = sparse.coo_array((np.ones(len(keys)), tuple(ends.T)), shape=(vertices.size,) * 2)
+    kept = components(union)[0] if vertices.size else np.empty(0, dtype=np.int64)
+    final = np.full(vertices.size, -1)
+    final[kept] = np.arange(kept.size)
+    table = np.column_stack((final[ends], weight))
+    inside = (table[:, :2] >= 0).all(axis=1)
+    layers = [LayerGraph.from_edges(kept.size, table[inside & (on_highway == on)], directed=False)
+              for on in (False, True)]
+    return LayeredDataset(layer_names=list(layer_names), layers=layers,
+                          labels=[str(label) for label in vertices[kept]])
 
 
 def _read_categories(path):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -53,20 +54,26 @@ class LayerLoad:
             raise ValueError("layer loads must be non-negative and sum to 1")
 
 
-def _spectral_matrix(g):
-    """Symmetric weight matrix for spectral work, symmetrizing if needed."""
-    if isinstance(g, SuperAdjacency):
-        mat = g.matrix
-    elif isinstance(g, LayerGraph):
-        mat = g.matrix
-    else:
+class _Weights(NamedTuple):
+    """Symmetric CSR weight matrix for spectral work, with its row sums."""
+
+    matrix: sparse.csr_array
+    degrees: np.ndarray
+
+
+def _spectral_weights(g) -> _Weights:
+    """Symmetric weights of a graph, symmetrizing if needed; weights built
+    here before pass through, so bisect builds and warns once."""
+    if isinstance(g, _Weights):
+        return g
+    if not isinstance(g, (SuperAdjacency, LayerGraph)):
         raise TypeError("expected a LayerGraph or SuperAdjacency")
+    mat = g.matrix
     if (mat != mat.T).nnz != 0:
-        warnings.warn(
-            "directed graph symmetrized as (W + W^T)/2 for spectral analysis"
-        )
+        warnings.warn("directed graph symmetrized as (W + W^T)/2 for spectral analysis")
         mat = (mat + mat.T) * 0.5
-    return sparse.csr_array(mat)
+    w = sparse.csr_array(mat)
+    return _Weights(w, np.asarray(w.sum(axis=1)).ravel())
 
 
 def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
@@ -78,14 +85,13 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
     <= tol; its sign is fixed by making the largest-magnitude entry
     positive.
     """
-    w = _spectral_matrix(g)
+    w, d = _spectral_weights(g)
     n = w.shape[0]
     if n < 2:
         raise EmptyGraph("need at least two vertices to bisect")
     comps = components(w)
     if len(comps) > 1:
         raise Disconnected(comps)
-    d = np.asarray(w.sum(axis=1)).ravel()
     inv_sqrt = 1.0 / np.sqrt(d)
     if n <= _DENSE_CUTOFF:
         normalized = inv_sqrt[:, np.newaxis] * w.toarray() * inv_sqrt[np.newaxis, :]
@@ -94,9 +100,6 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
         normalized = sparse.csr_array(scale @ w @ scale)
     null = np.sqrt(d)
     null /= np.linalg.norm(null)
-
-    def normalized_apply(x):
-        return normalized @ x
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -108,7 +111,7 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
         norm = np.linalg.norm(x)
     x /= norm
     for _ in range(max_iter):
-        nx = normalized_apply(x)
+        nx = normalized @ x
         rayleigh = x @ nx
         if np.linalg.norm(nx - rayleigh * x) <= tol:
             break
@@ -120,7 +123,7 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
             raise NoConvergence(float("nan"), max_iter)
         x /= norm
     else:
-        nx = normalized_apply(x)
+        nx = normalized @ x
         rayleigh = x @ nx
         residual = float(np.linalg.norm(nx - rayleigh * x))
         if residual > tol:
@@ -136,14 +139,13 @@ def sweep_cut(g, order) -> Bisection:
     Evaluates every proper prefix of the order and returns the minimizer
     (first one on ties) together with the whole profile.
     """
-    w = _spectral_matrix(g)
+    w, d = _spectral_weights(g)
     n = w.shape[0]
     order = np.asarray(order)
     if sorted(order.tolist()) != list(range(n)):
         raise ValueError("order must be a permutation of all vertices")
     if n < 2:
         raise EmptyGraph("need at least two vertices to bisect")
-    d = np.asarray(w.sum(axis=1)).ravel()
     total_vol = d.sum()
     in_s = np.zeros(n, dtype=bool)
     profile = np.empty(n - 1)
@@ -181,9 +183,10 @@ def sweep_cut(g, order) -> Bisection:
 def bisect(g, tol: float = 1e-8, max_iter: int = 100_000,
            seed: int = 42) -> Bisection:
     """Sweep cut along the Fiedler ordering (ascending values, index ties)."""
-    x = fiedler_vector(g, tol=tol, max_iter=max_iter, seed=seed)
+    weights = _spectral_weights(g)
+    x = fiedler_vector(weights, tol=tol, max_iter=max_iter, seed=seed)
     order = np.argsort(x, kind="stable")
-    return sweep_cut(g, order)
+    return sweep_cut(weights, order)
 
 
 def conductance(g, side, one_sided: bool = False) -> float:
@@ -192,13 +195,12 @@ def conductance(g, side, one_sided: bool = False) -> float:
     Symmetric form cut / min(vol, vol of complement) by default; one_sided
     divides by the set's own volume only.
     """
-    w = _spectral_matrix(g)
+    w, d = _spectral_weights(g)
     side = np.asarray(side, dtype=bool)
     if side.shape != (w.shape[0],):
         raise ValueError("side must be a boolean vector over all vertices")
     if not side.any() or side.all():
         raise EmptySide("both sides of a bisection must be non-empty")
-    d = np.asarray(w.sum(axis=1)).ravel()
     return _conductance_from_parts(w, d, side, one_sided)
 
 

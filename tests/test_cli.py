@@ -1,12 +1,14 @@
 """End-to-end CLI runs with exit-code checks."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from multinet import read_layers, read_super
+from multinet import cli, read_layers, read_super
 from multinet.cli import main
+from multinet.io import RunConfig
 
 from test_io import CATS, GR, TOY
 
@@ -164,6 +166,23 @@ def test_analyze_stationary_and_dot(tmp_path, temporal_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert abs(sum(report["stationary"]) - 1.0) <= 1e-9
     assert 'color=' in dot.read_text()
+
+
+def test_analyze_passes_max_iter_to_both_solvers(temporal_path, capsys, monkeypatch):
+    received = {}
+
+    def recording(name, solver):
+        def call(*args, **kwargs):
+            received[name] = kwargs.get("max_iter")
+            return solver(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "stationary", recording("stationary", cli.stationary))
+    monkeypatch.setattr(cli, "bisect", recording("bisect", cli.bisect))
+    monkeypatch.setattr(cli.mio, "RunConfig", functools.partial(RunConfig, max_iter=5000))
+    assert main(["analyze", "--layers", str(temporal_path), "--layer", "t1",
+                 "--stationary", "--bisect"]) == 0
+    assert received == {"stationary": 5000, "bisect": 5000}
 
 
 def test_ingest_dimacs_cli(tmp_path, capsys):

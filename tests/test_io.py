@@ -160,6 +160,21 @@ def test_read_dynamics_defaults_and_values(toy_path, tmp_path):
     assert dyn["facebook"].delay.tolist() == [1.0] * 4
 
 
+@pytest.mark.parametrize("payload, reason", [
+    ({"fax": {"alice": 2.0}}, "unknown layer 'fax'"),
+    ({"phone": {"alice": 2.0, "mallory": 2.0}}, "unknown vertex label 'mallory'"),
+])
+@pytest.mark.parametrize("kind", ["bias", "delay"])
+def test_read_dynamics_rejects_unknown_names(toy_path, tmp_path, payload, reason, kind):
+    ds = read_layers(toy_path)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload))
+    files = {"bias": None, "delay": None, kind: path}
+    with pytest.raises(ParseError) as exc:
+        read_dynamics(files["bias"], files["delay"], ds)
+    assert exc.value.reason == reason
+
+
 GR = """\
 c synthetic road fixture
 p sp 6 5

@@ -1,5 +1,7 @@
 """Fiedler sweep bisection, conductance, and layer load."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,16 @@ def test_directed_input_symmetrized_with_warning(rng):
     g = random_graph(rng, 6, directed=True)
     with pytest.warns(UserWarning):
         conductance(g, np.array([True] * 3 + [False] * 3))
+
+
+def test_bisect_builds_the_symmetrized_matrix_once(rng):
+    g = random_connected_graph(rng, 6, directed=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = bisect(g)
+    assert [str(w.message) for w in caught] == [
+        "directed graph symmetrized as (W + W^T)/2 for spectral analysis"]
+    assert result.side.shape == (6,)
 
 
 def test_layer_load_identical_layers(rng):
