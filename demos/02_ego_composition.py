@@ -37,13 +37,14 @@ alice = np.array([[0.6, 0.2, 0.3],
                   [0.1, 0.5, 0.3],
                   [0.3, 0.3, 0.4]])
 rng = np.random.default_rng(8)
-egos = [EgoMarkov(0, alice)]
+stack = [alice]
 for u in range(1, n):
     m = rng.dirichlet(np.full(l, 2.0), size=l).T + np.eye(l)
-    egos.append(EgoMarkov(u, m / m.sum(axis=0)))
+    stack.append(m / m.sum(axis=0))
+egos = EgoMarkov(np.array(stack))  # egos.m[u] is person u's matrix
 
 # Alice's phone degree is 3, so her phone->email coupling is 0.1*3/0.6 = 1/2.
-block = ego_block(0, egos[0], np.array([3.0, 2.0, 4.0]))
+block = ego_block(0, alice, np.array([3.0, 2.0, 4.0]))
 print("alice's ego block (column i = out-weights of her layer-i instance):")
 print(block.x)
 print("phone->email weight:", block.x[1, 0])

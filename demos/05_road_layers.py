@@ -52,7 +52,7 @@ def layers_at(scale):
 
 
 def uncoupled_load(scale):
-    egos = [EgoMarkov(u, np.eye(2)) for u in range(n)]
+    egos = EgoMarkov(np.tile(np.eye(2), (n, 1, 1)))
     return layer_load(compose_ego(layers_at(scale), egos)).loads[1]
 
 

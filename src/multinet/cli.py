@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -176,12 +177,7 @@ def _load_transformed(args):
 
 def _cmd_transform(args):
     ds, transformed = _load_transformed(args)
-    out = mio.LayeredDataset(
-        layer_names=ds.layer_names,
-        layers=[w.graph for w in transformed],
-        labels=ds.labels,
-    )
-    mio.write_layers(out, args.out)
+    mio.write_layers(replace(ds, layers=[w.graph for w in transformed]), args.out)
     return 0
 
 
@@ -333,11 +329,7 @@ def _cmd_ingest(args):
             raise ValueError(f"unknown layer {name!r} in --scale-layer")
         k = ds.layer_names.index(name)
         layers[k] = layers[k].scaled(float(factor))
-    mio.write_layers(
-        mio.LayeredDataset(layer_names=ds.layer_names, layers=layers,
-                           labels=ds.labels),
-        args.out,
-    )
+    mio.write_layers(replace(ds, layers=layers), args.out)
     return 0
 
 

@@ -63,33 +63,45 @@ def split_flat(flat, n):
 
 @dataclass(frozen=True)
 class EgoMarkov:
-    """Per-vertex inter-layer dynamics.
+    """Inter-layer dynamics of every vertex, one (n, l, l) stack.
 
-    m is l x l column-stochastic: ``m[j, i]`` is the probability that a
-    walker currently acting at this vertex in layer i next acts in layer j.
-    Diagonal entries must be strictly positive (the composition divides by
-    the stay-probability of each layer).
+    Each ``m[u]`` is l x l column-stochastic: ``m[u, j, i]`` is the
+    probability that a walker currently acting at vertex u in layer i next
+    acts in layer j. Entries must be finite, and diagonal entries strictly
+    positive (the composition divides by the stay-probability of each layer).
+    A faulty stack raises the error of its lowest faulty vertex.
     """
 
-    vertex: int
     m: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.float64)
+        m = np.ascontiguousarray(self.m, dtype=np.float64)
         object.__setattr__(self, "m", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatch("ego matrix must be square")
-        if m.min() < 0.0 or m.max() > 1.0 + STRUCTURAL_TOL:
-            raise ValueError("ego matrix entries must lie in [0, 1]")
-        if np.max(np.abs(m.sum(axis=0) - 1.0)) > STRUCTURAL_TOL:
-            raise ValueError("ego matrix columns must sum to 1")
-        diag = np.diag(m)
-        if diag.min() <= 0.0:
-            raise ZeroDiagonal(self.vertex, int(np.argmin(diag)))
+        _check_egos(m)
 
     @property
     def l(self):
-        return self.m.shape[0]
+        return self.m.shape[1]
+
+
+def _check_egos(m, first=0):
+    """Screen an (n, l, l) stack of ego matrices, numbering vertices from
+    `first`; raises the first fault, in check order, of the lowest faulty
+    vertex (a non-finite entry fails the range check)."""
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise DimensionMismatch("ego matrix must be square")
+    stay = m.diagonal(axis1=1, axis2=2)
+    faults = np.column_stack([
+        ~((m >= 0.0) & (m <= 1.0 + STRUCTURAL_TOL)).all(axis=(1, 2)),
+        np.abs(m.sum(axis=1) - 1.0).max(axis=1, initial=0.0) > STRUCTURAL_TOL,
+        (stay <= 0.0).any(axis=1),
+    ])
+    if faults.any():
+        u, kind = np.argwhere(faults)[0]
+        if kind == 2:
+            raise ZeroDiagonal(first + int(u), int(np.argmin(stay[u])))
+        raise ValueError(("ego matrix entries must lie in [0, 1]",
+                          "ego matrix columns must sum to 1")[kind])
 
 
 @dataclass(frozen=True)
@@ -123,9 +135,13 @@ class SuperAdjacency:
     def __post_init__(self):
         mat = _canonical(self.matrix, shape=(self.n * self.l, self.n * self.l))
         object.__setattr__(self, "matrix", mat)
+        coo = mat.tocoo()
+        bad = np.flatnonzero(~np.isfinite(coo.data))
+        if bad.size:
+            raise ValueError(f"non-finite weight at 0-based flat "
+                             f"({coo.row[bad[0]]}, {coo.col[bad[0]]})")
         if mat.data.size and mat.data.min() < 0.0:
             raise ValueError("super-adjacency weights must be non-negative")
-        coo = mat.tocoo()
         off = (coo.row // self.n) != (coo.col // self.n)
         if not np.all(coo.row[off] % self.n == coo.col[off] % self.n):
             raise ValueError(
@@ -183,7 +199,7 @@ class MultiplexSpec:
 
 @dataclass(frozen=True)
 class EgoSpec:
-    egos: list
+    egos: EgoMarkov
     require_undirected: bool = False
     force_symmetrize: bool = False
     mode = "ego"
@@ -228,22 +244,13 @@ def _check_layers(layers):
     return n, len(layers)
 
 
-def _ego_stack(egos, n, l):
-    """The ego matrices as an (n, l, l) array indexed by vertex."""
-    if len(egos) != n:
+def _ego_matrices(egos: EgoMarkov, n, l):
+    """The (n, l, l) stack of an EgoMarkov, checked against n vertices and l layers."""
+    if len(egos.m) != n:
         raise DimensionMismatch(f"expected one ego matrix per vertex ({n})")
-    by_vertex = {}
-    for ego in egos:
-        if ego.l != l:
-            raise DimensionMismatch(
-                f"ego of vertex {ego.vertex} is {ego.l}x{ego.l}, expected {l}x{l}"
-            )
-        if ego.vertex in by_vertex:
-            raise DimensionMismatch(f"duplicate ego for vertex {ego.vertex}")
-        by_vertex[ego.vertex] = ego.m
-    if set(by_vertex) != set(range(n)):
-        raise DimensionMismatch("ego vertices must cover 0..n-1 exactly")
-    return np.array([by_vertex[u] for u in range(n)]).reshape(n, l, l)
+    if egos.l != l:
+        raise DimensionMismatch(f"ego of vertex 0 is {egos.l}x{egos.l}, expected {l}x{l}")
+    return egos.m
 
 
 def _assemble(layers, vertex, src, dst, weight):
@@ -287,22 +294,24 @@ def compose_multiplex(layers) -> LayerGraph:
 # ego composition
 
 
-def ego_block(u, m_u: EgoMarkov, degrees) -> EgoBlock:
-    """Realize a vertex's inter-layer Markov matrix as edge weights.
+def ego_block(u, m_u, degrees) -> EgoBlock:
+    """Realize vertex u's l x l inter-layer Markov matrix as edge weights.
 
     Scales column i of the ego matrix by degrees[i] / m[i, i], the unique
     choice that keeps the diagonal equal to the intra-layer out-degrees
     while the walk on the result reproduces m_u.
     """
+    m_u = np.asarray(m_u, dtype=np.float64)
+    _check_egos(m_u[None], first=u)
     deg = np.asarray(degrees, dtype=np.float64)
-    if deg.shape != (m_u.l,):
-        raise DimensionMismatch(f"expected {m_u.l} degrees for vertex {u}")
-    return EgoBlock(vertex=u, x=_ego_blocks([u], m_u.m[None], deg[None])[0])
+    if deg.shape != (len(m_u),):
+        raise DimensionMismatch(f"expected {len(m_u)} degrees for vertex {u}")
+    return EgoBlock(vertex=u, x=_ego_blocks(m_u[None], deg[None], first=u)[0])
 
 
-def _ego_blocks(vertices, m, deg):
-    """ego_block broadcast over an (n, l, l) stack of ego matrices and the
-    (n, l) degrees of the given vertices; returns the (n, l, l) blocks."""
+def _ego_blocks(m, deg, first=0):
+    """ego_block broadcast over an (n, l, l) stack of ego matrices and their
+    (n, l) degrees, numbering vertices from `first`; returns the blocks."""
     l = m.shape[1]
     idx = np.arange(l)
     # a layer the vertex is absent from must receive no transitions
@@ -311,7 +320,7 @@ def _ego_blocks(vertices, m, deg):
     bad = np.argwhere((deg == 0.0) & (inbound.max(axis=2, initial=0.0) > 0.0))
     if bad.size:
         k, i = bad[0]
-        raise ZeroDegree(int(vertices[k]), int(i))
+        raise ZeroDegree(first + int(k), int(i))
     stay = m[:, idx, idx]
     gamma = np.where(deg > 0.0, deg / stay, 0.0)
     x = m * gamma[:, np.newaxis, :]
@@ -332,7 +341,7 @@ def _feasibility_report(x, tol):
     )
 
 
-def compose_ego(layers, egos, require_undirected=False,
+def compose_ego(layers, egos: EgoMarkov, require_undirected=False,
                 force_symmetrize=False) -> SuperAdjacency:
     """Unique super-adjacency consistent with layers and ego dynamics.
 
@@ -343,7 +352,7 @@ def compose_ego(layers, egos, require_undirected=False,
     unless force_symmetrize averages them.
     """
     n, l = _check_layers(layers)
-    x = _ego_blocks(np.arange(n), _ego_stack(egos, n, l), degree_table(layers))
+    x = _ego_blocks(_ego_matrices(egos, n, l), degree_table(layers))
     if require_undirected:
         report = _feasibility_report(x, ITERATIVE_TOL)
         if not report.feasible:
@@ -442,7 +451,7 @@ def verify_layer_consistency(s: SuperAdjacency, layers,
     return LayerConsistencyReport(tol=tol, max_deviation_per_layer=devs, worst=worst)
 
 
-def verify_ego_consistency(s: SuperAdjacency, egos,
+def verify_ego_consistency(s: SuperAdjacency, egos: EgoMarkov,
                            tol: float = ITERATIVE_TOL) -> EgoConsistencyReport:
     """Check that the joint walk's layer marginal at each vertex matches its ego.
 
@@ -451,7 +460,7 @@ def verify_ego_consistency(s: SuperAdjacency, egos,
     normalized inter-layer slice: Q + M_slice (I - Q).
     """
     n, l = s.n, s.l
-    m = _ego_stack(egos, n, l)
+    m = _ego_matrices(egos, n, l)
     outdeg = s.out_degrees()
     dead = np.flatnonzero(outdeg == 0.0)
     if dead.size:
@@ -474,7 +483,7 @@ def verify_ego_consistency(s: SuperAdjacency, egos,
     )
 
 
-def check_undirected_feasibility(egos, degrees,
+def check_undirected_feasibility(egos: EgoMarkov, degrees,
                                  tol: float = ITERATIVE_TOL) -> FeasibilityReport:
     """Measure how far each vertex's ego block is from symmetric.
 
@@ -484,8 +493,7 @@ def check_undirected_feasibility(egos, degrees,
     """
     deg = np.asarray(degrees, dtype=np.float64)
     n, l = deg.shape
-    m = _ego_stack(egos, n, l)
-    return _feasibility_report(_ego_blocks(np.arange(n), m, deg), tol)
+    return _feasibility_report(_ego_blocks(_ego_matrices(egos, n, l), deg), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -95,13 +95,6 @@ class LayerGraph:
     def volume(self):
         return float(self.matrix.sum())
 
-    def edges(self):
-        """Yield (u, v, weight) in row-major order, deterministically."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            yield int(coo.row[k]), int(coo.col[k]), float(coo.data[k])
-
     def toarray(self):
         return self.matrix.toarray()
 

@@ -33,8 +33,9 @@ import numpy as np
 import scipy.io
 from scipy import sparse
 
-from .compose import EgoMarkov, SuperAdjacency, split_flat
+from .compose import EgoMarkov, SuperAdjacency, _check_egos
 from .errors import (
+    DimensionMismatch,
     DuplicateEdge,
     MissingCategory,
     ParseError,
@@ -80,7 +81,7 @@ class LayeredDataset:
 
     @property
     def label_ids(self):
-        return {lab: i for i, lab in enumerate(self.labels)}
+        return dict(zip(self.labels, range(len(self.labels))))
 
     def layer(self, name):
         return self.layers[self.layer_names.index(name)]
@@ -163,18 +164,26 @@ def read_layers(path) -> LayeredDataset:
 
 
 def write_layers(ds: LayeredDataset, path):
-    """Inverse of read_layers; undirected edges are written once."""
+    """Inverse of read_layers: each layer's edges in row-major order,
+    undirected edges once."""
+    parts = [f"layer {name} {'directed' if graph.directed else 'undirected'}\n"
+             for name, graph in zip(ds.layer_names, ds.layers)]
+    parts += [f"vertex {label}\n" for label in ds.labels]
+    for name, graph in zip(ds.layer_names, ds.layers):
+        parts += [f"edge {name} {ds.labels[u]} {ds.labels[v]} {w!r}\n"
+                  for u, v, w in _edge_triples(graph.matrix, graph.directed)]
     with open(path, "w", encoding="utf-8") as handle:
-        for name, graph in zip(ds.layer_names, ds.layers):
-            flag = "directed" if graph.directed else "undirected"
-            handle.write(f"layer {name} {flag}\n")
-        for label in ds.labels:
-            handle.write(f"vertex {label}\n")
-        for name, graph in zip(ds.layer_names, ds.layers):
-            for u, v, w in graph.edges():
-                if not graph.directed and u > v:
-                    continue
-                handle.write(f"edge {name} {ds.labels[u]} {ds.labels[v]} {w!r}\n")
+        handle.write("".join(parts))
+
+
+def _edge_triples(matrix, directed):
+    """(u, v, weight) of each stored entry in row-major order, as Python
+    numbers; an undirected matrix gives each edge once, with u <= v."""
+    coo = matrix.tocoo()
+    keep = slice(None) if directed else coo.row <= coo.col
+    row, col, weight = coo.row[keep], coo.col[keep], coo.data[keep]
+    order = np.lexsort((col, row))
+    return zip(row[order].tolist(), col[order].tolist(), weight[order].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -195,23 +204,43 @@ def read_json(path):
         return json.load(handle, object_pairs_hook=unique_keys)
 
 
-def read_ego_file(path, ds: LayeredDataset) -> list:
-    """Ego matrices keyed by vertex label, layer order as in the dataset."""
+def _read_object(path):
     payload = read_json(path)
-    ids = ds.label_ids
-    egos = []
-    for label, matrix in payload.items():
-        if label not in ids:
-            raise ParseError(0, f"unknown vertex label {label!r}", path)
-        egos.append(EgoMarkov(vertex=ids[label], m=np.asarray(matrix, dtype=np.float64)))
-    if len(egos) != ds.n:
-        missing = set(ds.labels) - set(payload)
+    if not isinstance(payload, dict):
+        raise ParseError(0, "top level must be a JSON object keyed by vertex label", path)
+    return payload
+
+
+def read_ego_file(path, ds: LayeredDataset) -> EgoMarkov:
+    """Ego matrices keyed by vertex label, layer order as in the dataset, as
+    one (n, l, l) stack in vertex-id order. A label fault (unknown, then
+    missing) comes first; of several faulty matrices, the lowest vertex's."""
+    payload = _read_object(path)
+    ids, l = ds.label_ids, len(ds.layer_names)
+    if not payload.keys() <= ids.keys():
+        unknown = next(label for label in payload if label not in ids)
+        raise ParseError(0, f"unknown vertex label {unknown!r}", path)
+    if len(payload) != ds.n:
+        missing = set(ds.labels) - payload.keys()
         raise ParseError(0, f"missing ego matrices for {sorted(missing)}", path)
-    return egos
+    try:
+        values = np.asarray(list(payload.values()) or np.empty((0, l, l)), dtype=np.float64)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != (ds.n, l, l):
+        for u, label in enumerate(ds.labels):  # raises what its matrix alone would
+            m_u = np.asarray(payload[label], dtype=np.float64)
+            _check_egos(m_u[None], first=u)
+            if m_u.shape != (l, l):
+                k = len(m_u)
+                raise DimensionMismatch(f"ego of vertex {u} is {k}x{k}, expected {l}x{l}")
+    m = np.empty_like(values)
+    m[np.fromiter(map(ids.__getitem__, payload), np.int64, ds.n)] = values
+    return EgoMarkov(m)
 
 
-def write_ego_file(egos, ds: LayeredDataset, path):
-    payload = {ds.labels[e.vertex]: e.m.tolist() for e in egos}
+def write_ego_file(egos: EgoMarkov, ds: LayeredDataset, path):
+    payload = dict(zip(ds.labels, egos.m.tolist()))
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1)
 
@@ -221,9 +250,8 @@ def read_pi_file(path, ds: LayeredDataset) -> np.ndarray:
 
     Vertices absent from the file are composed without inter-layer coupling.
     """
-    payload = read_json(path)
-    ids = ds.label_ids
-    l = len(ds.layer_names)
+    payload = _read_object(path)
+    ids, l = ds.label_ids, len(ds.layer_names)
     pis = np.full((ds.n, l), np.nan)
     for label, vec in payload.items():
         if label not in ids:
@@ -236,11 +264,8 @@ def read_pi_file(path, ds: LayeredDataset) -> np.ndarray:
 
 
 def write_pi_file(pis, ds: LayeredDataset, path):
-    payload = {}
-    for u in range(ds.n):
-        row = np.asarray(pis[u], dtype=np.float64)
-        if not np.any(np.isnan(row)):
-            payload[ds.labels[u]] = row.tolist()
+    pis = np.asarray(pis, dtype=np.float64)
+    payload = dict(itertools.compress(zip(ds.labels, pis.tolist()), ~np.isnan(pis).any(axis=1)))
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1)
 
@@ -254,9 +279,7 @@ def read_dynamics(bias_path, delay_path, ds: LayeredDataset) -> dict:
     ids = ds.label_ids
 
     def load(path):
-        if path is None:
-            return {}
-        payload = read_json(path)
+        payload = {} if path is None else read_json(path)
         for name in payload:
             if name not in ds.layer_names:
                 raise ParseError(0, f"unknown layer {name!r}", path)
@@ -265,18 +288,15 @@ def read_dynamics(bias_path, delay_path, ds: LayeredDataset) -> dict:
                     raise ParseError(0, f"unknown vertex label {label!r}", path)
         return payload
 
-    bias_payload = load(bias_path)
-    delay_payload = load(delay_path)
-    dynamics = {}
-    for name in ds.layer_names:
-        bias = np.ones(ds.n)
-        delay = np.ones(ds.n)
-        for label, value in bias_payload.get(name, {}).items():
-            bias[ids[label]] = float(value)
-        for label, value in delay_payload.get(name, {}).items():
-            delay[ids[label]] = float(value)
-        dynamics[name] = DynamicsParams(bias=bias, delay=delay)
-    return dynamics
+    def vector(payload, name):
+        values = np.ones(ds.n)
+        for label, value in payload.get(name, {}).items():
+            values[ids[label]] = float(value)
+        return values
+
+    bias, delay = load(bias_path), load(delay_path)
+    return {name: DynamicsParams(bias=vector(bias, name), delay=vector(delay, name))
+            for name in ds.layer_names}
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +491,6 @@ def _super_from_entries(path, n, l, rows, cols, vals):
     try:
         coo = sparse.coo_array((vals, (rows, cols)), shape=(n * l, n * l))
         keys = coo.row.astype(np.int64) * (n * l) + coo.col
-        bad = keys[~np.isfinite(coo.data)]
-        if bad.size:
-            raise ValueError(f"non-finite weight at 0-based flat {divmod(int(bad[0]), n * l)}")
         keys.sort()
         dup = keys[1:][keys[1:] == keys[:-1]]
         if dup.size:
@@ -489,35 +506,22 @@ def _super_from_entries(path, n, l, rows, cols, vals):
 
 def write_dot(graph, path, side=None, labels=None, layer_names=None):
     """Graphviz export; bisection sides color the nodes when given."""
+    def named(given, count):
+        return [given[k] if given else str(k) for k in range(count)]
+
+    mat = graph.matrix
     if isinstance(graph, SuperAdjacency):
-        mat = graph.matrix
-        n = graph.n
-
-        def node_name(flat):
-            u, i = split_flat(flat, n)
-            vertex = labels[u] if labels else str(u)
-            layer = layer_names[i] if layer_names else str(i)
-            return f"{vertex}@{layer}"
+        names = [f"{vertex}@{layer}" for layer in named(layer_names, graph.l)
+                 for vertex in named(labels, graph.n)]
     else:
-        mat = graph.matrix
-
-        def node_name(flat):
-            return labels[flat] if labels else str(flat)
-
+        names = named(labels, mat.shape[0])
+    colors = [""] * len(names) if side is None else \
+        [' [color="firebrick"]' if side[k] else ' [color="steelblue"]' for k in range(len(names))]
     directed = (mat != mat.T).nnz != 0
     keyword, arrow = ("digraph", "->") if directed else ("graph", "--")
-    coo = mat.tocoo()
+    parts = [f"{keyword} multinet {{\n"]
+    parts += [f'  "{name}"{color};\n' for name, color in zip(names, colors)]
+    parts += [f'  "{names[u]}" {arrow} "{names[v]}" [label="{w:g}"];\n'
+              for u, v, w in _edge_triples(mat, directed)]
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{keyword} multinet {{\n")
-        for flat in range(mat.shape[0]):
-            color = ""
-            if side is not None:
-                color = ' [color="firebrick"]' if side[flat] else ' [color="steelblue"]'
-            handle.write(f'  "{node_name(flat)}"{color};\n')
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            u, v, w = int(coo.row[k]), int(coo.col[k]), float(coo.data[k])
-            if not directed and u > v:
-                continue
-            handle.write(f'  "{node_name(u)}" {arrow} "{node_name(v)}" [label="{w:g}"];\n')
-        handle.write("}\n")
+        handle.write("".join(parts) + "}\n")

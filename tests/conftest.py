@@ -36,12 +36,21 @@ def random_connected_graph(rng, n, directed=False, p=0.5, **kw):
             return g
 
 
-def random_ego(rng, vertex, l, diag_boost=0.5):
-    """Column-stochastic ego matrix with a strictly positive diagonal."""
+def random_ego(rng, l, diag_boost=0.5):
+    """Column-stochastic l x l ego matrix with a strictly positive diagonal."""
     m = rng.dirichlet(np.full(l, 2.0), size=l).T
     m = m + np.eye(l) * diag_boost
-    m = m / m.sum(axis=0)
-    return EgoMarkov(vertex=vertex, m=m)
+    return m / m.sum(axis=0)
+
+
+def random_egos(rng, n, l):
+    """Ego dynamics of n vertices, one random_ego each."""
+    return EgoMarkov(np.array([random_ego(rng, l) for _ in range(n)]))
+
+
+def identity_egos(n, l):
+    """Ego dynamics that never leave a layer: no inter-layer edges."""
+    return EgoMarkov(np.tile(np.eye(l), (n, 1, 1)))
 
 
 @pytest.fixture

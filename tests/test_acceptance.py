@@ -13,7 +13,6 @@ import pytest
 
 from multinet import (
     DynamicsParams,
-    EgoMarkov,
     LayerGraph,
     SuperAdjacency,
     as_interaction,
@@ -35,7 +34,7 @@ from multinet import (
 )
 from multinet.errors import Infeasible
 
-from conftest import random_ego, random_graph
+from conftest import identity_egos, random_egos, random_graph
 from graph_enum import adjacency_from_code, connected_graphs_up_to
 from test_spectral import barbell, brute_prefix_minimum
 
@@ -86,7 +85,7 @@ def test_criterion_2_composition_round_trip():
             as_interaction(random_graph(rng, n, directed=directed, self_loop_p=0.2))
             for _ in range(l)
         ]
-        egos = [random_ego(rng, u, l) for u in range(n)]
+        egos = random_egos(rng, n, l)
         s = compose_ego(layers, egos)
         layer_report = verify_layer_consistency(s, layers, tol=1e-10)
         ego_report = verify_ego_consistency(s, egos, tol=1e-10)
@@ -112,7 +111,7 @@ def test_criterion_3_paper_worked_ego_value():
     m = np.array([[0.6, 0.2, 0.3],
                   [0.1, 0.5, 0.3],
                   [0.3, 0.3, 0.4]])
-    block = ego_block(0, EgoMarkov(0, m), np.array([3.0, 2.0, 1.0]))
+    block = ego_block(0, m, np.array([3.0, 2.0, 1.0]))
     assert block.x[1, 0] == 0.5
     _report(3, "worked ego value", extra="X^{pe} = 0.5 exactly")
 
@@ -288,7 +287,7 @@ def test_criterion_8_layer_load():
     rng = np.random.default_rng(1008)
     start = time.time()
     g = random_graph(rng, 8, directed=False)
-    uncoupled = [EgoMarkov(u, np.eye(2)) for u in range(8)]
+    uncoupled = identity_egos(8, 2)
 
     def stack(scale):
         return compose_ego(

@@ -271,3 +271,90 @@ def test_ingest_class_weights_rejects_duplicate_key(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError" and "'A1'" in err["message"]
+
+
+# ---------------------------------------------------------------------------
+# ego-file faults: compose and verify stop on the same error and exit code
+
+PAIR = "layer a undirected\nlayer b undirected\nedge a x y 1.0\nedge b x y 2.0\n"
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def conversion_error(matrix):
+    """What converting one vertex's matrix alone raises."""
+    try:
+        np.asarray(matrix, dtype=np.float64)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("matrix converts")
+
+
+# name: (ego file text, exit code, error name, message with {path} for the file)
+EGO_FAULTS = {
+    "non-square": ({"x": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "y": EYE},
+                   1, "DimensionMismatch", "ego matrix must be square"),
+    "wrong l": ({"x": EYE, "y": np.eye(3).tolist()},
+                1, "DimensionMismatch", "ego of vertex 1 is 3x3, expected 2x2"),
+    "entry above 1": ({"x": [[1.5, 0.0], [-0.5, 1.0]], "y": EYE},
+                      1, "ValueError", "ego matrix entries must lie in [0, 1]"),
+    "column sum": ({"x": EYE, "y": [[0.5, 0.0], [0.0, 1.0]]},
+                   1, "ValueError", "ego matrix columns must sum to 1"),
+    "non-numeric": ({"x": [["a", 0.0], [0.0, 1.0]], "y": EYE},
+                    1, "ValueError", conversion_error([["a", 0.0], [0.0, 1.0]])),
+    "ragged": ({"x": EYE, "y": [[1.0, 0.0], [0.0]]},
+               1, "ValueError", conversion_error([[1.0, 0.0], [0.0]])),
+    "zero diagonal": ({"x": EYE, "y": [[0.0, 0.5], [1.0, 0.5]]},
+                      1, "ZeroDiagonal", "ego matrix of vertex 1 has zero stay-probability "
+                                         "in layer 0; composition undefined"),
+    "unknown label": ({"x": EYE, "y": EYE, "z": EYE},
+                      2, "ParseError", "{path}:0: unknown vertex label 'z'"),
+    "missing label": ({"x": EYE}, 2, "ParseError", "{path}:0: missing ego matrices for ['y']"),
+    "NaN": ({"x": [[float("nan"), 0.5], [float("nan"), 0.5]], "y": EYE},
+            1, "ValueError", "ego matrix entries must lie in [0, 1]"),
+    "non-object top level": (EYE, 2, "ParseError",
+                             "{path}:0: top level must be a JSON object keyed by vertex label"),
+}
+
+
+@pytest.mark.parametrize("command", ["compose", "verify"])
+@pytest.mark.parametrize("case", list(EGO_FAULTS))
+def test_ego_file_faults(case, command, tmp_path, capsys):
+    payload, code, error, message = EGO_FAULTS[case]
+    layers, good, bad = tmp_path / "pair.layers", tmp_path / "good.json", tmp_path / "bad.json"
+    layers.write_text(PAIR)
+    good.write_text(json.dumps({"x": EYE, "y": EYE}))
+    bad.write_text(json.dumps(payload))
+    super_path = tmp_path / "super.mm"
+    assert main(["compose", "--layers", str(layers), "--mode", "ego",
+                 "--ego-file", str(good), "--out", str(super_path)]) == 0
+    if command == "compose":
+        argv = ["compose", "--layers", str(layers), "--mode", "ego",
+                "--ego-file", str(bad), "--out", str(tmp_path / "out.mm")]
+    else:
+        argv = ["verify", "--super", str(super_path), "--layers", str(layers),
+                "--ego-file", str(bad)]
+    assert main(argv) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": error, "message": message.format(path=bad)}
+
+
+def test_pi_file_non_object_top_level(tmp_path, temporal_path, capsys):
+    pis = tmp_path / "pis.json"
+    pis.write_text("[[0.5, 0.25, 0.25]]")
+    code = main(["compose", "--layers", str(temporal_path), "--mode", "stationary",
+                 "--pi-file", str(pis), "--out", str(tmp_path / "super.mm")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ParseError",
+                   "message": f"{pis}:0: top level must be a JSON object keyed by vertex label"}
+
+
+@pytest.mark.parametrize("coupling", ["nan", "inf"])
+def test_compose_rejects_non_finite_coupling(coupling, tmp_path, temporal_path, capsys):
+    out = tmp_path / "super.mm"
+    code = main(["compose", "--layers", str(temporal_path), "--mode", "distance",
+                 "--coupling", coupling, "--out", str(out)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "non-finite weight" in err["message"]
+    assert not out.exists()

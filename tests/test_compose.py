@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from multinet import (
     DistanceSpec,
@@ -39,7 +40,7 @@ from multinet.errors import (
     ZeroDiagonal,
 )
 
-from conftest import random_ego, random_graph
+from conftest import identity_egos, random_ego, random_egos, random_graph
 
 
 def interactions(rng, n, l, directed=False, **kw):
@@ -90,19 +91,19 @@ def test_ego_block_paper_worked_value():
     m = np.array([[0.6, 0.2, 0.3],
                   [0.1, 0.5, 0.3],
                   [0.3, 0.3, 0.4]])
-    block = ego_block(0, EgoMarkov(0, m), np.array([3.0, 2.0, 1.0]))
+    block = ego_block(0, m, np.array([3.0, 2.0, 1.0]))
     assert block.x[1, 0] == 0.5
 
 
 def test_ego_block_identity_has_no_inter_layer_edges():
-    block = ego_block(0, EgoMarkov(0, np.eye(3)), np.array([2.0, 1.0, 4.0]))
+    block = ego_block(0, np.eye(3), np.array([2.0, 1.0, 4.0]))
     assert np.array_equal(block.x, np.diag([2.0, 1.0, 4.0]))
     assert np.array_equal(block.inter_layer, np.zeros((3, 3)))
 
 
 def test_ego_block_two_layer_example_with_marginal_oracle():
     m = np.array([[0.5, 0.25], [0.5, 0.75]])
-    block = ego_block(0, EgoMarkov(0, m), np.array([2.0, 3.0]))
+    block = ego_block(0, m, np.array([2.0, 3.0]))
     assert np.array_equal(block.x, [[2.0, 1.0], [2.0, 3.0]])
     # recompute the walk marginals from X: column i normalized is m's column i
     recovered = block.x / block.x.sum(axis=0, keepdims=True)
@@ -113,25 +114,55 @@ def test_ego_block_diagonal_equals_degrees(rng):
     for _ in range(20):
         l = int(rng.integers(2, 5))
         deg = rng.uniform(0.5, 4.0, l)
-        block = ego_block(3, random_ego(rng, 3, l), deg)
+        block = ego_block(3, random_ego(rng, l), deg)
         assert np.array_equal(np.diag(block.x), deg)
         assert block.x.min() >= 0.0
 
 
 def test_ego_block_zero_diagonal_rejected():
-    with pytest.raises(ZeroDiagonal):
-        EgoMarkov(2, np.array([[0.0, 0.5], [1.0, 0.5]]))
+    bad = np.array([[0.0, 0.5], [1.0, 0.5]])
+    with pytest.raises(ZeroDiagonal) as exc:
+        EgoMarkov(np.stack([np.eye(2), np.eye(2), bad, bad]))
+    assert (exc.value.vertex, exc.value.layer) == (2, 0)
+    with pytest.raises(ZeroDiagonal) as exc:
+        ego_block(5, bad, np.array([1.0, 1.0]))
+    assert (exc.value.vertex, exc.value.layer) == (5, 0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ego_stack_rejects_non_finite_entries(value):
+    m = np.tile(np.eye(2), (3, 1, 1))
+    m[1, :, 0] = value
+    with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
+        EgoMarkov(m)
+    with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
+        ego_block(1, m[1], np.array([1.0, 1.0]))
+
+
+def test_ego_stack_shape_checked_against_layers(rng):
+    layers = interactions(rng, 4, 2)
+    with pytest.raises(DimensionMismatch, match=r"one ego matrix per vertex \(4\)"):
+        compose_ego(layers, identity_egos(3, 2))
+    with pytest.raises(DimensionMismatch, match="ego of vertex 0 is 3x3, expected 2x2"):
+        compose_ego(layers, identity_egos(4, 3))
+    s = compose_ego(layers, identity_egos(4, 2))
+    with pytest.raises(DimensionMismatch, match="ego of vertex 0 is 1x1, expected 2x2"):
+        verify_ego_consistency(s, identity_egos(4, 1))
+    with pytest.raises(DimensionMismatch, match=r"one ego matrix per vertex \(4\)"):
+        check_undirected_feasibility(identity_egos(5, 2), degree_table(layers))
+    with pytest.raises(DimensionMismatch, match="ego matrix must be square"):
+        EgoMarkov(np.eye(2))
 
 
 def test_ego_block_zero_degree_with_inbound_transition():
     m = np.array([[0.5, 0.25], [0.5, 0.75]])
     with pytest.raises(ZeroDegree) as exc:
-        ego_block(4, EgoMarkov(4, m), np.array([0.0, 3.0]))
+        ego_block(4, m, np.array([0.0, 3.0]))
     assert exc.value.layer == 0
 
 
 def test_ego_block_absent_layer_without_transitions_is_fine():
-    block = ego_block(0, EgoMarkov(0, np.eye(2)), np.array([0.0, 3.0]))
+    block = ego_block(0, np.eye(2), np.array([0.0, 3.0]))
     assert np.array_equal(block.x, np.diag([0.0, 3.0]))
 
 
@@ -141,7 +172,7 @@ def test_ego_block_absent_layer_without_transitions_is_fine():
 
 def test_compose_ego_identity_egos_block_diagonal(rng):
     layers = interactions(rng, 5, 3)
-    egos = [EgoMarkov(u, np.eye(3)) for u in range(5)]
+    egos = identity_egos(5, 3)
     s = compose_ego(layers, egos)
     for i in range(3):
         for j in range(3):
@@ -159,7 +190,7 @@ def test_compose_ego_round_trip_random(rng):
         l = int(rng.integers(2, 5))
         directed = bool(rng.integers(0, 2))
         layers = interactions(rng, n, l, directed=directed, self_loop_p=0.3)
-        egos = [random_ego(rng, u, l) for u in range(n)]
+        egos = random_egos(rng, n, l)
         s = compose_ego(layers, egos)
         assert verify_layer_consistency(s, layers, tol=1e-10).passed
         assert verify_ego_consistency(s, egos, tol=1e-10).passed
@@ -167,7 +198,7 @@ def test_compose_ego_round_trip_random(rng):
 
 def test_compose_ego_deterministic_bit_for_bit(rng):
     layers = interactions(rng, 6, 3)
-    egos = [random_ego(rng, u, 3) for u in range(6)]
+    egos = random_egos(rng, 6, 3)
     s1 = compose_ego(layers, egos)
     s2 = compose_ego(layers, egos)
     assert np.array_equal(s1.matrix.indptr, s2.matrix.indptr)
@@ -183,18 +214,19 @@ def test_compose_ego_toy_alice_entry():
     phone = path_layer(n, [(0, 1, 2.0), (0, 2, 1.0), (1, 3, 1.0)])
     email = path_layer(n, [(0, 1, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
     fb = path_layer(n, [(0, 2, 2.0), (1, 2, 1.0), (0, 1, 1.0), (1, 3, 1.0)])
-    alice = EgoMarkov(0, np.array([[0.6, 0.2, 0.3],
-                                   [0.1, 0.5, 0.3],
-                                   [0.3, 0.3, 0.4]]))
-    others = [random_ego(np.random.default_rng(100 + u), u, 3) for u in (1, 2, 3)]
-    s = compose_ego([phone, email, fb], [alice] + others)
+    alice = np.array([[0.6, 0.2, 0.3],
+                      [0.1, 0.5, 0.3],
+                      [0.3, 0.3, 0.4]])
+    others = [random_ego(np.random.default_rng(100 + u), 3) for u in (1, 2, 3)]
+    egos = EgoMarkov(np.array([alice] + others))
+    s = compose_ego([phone, email, fb], egos)
     assert s.matrix[s.flat(0, 0), s.flat(0, 1)] == 0.5
-    assert verify_ego_consistency(s, [alice] + others).passed
+    assert verify_ego_consistency(s, egos).passed
 
 
 def test_verify_layer_detects_diagonal_perturbation(rng):
     layers = interactions(rng, 6, 2)
-    egos = [random_ego(rng, u, 2) for u in range(6)]
+    egos = random_egos(rng, 6, 2)
     s = compose_ego(layers, egos)
     mat = s.matrix.tolil()
     # bump one intra-layer edge of layer 1
@@ -210,7 +242,7 @@ def test_verify_layer_detects_diagonal_perturbation(rng):
 
 def test_verify_layer_passes_block_diagonal(rng):
     layers = interactions(rng, 5, 2)
-    egos = [EgoMarkov(u, np.eye(2)) for u in range(5)]
+    egos = identity_egos(5, 2)
     s = compose_ego(layers, egos)
     report = verify_layer_consistency(s, layers)
     assert report.passed and report.max_deviation_per_layer.max() <= 1e-12
@@ -219,7 +251,7 @@ def test_verify_layer_passes_block_diagonal(rng):
 def test_verify_ego_detects_doubled_inter_layer_weight(rng):
     n = 5
     layers = interactions(rng, n, 3)
-    egos = [random_ego(rng, u, 3) for u in range(n)]
+    egos = random_egos(rng, n, 3)
     s = compose_ego(layers, egos)
     target = 2
     mat = s.matrix.tolil()
@@ -238,7 +270,7 @@ def test_verify_layer_handles_absent_vertices():
     # both undefined there, and the diagnostic must stay raise-free
     a = path_layer(3, [(0, 1, 1.0)])
     b = path_layer(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    egos = [EgoMarkov(u, np.eye(2)) for u in range(3)]
+    egos = identity_egos(3, 2)
     s = compose_ego([a, b], egos)
     report = verify_layer_consistency(s, [a, b])
     assert report.passed
@@ -246,7 +278,7 @@ def test_verify_layer_handles_absent_vertices():
 
 def test_verify_ego_isolated_instance(rng):
     layers = interactions(rng, 4, 2)
-    egos = [EgoMarkov(u, np.eye(2)) for u in range(4)]
+    egos = identity_egos(4, 2)
     s = compose_ego(layers, egos)
     mat = s.matrix.tolil()
     # strip vertex 0 of all layer-1 weight
@@ -258,9 +290,23 @@ def test_verify_ego_isolated_instance(rng):
     assert (exc.value.vertex, exc.value.layer) == (0, 1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_super_adjacency_rejects_non_finite_weights(value):
+    mat = sparse.coo_array(([1.0, value], ([0, 3], [1, 1])), shape=(4, 4))
+    with pytest.raises(ValueError, match=r"non-finite weight at 0-based flat \(3, 1\)"):
+        SuperAdjacency(n=2, l=2, matrix=mat)
+
+
+@pytest.mark.parametrize("coupling", [np.nan, np.inf])
+def test_compose_distance_rejects_non_finite_coupling(rng, coupling):
+    dist = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite weight"):
+        compose_distance(interactions(rng, 3, 2), dist, coupling)
+
+
 def test_super_adjacency_rejects_cross_vertex_coupling(rng):
     layers = interactions(rng, 3, 2)
-    egos = [EgoMarkov(u, np.eye(2)) for u in range(3)]
+    egos = identity_egos(3, 2)
     s = compose_ego(layers, egos)
     mat = s.matrix.tolil()
     mat[0, 3 + 1] = 1.0  # (vertex 0, layer 0) -> (vertex 1, layer 1)
@@ -270,7 +316,7 @@ def test_super_adjacency_rejects_cross_vertex_coupling(rng):
 
 def test_vertex_major_view_is_permutation(rng):
     layers = interactions(rng, 4, 3)
-    egos = [random_ego(rng, u, 3) for u in range(4)]
+    egos = random_egos(rng, 4, 3)
     s = compose_ego(layers, egos)
     vm = s.vertex_major_matrix().toarray()
     lm = s.matrix.toarray()
@@ -284,7 +330,7 @@ def test_vertex_major_view_is_permutation(rng):
 
 def test_inter_layer_slot_count(rng):
     layers = interactions(rng, 7, 4)
-    egos = [EgoMarkov(u, np.eye(4)) for u in range(7)]
+    egos = identity_egos(7, 4)
     s = compose_ego(layers, egos)
     assert s.inter_layer_slots == 7 * (4 * 4 - 4)
 
@@ -300,11 +346,10 @@ def test_feasibility_from_symmetric_block_round_trip(rng):
                   [0.5, 3.0, 0.7],
                   [1.0, 0.7, 1.5]])
     m = x / x.sum(axis=0, keepdims=True)
-    ego = EgoMarkov(0, m)
     deg = np.diag(x)
-    block = ego_block(0, ego, deg)
+    block = ego_block(0, m, deg)
     assert np.abs(block.x - x).max() <= 1e-12
-    report = check_undirected_feasibility([ego], deg[np.newaxis, :])
+    report = check_undirected_feasibility(EgoMarkov(m[np.newaxis]), deg[np.newaxis, :])
     assert report.feasible
 
 
@@ -313,7 +358,7 @@ def test_feasibility_alice_toy_is_asymmetric():
                   [0.1, 0.5, 0.3],
                   [0.3, 0.3, 0.4]])
     report = check_undirected_feasibility(
-        [EgoMarkov(0, m)], np.array([[3.0, 2.0, 1.0]])
+        EgoMarkov(m[np.newaxis]), np.array([[3.0, 2.0, 1.0]])
     )
     assert not report.feasible
     assert report.constraint_count == 3 * 4 // 2 - 1
@@ -323,7 +368,7 @@ def test_feasibility_alice_toy_is_asymmetric():
 
 def test_feasibility_single_layer_trivial():
     report = check_undirected_feasibility(
-        [EgoMarkov(0, np.eye(1))], np.array([[2.0]])
+        identity_egos(1, 1), np.array([[2.0]])
     )
     assert report.feasible
     assert report.unknown_count == 0
@@ -331,7 +376,7 @@ def test_feasibility_single_layer_trivial():
 
 def test_compose_ego_require_undirected_aborts(rng):
     layers = interactions(rng, 4, 2)
-    egos = [random_ego(rng, u, 2) for u in range(4)]
+    egos = random_egos(rng, 4, 2)
     with pytest.raises(InfeasibleComposition):
         compose_ego(layers, egos, require_undirected=True)
     s = compose_ego(layers, egos, require_undirected=True, force_symmetrize=True)
@@ -550,7 +595,7 @@ def test_distance_rejects_bad_inputs(rng):
 def test_compose_dispatch_all_modes(rng):
     layers = interactions(rng, 4, 2)
     assert compose(layers, MultiplexSpec()).n == 4
-    egos = [random_ego(rng, u, 2) for u in range(4)]
+    egos = random_egos(rng, 4, 2)
     assert compose(layers, EgoSpec(egos=egos)).l == 2
     deg = degree_table(layers)
     pis = deg / deg.sum(axis=1, keepdims=True)

@@ -30,12 +30,14 @@ from multinet import (
 )
 from multinet.errors import (
     Degenerate,
+    DimensionMismatch,
     Infeasible,
     InfeasibleComposition,
     IsolatedInstance,
     StationaryCompositionError,
     Underdetermined,
     ZeroDegree,
+    ZeroDiagonal,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -57,6 +59,20 @@ def oracle_ego_block(u, m, deg):
     return x
 
 
+def oracle_ego_check(vertex, m):
+    """The earlier per-vertex EgoMarkov check; it lets NaN entries through."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch("ego matrix must be square")
+    if m.min() < 0.0 or m.max() > 1.0 + 1e-12:
+        raise ValueError("ego matrix entries must lie in [0, 1]")
+    if np.max(np.abs(m.sum(axis=0) - 1.0)) > 1e-12:
+        raise ValueError("ego matrix columns must sum to 1")
+    diag = np.diag(m)
+    if diag.min() <= 0.0:
+        raise ZeroDiagonal(vertex, int(np.argmin(diag)))
+
+
 def oracle_assemble(layers, blocks):
     n, l = layers[0].n, len(layers)
     grid = [[None] * l for _ in range(l)]
@@ -74,8 +90,7 @@ def oracle_assemble(layers, blocks):
 
 def oracle_compose_ego(layers, egos, require_undirected, force_symmetrize):
     deg = degree_table(layers)
-    ordered = sorted(egos, key=lambda e: e.vertex)
-    blocks = [oracle_ego_block(e.vertex, e.m, deg[e.vertex]) for e in ordered]
+    blocks = [oracle_ego_block(u, egos.m[u], deg[u]) for u in range(len(deg))]
     if require_undirected:
         asym = np.array([np.max(np.abs(x - x.T), initial=0.0) for x in blocks])
         if asym.max(initial=0.0) > 1e-10:
@@ -126,7 +141,6 @@ def oracle_compose_distance(layers, dist, c, kernel, adjacent_only):
 
 
 def oracle_ego_deviations(s, egos):
-    by_vertex = {e.vertex: e.m for e in egos}
     outdeg = s.out_degrees()
     for flat in np.flatnonzero(outdeg == 0.0):
         raise IsolatedInstance(*split_flat(int(flat), s.n))
@@ -140,7 +154,7 @@ def oracle_ego_deviations(s, egos):
         safe = np.where(inter_out > 0.0, inter_out, 1.0)
         m_slice = (inter / safe[:, np.newaxis]).T
         marginal = np.diag(q) + m_slice * (1.0 - q)[np.newaxis, :]
-        devs[u] = float(np.max(np.abs(marginal - by_vertex[u])))
+        devs[u] = float(np.max(np.abs(marginal - egos.m[u])))
     return devs
 
 
@@ -204,9 +218,8 @@ def random_egos(rng, deg, respect_absence):
             for i in np.flatnonzero(deg[u] == 0.0):
                 m[i, :] = 0.0
                 m[i, i] = 1.0
-        egos.append(EgoMarkov(u, m / m.sum(axis=0)))
-    order = rng.permutation(n)
-    return [egos[k] for k in order]
+        egos.append(m / m.sum(axis=0))
+    return EgoMarkov(np.array(egos).reshape(n, l, l))
 
 
 def random_pis(rng, deg):
@@ -314,3 +327,49 @@ def test_compose_distance_matches_block_oracle(drawn, kernel, adjacent_only, c):
     else:
         assert str(got) == str(want)
 
+
+
+def inject_ego_fault(rng, m, kind):
+    """Break one column of one vertex's matrix in place."""
+    n, l, _ = m.shape
+    u, i, j = rng.integers(0, n), rng.integers(0, l), rng.integers(0, l)
+    if kind == "negative":
+        m[u, j, i] = -rng.choice([1e-300, 1e-12, 0.25])
+    elif kind == "above one":
+        m[u, j, i] = 1.0 + rng.choice([5e-13, 2e-12, 0.5])
+    elif kind == "column sum":
+        # around the 1e-12 tolerance, so that some columns pass
+        m[u, :, i] *= 1.0 + rng.choice([-1.0, 1.0]) * rng.choice([5e-13, 9e-13, 2e-12, 1e-3])
+    else:  # zero diagonal: the stay mass moves to layer j
+        stay, m[u, i, i] = m[u, i, i], 0.0
+        m[u, j, i] += stay
+
+
+def first_ego_fault(m):
+    """(type, message) of the lowest vertex the per-vertex check rejects."""
+    for u in range(len(m)):
+        try:
+            oracle_ego_check(u, m[u])
+        except (DimensionMismatch, ValueError, ZeroDiagonal) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(["negative", "above one", "column sum", "zero diagonal"]),
+                max_size=3))
+def test_ego_stack_reports_like_per_vertex_check(n, l, seed, faults):
+    rng = np.random.default_rng(seed)
+    m = rng.dirichlet(np.full(l, 2.0), size=(n, l)).transpose(0, 2, 1) + np.eye(l)
+    m /= m.sum(axis=1, keepdims=True)
+    for kind in faults if n else ():
+        inject_ego_fault(rng, m, kind)
+    want = first_ego_fault(m)
+    try:
+        got = EgoMarkov(m)
+    except (DimensionMismatch, ValueError, ZeroDiagonal) as exc:
+        assert (type(exc), str(exc)) == want
+    else:
+        assert want is None
+        assert got.m.tobytes() == m.tobytes()

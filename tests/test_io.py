@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from multinet import (
-    EgoMarkov,
     RunConfig,
     as_interaction,
     compose_ego,
@@ -28,9 +27,10 @@ from multinet.errors import (
     MissingCategory,
     ParseError,
     UnknownLayer,
+    ZeroDiagonal,
 )
 
-from conftest import random_ego
+from conftest import identity_egos, random_egos
 
 TOY = """\
 # toy three-layer social fixture; weights synthetic except alice's
@@ -114,16 +114,50 @@ def test_layers_round_trip(toy_path, tmp_path):
         assert (a.matrix != b.matrix).nnz == 0
 
 
+def test_write_layers_row_major_undirected_once(tmp_path):
+    source = tmp_path / "in.layers"
+    source.write_text("layer d directed\nlayer u undirected\nvertex z\n"
+                      "edge u b a 0.1\nedge d b a 2\nedge d a b 1e-3\n"
+                      "edge u a a 3\nedge u c a 1.5\n")
+    ds = read_layers(source)
+    write_layers(ds, tmp_path / "out.layers")
+    assert (tmp_path / "out.layers").read_text() == (
+        "layer d directed\nlayer u undirected\n"
+        "vertex z\nvertex b\nvertex a\nvertex c\n"
+        "edge d b a 2.0\nedge d a b 0.001\n"
+        "edge u b a 0.1\nedge u a a 3.0\nedge u a c 1.5\n")
+
+
+def test_ego_file_stack_in_id_order(toy_path, tmp_path):
+    ds = read_layers(toy_path)  # ids: alice 0, bob 1, carol 2, dave 3
+    egos = random_egos(np.random.default_rng(6), ds.n, 3)
+    order = [3, 1, 0, 2]
+    path = tmp_path / "egos.json"
+    path.write_text(json.dumps({ds.labels[u]: egos.m[u].tolist() for u in order}))
+    assert read_ego_file(path, ds).m.tobytes() == egos.m.tobytes()
+
+
+def test_ego_file_lowest_faulty_vertex_reported(toy_path, tmp_path):
+    ds = read_layers(toy_path)
+    eye = np.eye(3).tolist()
+    zero_stay = [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    path = tmp_path / "egos.json"
+    # file order dave, carol, bob, alice; carol and bob are faulty
+    path.write_text(json.dumps({"dave": eye, "carol": zero_stay, "bob": zero_stay,
+                                "alice": eye}))
+    with pytest.raises(ZeroDiagonal) as exc:
+        read_ego_file(path, ds)
+    assert (exc.value.vertex, exc.value.layer) == (1, 0)
+
+
 def test_ego_file_round_trip(toy_path, tmp_path):
     ds = read_layers(toy_path)
     rng = np.random.default_rng(5)
-    egos = [random_ego(rng, u, 3) for u in range(ds.n)]
+    egos = random_egos(rng, ds.n, 3)
     path = tmp_path / "egos.json"
     write_ego_file(egos, ds, path)
     again = read_ego_file(path, ds)
-    by_vertex = {e.vertex: e for e in again}
-    for e in egos:
-        assert np.array_equal(by_vertex[e.vertex].m, e.m)
+    assert again.m.tobytes() == egos.m.tobytes()
 
 
 def test_ego_file_missing_vertex(toy_path, tmp_path):
@@ -253,7 +287,7 @@ def _random_super(rng, n=5, l=3):
     from conftest import random_graph
 
     layers = [as_interaction(random_graph(rng, n)) for _ in range(l)]
-    egos = [random_ego(rng, u, l) for u in range(n)]
+    egos = random_egos(rng, n, l)
     return compose_ego(layers, egos)
 
 
@@ -282,7 +316,7 @@ def test_super_mm_block_diagonal_entry_count(tmp_path, rng):
     from conftest import random_graph
 
     layers = [as_interaction(random_graph(rng, 4)) for _ in range(2)]
-    egos = [EgoMarkov(u, np.eye(2)) for u in range(4)]
+    egos = identity_egos(4, 2)
     s = compose_ego(layers, egos)
     path = tmp_path / "blockdiag.mm"
     write_super(s, path)

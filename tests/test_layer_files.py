@@ -175,7 +175,11 @@ def bad_weight(draw, lines):
 
 def token_count(draw, lines):
     i = draw(st.sampled_from([i for i, t in enumerate(lines) if t]))
-    lines[i] = lines[i][:-1] if draw(st.booleans()) else lines[i] + ["x"]
+    # never blank a line or restore a count an earlier mutation broke
+    shapes = [t for t in (lines[i][:-1], lines[i] + ["x"]) if t and len(t) != TOKENS.get(t[0])]
+    if not shapes:
+        return False
+    lines[i] = draw(st.sampled_from(shapes))
 
 
 def unknown_directive(draw, lines):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from multinet import (
-    EgoMarkov,
     LayerGraph,
     as_interaction,
     bisect,
@@ -19,7 +18,7 @@ from multinet import (
 )
 from multinet.errors import Disconnected, EmptySide
 
-from conftest import random_connected_graph, random_graph
+from conftest import identity_egos, random_connected_graph, random_graph
 
 
 def barbell(k=5):
@@ -223,7 +222,7 @@ def test_bisect_builds_the_symmetrized_matrix_once(rng):
 
 def test_layer_load_identical_layers(rng):
     lay = as_interaction(random_graph(rng, 5, directed=False))
-    egos = [EgoMarkov(u, np.eye(2)) for u in range(5)]
+    egos = identity_egos(5, 2)
     s = compose_ego([lay, lay], egos)
     assert np.abs(layer_load(s).loads - 0.5).max() <= 1e-12
 
@@ -231,7 +230,7 @@ def test_layer_load_identical_layers(rng):
 def test_layer_load_one_to_three_ratio(rng):
     g = random_graph(rng, 6, directed=False)
     lay, lay3 = as_interaction(g), as_interaction(g.scaled(3.0))
-    egos = [EgoMarkov(u, np.eye(2)) for u in range(6)]
+    egos = identity_egos(6, 2)
     s = compose_ego([lay, lay3], egos)
     assert np.abs(layer_load(s).loads - [0.25, 0.75]).max() <= 1e-12
 

@@ -21,7 +21,7 @@ from multinet import (
 from multinet.cli import main
 from multinet.errors import ParseError
 
-from conftest import random_ego, random_graph
+from conftest import random_egos, random_graph
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -64,7 +64,7 @@ def compositions(draw):
     directed = kind == "ego" and draw(st.booleans())
     layers = [as_interaction(random_graph(rng, n, directed=directed)) for _ in range(l)]
     if kind == "ego":
-        s = compose_ego(layers, [random_ego(rng, u, l) for u in range(n)])
+        s = compose_ego(layers, random_egos(rng, n, l))
     else:
         position = np.arange(l, dtype=np.float64)
         s = compose_distance(layers, np.abs(np.subtract.outer(position, position)),
@@ -236,3 +236,13 @@ def test_cli_analyze_bad_super_exits_2(case, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError"
     assert str(path) in err["message"]
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_non_finite_weight_names_its_flat_position(weight, tmp_path, capsys):
+    path = tmp_path / "bad.mtx"
+    path.write_text(mm_text(entries=[*ENTRIES[:2], f"1 3 {weight}", *ENTRIES[3:]]))
+    assert main(["analyze", "--super", str(path), "--stationary"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ParseError",
+                   "message": f"{path}:0: non-finite weight at 0-based flat (0, 2)"}
