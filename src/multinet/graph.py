@@ -291,6 +291,7 @@ def first_repeat(key):
 def components(matrix) -> list[np.ndarray]:
     """Weakly connected components of a sparse adjacency, largest first."""
     count, labels = _cc(sparse.csr_array(matrix), directed=True, connection="weak")
-    comps = [np.flatnonzero(labels == c) for c in range(count)]
+    sizes = np.bincount(labels, minlength=count)
+    comps = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1]) if count else []
     comps.sort(key=len, reverse=True)
     return comps

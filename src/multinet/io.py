@@ -204,11 +204,19 @@ def read_json(path):
         return json.load(handle, object_pairs_hook=unique_keys)
 
 
-def _read_object(path):
+def _read_object(path, keys="vertex label"):
     payload = read_json(path)
     if not isinstance(payload, dict):
-        raise ParseError(0, "top level must be a JSON object keyed by vertex label", path)
+        raise ParseError(0, f"top level must be a JSON object keyed by {keys}", path)
     return payload
+
+
+def _floats(value, path, what):
+    """A JSON payload as float64; a JSON object inside it is a ParseError."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except TypeError:
+        raise ParseError(0, f"{what} must hold numbers, not JSON objects", path) from None
 
 
 def read_ego_file(path, ds: LayeredDataset) -> EgoMarkov:
@@ -229,7 +237,7 @@ def read_ego_file(path, ds: LayeredDataset) -> EgoMarkov:
         values = None
     if values is None or values.shape != (ds.n, l, l):
         for u, label in enumerate(ds.labels):  # raises what its matrix alone would
-            m_u = np.asarray(payload[label], dtype=np.float64)
+            m_u = _floats(payload[label], path, f"ego matrix of {label!r}")
             _check_egos(m_u[None], first=u)
             if m_u.shape != (l, l):
                 k = len(m_u)
@@ -256,7 +264,7 @@ def read_pi_file(path, ds: LayeredDataset) -> np.ndarray:
     for label, vec in payload.items():
         if label not in ids:
             raise ParseError(0, f"unknown vertex label {label!r}", path)
-        arr = np.asarray(vec, dtype=np.float64)
+        arr = _floats(vec, path, f"pi of {label!r}")
         if arr.shape != (l,):
             raise ParseError(0, f"pi of {label!r} must have length {l}", path)
         pis[ids[label]] = arr
@@ -279,23 +287,28 @@ def read_dynamics(bias_path, delay_path, ds: LayeredDataset) -> dict:
     ids = ds.label_ids
 
     def load(path):
-        payload = {} if path is None else read_json(path)
-        for name in payload:
+        vectors = {}
+        payload = {} if path is None else _read_object(path, "layer name")
+        for name, entry in payload.items():
             if name not in ds.layer_names:
                 raise ParseError(0, f"unknown layer {name!r}", path)
-            for label in payload[name]:
+            if not isinstance(entry, dict):
+                raise ParseError(0, f"layer {name!r} must be a JSON object keyed by vertex label",
+                                 path)
+            values = vectors[name] = np.ones(ds.n)
+            for label, value in entry.items():
                 if label not in ids:
                     raise ParseError(0, f"unknown vertex label {label!r}", path)
-        return payload
-
-    def vector(payload, name):
-        values = np.ones(ds.n)
-        for label, value in payload.get(name, {}).items():
-            values[ids[label]] = float(value)
-        return values
+                try:
+                    values[ids[label]] = float(value)
+                except (TypeError, ValueError):
+                    raise ParseError(0, f"value of {label!r} in layer {name!r} must be a number",
+                                     path) from None
+        return vectors
 
     bias, delay = load(bias_path), load(delay_path)
-    return {name: DynamicsParams(bias=vector(bias, name), delay=vector(delay, name))
+    return {name: DynamicsParams(bias=bias.get(name, np.ones(ds.n)),
+                                 delay=delay.get(name, np.ones(ds.n)))
             for name in ds.layer_names}
 
 

@@ -8,6 +8,11 @@ form cut(S) / min(vol(S), vol(complement)) -- the one-sided cut(S)/vol(S)
 is emitted alongside, since a one-sided objective is trivially gamed by
 peeling off a single vertex.
 
+The sweep needs no loop over vertices: a stored entry w_uv becomes internal
+to the prefix at step max(rank u, rank v), so with inside_k the weight of
+the entries that become internal at step k, every prefix's volume and cut
+are the cumulative sums of d[order] and of d[order] - inside.
+
 The eigensolver is a deflated power iteration on the spectral shift
 2I - L: the known null vector D^{1/2} 1 is projected out and the iteration
 runs until the eigen-residual drops below tolerance. No external
@@ -136,46 +141,37 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
 def sweep_cut(g, order) -> Bisection:
     """Best prefix cut of a vertex ordering by symmetric conductance.
 
-    Evaluates every proper prefix of the order and returns the minimizer
-    (first one on ties) together with the whole profile.
+    Evaluates every proper prefix of the order from two cumulative sums --
+    the prefix volumes and the cuts -- and returns the minimizer (first one
+    on ties) together with the whole profile. A prefix with no volume on one
+    side has conductance inf; EmptyGraph if every prefix has.
     """
     w, d = _spectral_weights(g)
     n = w.shape[0]
     order = np.asarray(order)
-    if sorted(order.tolist()) != list(range(n)):
+    if (order.shape != (n,) or order.dtype.kind not in "biufO"
+            or not np.array_equal(np.sort(order), np.arange(n))):
         raise ValueError("order must be a permutation of all vertices")
     if n < 2:
         raise EmptyGraph("need at least two vertices to bisect")
-    total_vol = d.sum()
-    in_s = np.zeros(n, dtype=bool)
-    profile = np.empty(n - 1)
-    vol_s = 0.0
-    cut = 0.0
-    best_k = 0
-    best_phi = np.inf
-    best_side = None
-    for k in range(n - 1):
-        v = int(order[k])
-        lo, hi = w.indptr[v], w.indptr[v + 1]
-        idx = w.indices[lo:hi]
-        dat = w.data[lo:hi]
-        to_s = float(dat[in_s[idx]].sum())
-        self_loop = float(dat[idx == v].sum())
-        cut += d[v] - self_loop - 2.0 * to_s
-        vol_s += d[v]
-        in_s[v] = True
-        denom = min(vol_s, total_vol - vol_s)
-        phi = cut / denom if denom > 0.0 else np.inf
-        profile[k] = phi
-        if phi < best_phi:
-            best_phi = phi
-            best_k = k
-            best_side = in_s.copy()
-    one_sided = _conductance_from_parts(w, d, best_side, one_sided=True)
+    order = order.astype(np.intp)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    coo = w.tocoo()
+    inside = np.bincount(np.maximum(rank[coo.row], rank[coo.col]),
+                         weights=coo.data, minlength=n)
+    step = d[order]
+    vol = np.cumsum(step)  # summed in sweep order: a volume-free complement reads exactly 0
+    cut = np.cumsum(step - inside)[:-1]
+    denom = np.minimum(vol[:-1], vol[-1] - vol[:-1])
+    profile = np.divide(cut, denom, out=np.full(n - 1, np.inf), where=denom > 0.0)
+    k = int(np.argmin(profile))
+    if profile[k] == np.inf:
+        raise EmptyGraph("no prefix of the order has volume on both sides")
     return Bisection(
-        side=best_side,
-        conductance=float(best_phi),
-        conductance_one_sided=one_sided,
+        side=rank <= k,
+        conductance=float(profile[k]),
+        conductance_one_sided=float(cut[k] / vol[k]),
         sweep_profile=profile,
     )
 
@@ -201,14 +197,9 @@ def conductance(g, side, one_sided: bool = False) -> float:
         raise ValueError("side must be a boolean vector over all vertices")
     if not side.any() or side.all():
         raise EmptySide("both sides of a bisection must be non-empty")
-    return _conductance_from_parts(w, d, side, one_sided)
-
-
-def _conductance_from_parts(w, d, side, one_sided):
     cut = float(w[side, :][:, ~side].sum())
     vol_s = float(d[side].sum())
-    vol_rest = float(d.sum() - vol_s)
-    denom = vol_s if one_sided else min(vol_s, vol_rest)
+    denom = vol_s if one_sided else min(vol_s, float(d[~side].sum()))
     return cut / denom if denom > 0.0 else float("inf")
 
 

@@ -358,3 +358,39 @@ def test_compose_rejects_non_finite_coupling(coupling, tmp_path, temporal_path, 
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "non-finite weight" in err["message"]
     assert not out.exists()
+
+
+# JSON companion faults on the temporal layers (t1, t2, t3 over a, b, c):
+# each is a parse error (exit 2) naming the file, never a traceback
+I3 = np.eye(3).tolist()
+COMPANION_FAULTS = {
+    "ego matrix object": (["compose", "--mode", "ego", "--ego-file"],
+                          {"a": {"k": 1}, "b": I3, "c": I3},
+                          "ego matrix of 'a' must hold numbers, not JSON objects"),
+    "pi vector object": (["compose", "--mode", "stationary", "--pi-file"], {"a": {"k": 1}},
+                         "pi of 'a' must hold numbers, not JSON objects"),
+    "bias top level list": (["transform", "--bias-file"], ["t1"],
+                            "top level must be a JSON object keyed by layer name"),
+    "bias layer list": (["transform", "--bias-file"], {"t1": ["a"]},
+                        "layer 't1' must be a JSON object keyed by vertex label"),
+    "bias layer int": (["transform", "--bias-file"], {"t1": 5},
+                       "layer 't1' must be a JSON object keyed by vertex label"),
+    "bias value object": (["transform", "--bias-file"], {"t1": {"a": {"k": 1}}},
+                          "value of 'a' in layer 't1' must be a number"),
+    "bias value text": (["transform", "--bias-file"], {"t1": {"a": "abc"}},
+                        "value of 'a' in layer 't1' must be a number"),
+    "delay value list": (["compose", "--mode", "distance", "--delay-file"], {"t2": {"b": [2]}},
+                         "value of 'b' in layer 't2' must be a number"),
+}
+
+
+@pytest.mark.parametrize("case", list(COMPANION_FAULTS))
+def test_json_companion_faults(case, tmp_path, temporal_path, capsys):
+    argv, payload, message = COMPANION_FAULTS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = main([argv[0], "--layers", str(temporal_path), *argv[1:], str(bad),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ParseError", "message": f"{bad}:0: {message}"}

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from multinet import (
     LayerGraph,
+    components,
     degrees,
     is_detailed_balanced,
     reconstruct_adjacency,
@@ -206,3 +209,22 @@ def test_layer_graph_rejects_asymmetric_undirected():
     mat = sparse.csc_array(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         LayerGraph(2, mat, directed=False)
+
+
+def components_oracle(matrix):
+    """The per-label scan that components() replaced, kept as an oracle."""
+    count, labels = connected_components(sparse.csr_array(matrix), directed=True,
+                                         connection="weak")
+    comps = [np.flatnonzero(labels == c) for c in range(count)]
+    comps.sort(key=len, reverse=True)
+    return comps
+
+
+def test_components_match_the_per_label_scan(rng):
+    for n in [0, 1, 2] + rng.integers(3, 60, 40).tolist():
+        # sparse directed edges leave many isolated vertices and equal-sized components
+        a = sparse.csr_array(rng.random((n, n)) < rng.uniform(0.0, 3.0 / max(n, 1)))
+        got, expected = components(a), components_oracle(a)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and np.array_equal(g, e)

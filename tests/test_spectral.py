@@ -1,9 +1,13 @@
 """Fiedler sweep bisection, conductance, and layer load."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from multinet import (
     LayerGraph,
@@ -16,7 +20,7 @@ from multinet import (
     layer_load,
     sweep_cut,
 )
-from multinet.errors import Disconnected, EmptySide
+from multinet.errors import Disconnected, EmptyGraph, EmptySide
 
 from conftest import identity_egos, random_connected_graph, random_graph
 
@@ -55,6 +59,48 @@ def brute_prefix_minimum(g, order):
         cut = w[side][:, ~side].sum()
         best = min(best, cut / min(d[side].sum(), total - d[side].sum()))
     return best
+
+
+def loop_sweep_oracle(g, order):
+    """The per-vertex sweep that the prefix sums replaced, kept as an oracle.
+
+    It differs from the replaced loop in one line: the total volume is summed
+    in sweep order, so a complement of zero-degree vertices has volume exactly
+    0 rather than the residue between two summation orders. Returns the
+    profile, each prefix's volume and denominator, the side of the first
+    minimum (None when no prefix has volume on both sides) and its one-sided
+    conductance.
+    """
+    mat = g.matrix
+    if (mat != mat.T).nnz != 0:
+        mat = (mat + mat.T) * 0.5
+    w = sparse.csr_array(mat)
+    d = np.asarray(w.sum(axis=1)).ravel()
+    n = w.shape[0]
+    order = np.asarray(order)
+    if sorted(order.tolist()) != list(range(n)):
+        raise ValueError("order must be a permutation of all vertices")
+    total_vol = float(np.cumsum(d[order.astype(int)])[-1])
+    in_s = np.zeros(n, dtype=bool)
+    profile, vols, denoms = np.empty(n - 1), np.empty(n - 1), np.empty(n - 1)
+    vol_s = cut = 0.0
+    best_phi, best_side, one_sided = np.inf, None, None
+    for k in range(n - 1):
+        v = int(order[k])
+        lo, hi = w.indptr[v], w.indptr[v + 1]
+        idx = w.indices[lo:hi]
+        dat = w.data[lo:hi]
+        to_s = float(dat[in_s[idx]].sum())
+        self_loop = float(dat[idx == v].sum())
+        cut += d[v] - self_loop - 2.0 * to_s
+        vol_s += d[v]
+        in_s[v] = True
+        denom = min(vol_s, total_vol - vol_s)
+        profile[k] = phi = cut / denom if denom > 0.0 else np.inf
+        vols[k], denoms[k] = vol_s, denom
+        if phi < best_phi:
+            best_phi, best_side, one_sided = phi, in_s.copy(), cut / vol_s
+    return profile, vols, denoms, best_side, one_sided
 
 
 def test_fiedler_path_of_four_splits_in_half():
@@ -145,6 +191,82 @@ def test_sweep_profile_minimum_matches_brute_force(rng):
         assert result.conductance == result.sweep_profile.min()
 
 
+def test_sweep_without_a_two_sided_prefix_is_empty():
+    with pytest.raises(EmptyGraph):
+        sweep_cut(LayerGraph.from_edges(2, [], directed=False), [0, 1])
+
+
+def test_sweep_complement_of_isolated_vertices_has_no_volume():
+    # degrees whose pairwise total differs from their running sum: the last
+    # prefix leaves only the isolated vertex 8, a complement of volume 0
+    path = [(i, i + 1, round(0.7 * (i + 1), 1)) for i in range(7)]
+    g = LayerGraph.from_edges(9, path, directed=False)
+    result = sweep_cut(g, np.arange(9))
+    assert result.sweep_profile[-1] == np.inf
+    assert result.side.tolist() == [True] * 5 + [False] * 4
+    assert result.conductance == pytest.approx(0.2, rel=1e-12)
+
+
+@st.composite
+def sweep_cases(draw):
+    """A weighted graph (self-loops, directed ones, weights 1e-3 to 1e3 or all
+    1 for exact ties) and an arbitrary vertex order, integer or float, now and
+    then not a permutation."""
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    directed = draw(st.booleans())
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    spread = 10.0 ** rng.uniform(-3.0, 3.0, (n, n)) if draw(st.booleans()) else 1.0
+    a = np.where(rng.random((n, n)) < density, spread, 0.0)
+    if not draw(st.booleans()):
+        np.fill_diagonal(a, 0.0)
+    if not directed:
+        a = np.triu(a) + np.triu(a, 1).T
+    order = rng.permutation(n).astype(draw(st.sampled_from([np.int64, np.float64])))
+    fault = draw(st.sampled_from([None] * 4 + ["repeat", "out of range", "short", "fraction"]))
+    if fault == "repeat":
+        order[-1] = order[0]
+    elif fault == "out of range":
+        order[np.argmax(order)] = n
+    elif fault == "short":
+        order = order[:-1]
+    elif fault == "fraction":
+        order = order + np.eye(n)[0] * 0.5
+    return LayerGraph.from_dense(a, directed=directed), order
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep_cases())
+def test_sweep_matches_the_per_vertex_loop(case):
+    g, order = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # directed input is symmetrized
+        try:
+            profile, vol, denom, side, one_sided = loop_sweep_oracle(g, order)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                sweep_cut(g, order)
+            return
+        if side is None:
+            with pytest.raises(EmptyGraph):
+                sweep_cut(g, order)
+            return
+        result = sweep_cut(g, order)
+    finite = np.isfinite(profile)
+    assert np.array_equal(np.isfinite(result.sweep_profile), finite)
+    # both sums round the cut to about eps * vol, so a prefix's conductance
+    # is compared on the scale vol / denom, which is 1 when vol is the smaller side
+    scale = np.divide(vol, denom, out=np.zeros_like(vol), where=finite)
+    assert np.all(np.abs(result.sweep_profile[finite] - profile[finite]) <= 1e-12 * scale[finite])
+    best = int(np.argmin(profile))
+    assert result.conductance == result.sweep_profile.min()
+    margin = np.delete(profile - profile[best], best)
+    decisive = np.all(margin > 1e-9 * (np.delete(scale, best) + scale[best]))
+    if decisive or np.array_equal(result.sweep_profile, profile):
+        assert np.array_equal(result.side, side)
+        assert abs(result.conductance_one_sided - one_sided) <= 1e-12
+
+
 def test_sweep_rejects_non_permutation(rng):
     g = random_connected_graph(rng, 4)
     with pytest.raises(ValueError):
@@ -185,6 +307,13 @@ def test_conductance_scale_invariant(rng):
     side = np.zeros(8, dtype=bool)
     side[:3] = True
     assert abs(conductance(g, side) - conductance(g.scaled(11.0), side)) <= 1e-12
+
+
+def test_conductance_complement_of_isolated_vertices_has_no_volume():
+    # the pairwise total of these degrees differs from the side's own sum
+    path = [(i + 1, i + 2, round(0.1 * (i + 1), 1)) for i in range(7)]
+    g = LayerGraph.from_edges(9, path, directed=False)  # vertex 0 isolated
+    assert conductance(g, np.arange(9) > 0) == np.inf
 
 
 def test_conductance_rejects_empty_side(rng):
