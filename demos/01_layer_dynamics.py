@@ -36,7 +36,7 @@ bias = np.array([1.0, 2.0, 1.0, 1.0, 1.0])
 delay = np.array([1.0, 1.0, 1.0, 1.0, 3.0])
 w = transform_layer(g, DynamicsParams(bias, delay))
 print("\ntransformed interaction matrix (note eve's self-loop):")
-print(w.graph.toarray())
+print(w.toarray())
 
 # The equivalence identity: the parameterized operator built straight from
 # (A, B, T) equals the walk Laplacian of the transformed graph.
@@ -50,7 +50,7 @@ print("\nidentity deviation:", np.abs(direct - via_walk).max())
 # Delays shift where the walker spends its time: eve's stationary mass
 # triples relative to the undelayed walk.
 pi_raw = stationary(urw_transition(g)).pi
-pi_dyn = stationary(urw_transition(w.graph)).pi
+pi_dyn = stationary(urw_transition(w)).pi
 print("\nstationary mass by person (raw vs with dynamics):")
 for k in range(n):
     print(f"  {names[k]:>5}: {pi_raw[k]:.4f} -> {pi_dyn[k]:.4f}")

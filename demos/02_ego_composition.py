@@ -14,7 +14,6 @@ import numpy as np
 from multinet import (
     EgoMarkov,
     LayerGraph,
-    as_interaction,
     compose_ego,
     ego_block,
     verify_ego_consistency,
@@ -24,12 +23,12 @@ from multinet import (
 people = ["alice", "bob", "carol", "dave"]
 n, l = 4, 3
 
-phone = as_interaction(LayerGraph.from_edges(
-    n, [(0, 1, 2.0), (0, 2, 1.0), (1, 3, 1.0)], directed=False))
-email = as_interaction(LayerGraph.from_edges(
-    n, [(0, 1, 1.0), (2, 3, 1.0), (0, 3, 1.0)], directed=False))
-feed = as_interaction(LayerGraph.from_edges(
-    n, [(0, 2, 2.0), (1, 2, 1.0), (0, 1, 1.0), (1, 3, 1.0)], directed=False))
+phone = LayerGraph.from_edges(
+    n, [(0, 1, 2.0), (0, 2, 1.0), (1, 3, 1.0)], directed=False)
+email = LayerGraph.from_edges(
+    n, [(0, 1, 1.0), (2, 3, 1.0), (0, 3, 1.0)], directed=False)
+feed = LayerGraph.from_edges(
+    n, [(0, 2, 2.0), (1, 2, 1.0), (0, 1, 1.0), (1, 3, 1.0)], directed=False)
 
 # Alice: from the phone she keeps calling with probability 0.6, relays to
 # email with 0.1, posts with 0.3. The rest of the table is made up.
@@ -46,8 +45,8 @@ egos = EgoMarkov(np.array(stack))  # egos.m[u] is person u's matrix
 # Alice's phone degree is 3, so her phone->email coupling is 0.1*3/0.6 = 1/2.
 block = ego_block(0, alice, np.array([3.0, 2.0, 4.0]))
 print("alice's ego block (column i = out-weights of her layer-i instance):")
-print(block.x)
-print("phone->email weight:", block.x[1, 0])
+print(block)
+print("phone->email weight:", block[1, 0])
 
 s = compose_ego([phone, email, feed], egos)
 print(f"\nsuper-adjacency: {s.n * s.l} instances,",
@@ -67,7 +66,7 @@ inter = slice_a.copy()
 np.fill_diagonal(inter, 0.0)
 marginal = np.zeros((l, l))
 for i in range(l):
-    total = outdeg[s.flat(0, i)]
+    total = outdeg[i * n]  # alice (vertex 0) in layer i, flat index i * n + 0
     for j in range(l):
         marginal[j, i] = (total - inter[i].sum()) / total if i == j \
             else inter[i, j] / total

@@ -17,7 +17,7 @@ from multinet.errors import Infeasible
 d = np.array([3.0, 1.0])
 print("degrees:", d, "-> degree share", d[0] / d.sum())
 for p1 in (0.6, 0.7, 0.75):
-    x = ego_block_from_stationary(0, np.array([p1, 1 - p1]), d).x
+    x = ego_block_from_stationary(0, np.array([p1, 1 - p1]), d)
     rows = x.sum(axis=1)
     print(f"pi1 = {p1}: coupling x = {x[0, 1]:.4f}, "
           f"row-sum shares = {np.round(rows / rows.sum(), 12)}")
@@ -30,13 +30,13 @@ except Infeasible as exc:
     print("pi1 = 0.9 ->", exc)
 
 # At the degree-proportional endpoint the layers decouple exactly:
-x = ego_block_from_stationary(0, np.array([0.75, 0.25]), d).x
+x = ego_block_from_stationary(0, np.array([0.75, 0.25]), d)
 print("endpoint coupling:", x[0, 1])
 
 # --- three layers: minimum-volume member of the feasible family -----------
 deg = np.array([2.0, 1.0, 1.5])
 pi = np.array([0.45, 0.25, 0.30])
-x = ego_block_from_stationary(0, pi, deg).x
+x = ego_block_from_stationary(0, pi, deg)
 print("\nthree layers, pi =", pi)
 print(np.round(x, 6))
 rows = x.sum(axis=1)

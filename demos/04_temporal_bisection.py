@@ -10,7 +10,7 @@ every vertex's timeline together and splits the communities instead).
 
 import numpy as np
 
-from multinet import LayerGraph, as_interaction, bisect, compose_distance, write_dot
+from multinet import LayerGraph, bisect, compose_distance, write_dot
 
 rng = np.random.default_rng(2)
 n_side, l = 10, 3
@@ -25,7 +25,7 @@ for _ in range(l):
             p = 0.8 if community[u] == community[v] else 0.05
             if rng.random() < p:
                 a[u, v] = a[v, u] = 1.0
-    layers.append(as_interaction(LayerGraph.from_dense(a, directed=False)))
+    layers.append(LayerGraph.from_dense(a, directed=False))
 
 spacing = np.abs(np.subtract.outer(np.arange(float(l)), np.arange(float(l))))
 

@@ -18,7 +18,6 @@ import numpy as np
 from multinet import (
     EgoMarkov,
     LayerGraph,
-    as_interaction,
     components,
     compose_ego,
     compose_stationary,
@@ -48,7 +47,7 @@ highway = LayerGraph.from_edges(n, highway_edges, directed=False)
 
 
 def layers_at(scale):
-    return [as_interaction(local), as_interaction(highway.scaled(scale))]
+    return [local, highway.scaled(scale)]
 
 
 def uncoupled_load(scale):

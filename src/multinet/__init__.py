@@ -10,12 +10,10 @@ distributions, and per-layer traffic load.
 
 from . import errors
 from .graph import (
-    DegreeVector,
     LayerGraph,
     StationaryDistribution,
     TransitionMatrix,
     components,
-    degrees,
     is_detailed_balanced,
     reconstruct_adjacency,
     stationary,
@@ -24,8 +22,6 @@ from .graph import (
 )
 from .transform import (
     DynamicsParams,
-    InteractionMatrix,
-    as_interaction,
     bias_transform,
     degree_proportional_delay,
     delay_transform,
@@ -35,7 +31,6 @@ from .transform import (
 from .compose import (
     CompositionSpec,
     DistanceSpec,
-    EgoBlock,
     EgoMarkov,
     EgoSpec,
     MultiplexSpec,
@@ -50,7 +45,6 @@ from .compose import (
     degree_table,
     ego_block,
     ego_block_from_stationary,
-    flat_index,
     split_flat,
     verify_ego_consistency,
     verify_layer_consistency,
@@ -66,7 +60,6 @@ from .spectral import (
 )
 from .io import (
     LayeredDataset,
-    RunConfig,
     read_dimacs_gr,
     read_dynamics,
     read_ego_file,

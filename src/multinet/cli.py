@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -34,12 +35,7 @@ from .errors import (
 )
 from .graph import LayerGraph, components, stationary, urw_transition
 from .spectral import bisect, layer_load
-from .transform import (
-    DynamicsParams,
-    as_interaction,
-    degree_proportional_delay,
-    transform_layer,
-)
+from .transform import DynamicsParams, degree_proportional_delay, transform_layer
 
 _IO_ERRORS = (ParseError, DuplicateEdge, UnknownLayer, MissingCategory,
               OSError, json.JSONDecodeError, UnicodeDecodeError)
@@ -123,7 +119,6 @@ def _build_parser():
     p.add_argument("--layers")
     p.add_argument("--layer", help="pick one layer of a layered file")
     p.add_argument("--bisect", action="store_true")
-    p.add_argument("--conductance", action="store_true")
     p.add_argument("--layer-load", action="store_true")
     p.add_argument("--stationary", action="store_true")
     p.add_argument("--largest-component", action="store_true",
@@ -158,7 +153,7 @@ def _load_transformed(args):
     if kappa is not None and delay is not None:
         raise ValueError("--degree-delay and --delay-file are exclusive")
     if bias is None and delay is None and kappa is None:
-        return ds, [as_interaction(g) for g in ds.layers]
+        return ds, ds.layers
     dynamics = mio.read_dynamics(bias, delay, ds)
     if kappa is not None:
         dynamics = {
@@ -177,7 +172,7 @@ def _load_transformed(args):
 
 def _cmd_transform(args):
     ds, transformed = _load_transformed(args)
-    mio.write_layers(replace(ds, layers=[w.graph for w in transformed]), args.out)
+    mio.write_layers(replace(ds, layers=transformed), args.out)
     return 0
 
 
@@ -224,9 +219,8 @@ def _cmd_compose(args):
 def _cmd_verify(args):
     s = mio.read_super(args.super_path)
     ds = mio.read_layers(args.layers)
-    layers = [as_interaction(g) for g in ds.layers]
     egos = mio.read_ego_file(args.ego_file, ds)
-    layer_report = verify_layer_consistency(s, layers, tol=args.tol)
+    layer_report = verify_layer_consistency(s, ds.layers, tol=args.tol)
     ego_report = verify_ego_consistency(s, egos, tol=args.tol)
     payload = {
         "tol": args.tol,
@@ -264,8 +258,7 @@ def _cmd_analyze(args):
         else:
             raise ValueError("layered input has several layers; pick one with "
                              "--layer or compose first")
-    config = mio.RunConfig(seed=args.seed)
-    seed = config.resolved_seed()
+    seed = int(os.environ.get("MULTINET_SEED") or args.seed)
 
     full = graph.as_graph() if hasattr(graph, "as_graph") else graph
     walk_graph = full
@@ -285,9 +278,8 @@ def _cmd_analyze(args):
         report["restricted_to_component"] = [int(v) for v in restrict]
     bisection = None
     side_full = None
-    if args.bisect or args.conductance or args.dot:
-        bisection = bisect(walk_graph, tol=config.eigen_tol,
-                           max_iter=config.max_iter, seed=seed)
+    if args.bisect or args.dot:
+        bisection = bisect(walk_graph, seed=seed)
         side_full = np.zeros(full.n, dtype=bool)
         kept = restrict if restrict is not None else np.arange(full.n)
         side_full[kept[bisection.side]] = True
@@ -301,7 +293,7 @@ def _cmd_analyze(args):
             raise ValueError("--layer-load needs a super-adjacency (--super)")
         report["layer_load"] = layer_load(graph).loads.tolist()
     if args.stationary:
-        pi = stationary(urw_transition(walk_graph), max_iter=config.max_iter)
+        pi = stationary(urw_transition(walk_graph))
         report["stationary"] = pi.pi.tolist()
     if args.dot:
         mio.write_dot(graph, args.dot, side=side_full,

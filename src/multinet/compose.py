@@ -47,13 +47,8 @@ from .graph import (
 )
 
 
-def flat_index(u, layer, n):
-    """Flat super-index of instance (vertex u, layer i)."""
-    return layer * n + u
-
-
 def split_flat(flat, n):
-    """Inverse of flat_index: returns (vertex, layer)."""
+    """(vertex, layer) of the instance at a flat super-index."""
     return flat % n, flat // n
 
 
@@ -105,26 +100,6 @@ def _check_egos(m, first=0):
 
 
 @dataclass(frozen=True)
-class EgoBlock:
-    """Egocentric adjacency of one vertex across layers.
-
-    x is l x l with column i holding the out-weights of the vertex's layer-i
-    instance: ``x[j, i]`` is the weight of the transition edge i -> j, and
-    ``x[i, i]`` equals the vertex's intra-layer out-degree in layer i.
-    """
-
-    vertex: int
-    x: np.ndarray
-
-    @property
-    def inter_layer(self):
-        """The off-diagonal part (pure inter-layer weights, zero diagonal)."""
-        w = self.x.copy()
-        np.fill_diagonal(w, 0.0)
-        return w
-
-
-@dataclass(frozen=True)
 class SuperAdjacency:
     """The composed ln x ln block matrix, layer-major flat indexing."""
 
@@ -149,12 +124,6 @@ class SuperAdjacency:
                 "only join instances of the same vertex"
             )
 
-    def flat(self, u, layer):
-        return flat_index(u, layer, self.n)
-
-    def split(self, flat):
-        return split_flat(flat, self.n)
-
     def block(self, i, j):
         """The n x n block coupling layer i to layer j (edges i -> j)."""
         rows = np.arange(self.n) + i * self.n
@@ -168,10 +137,6 @@ class SuperAdjacency:
 
     def out_degrees(self):
         return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-    @property
-    def volume(self):
-        return float(self.matrix.sum())
 
     @property
     def inter_layer_slots(self):
@@ -229,7 +194,7 @@ CompositionSpec = Union[MultiplexSpec, EgoSpec, StationarySpec, DistanceSpec]
 
 def degree_table(layers) -> np.ndarray:
     """Per-vertex transformed out-degrees, shape (n, l)."""
-    return np.column_stack([lay.graph.out_degrees() for lay in layers])
+    return np.column_stack([lay.out_degrees() for lay in layers])
 
 
 def _check_layers(layers):
@@ -258,7 +223,7 @@ def _assemble(layers, vertex, src, dst, weight):
     inter-layer edge (vertex, src) -> (vertex, dst) of the given weight per
     entry of the flat coupling arrays, built as a single COO matrix."""
     n, l = _check_layers(layers)
-    diag = sparse.block_diag([lay.graph.matrix for lay in layers], format="coo")
+    diag = sparse.block_diag([lay.matrix for lay in layers], format="coo")
     full = sparse.coo_array(
         (np.concatenate([diag.data, weight]),
          (np.concatenate([diag.row, src * n + vertex]),
@@ -283,10 +248,10 @@ def _block_couplings(x):
 def compose_multiplex(layers) -> LayerGraph:
     """Entrywise sum of the transformed layers (no inter-layer structure)."""
     n, _ = _check_layers(layers)
-    total = layers[0].graph.matrix
+    total = layers[0].matrix
     for lay in layers[1:]:
-        total = total + lay.graph.matrix
-    directed = any(lay.graph.directed for lay in layers)
+        total = total + lay.matrix
+    directed = any(lay.directed for lay in layers)
     return LayerGraph(n, total, directed=directed)
 
 
@@ -294,19 +259,21 @@ def compose_multiplex(layers) -> LayerGraph:
 # ego composition
 
 
-def ego_block(u, m_u, degrees) -> EgoBlock:
+def ego_block(u, m_u, degrees) -> np.ndarray:
     """Realize vertex u's l x l inter-layer Markov matrix as edge weights.
 
     Scales column i of the ego matrix by degrees[i] / m[i, i], the unique
     choice that keeps the diagonal equal to the intra-layer out-degrees
-    while the walk on the result reproduces m_u.
+    while the walk on the result reproduces m_u. In the returned l x l
+    block x, ``x[j, i]`` weighs the transition edge from the vertex's
+    layer-i instance to its layer-j instance and ``x[i, i] = degrees[i]``.
     """
     m_u = np.asarray(m_u, dtype=np.float64)
     _check_egos(m_u[None], first=u)
     deg = np.asarray(degrees, dtype=np.float64)
     if deg.shape != (len(m_u),):
         raise DimensionMismatch(f"expected {len(m_u)} degrees for vertex {u}")
-    return EgoBlock(vertex=u, x=_ego_blocks(m_u[None], deg[None], first=u)[0])
+    return _ego_blocks(m_u[None], deg[None], first=u)[0]
 
 
 def _ego_blocks(m, deg, first=0):
@@ -433,21 +400,23 @@ def verify_layer_consistency(s: SuperAdjacency, layers,
     n, l = _check_layers(layers)
     if (s.n, s.l) != (n, l):
         raise DimensionMismatch("super-adjacency shape does not match layers")
+    coo = s.matrix.tocoo()
+    own = coo.row // n == coo.col // n  # entries of the diagonal blocks
+    projected = _guarded_walk(sparse.coo_array(
+        (coo.data[own], (coo.row[own], coo.col[own])), shape=coo.shape))
+    # vertices absent from a layer have no walk on either side; their
+    # columns stay zero and compare clean, keeping this a pure diagnostic
+    reference = _guarded_walk(sparse.block_diag([lay.matrix for lay in layers]))
+    # stored layer by layer, so the first largest entry is in the earliest
+    # layer that has it
+    diff = sparse.coo_array(projected - reference)
+    dev = np.abs(diff.data)
     devs = np.zeros(l)
+    np.maximum.at(devs, diff.row // n, dev)
     worst = (0, 0, 0)
-    worst_dev = -1.0
-    for i in range(l):
-        projected = _guarded_walk(s.block(i, i))
-        # vertices absent from the layer have no walk on either side; their
-        # columns stay zero and compare clean, keeping this a pure diagnostic
-        reference = _guarded_walk(layers[i].graph.matrix)
-        diff = sparse.coo_array(projected - reference)
-        if diff.nnz:
-            k = int(np.argmax(np.abs(diff.data)))
-            devs[i] = float(np.abs(diff.data[k]))
-            if devs[i] > worst_dev:
-                worst_dev = devs[i]
-                worst = (i, int(diff.row[k]), int(diff.col[k]))
+    if diff.nnz:
+        k = int(np.argmax(dev))
+        worst = (int(diff.row[k] // n), int(diff.row[k] % n), int(diff.col[k] % n))
     return LayerConsistencyReport(tol=tol, max_deviation_per_layer=devs, worst=worst)
 
 
@@ -500,9 +469,13 @@ def check_undirected_feasibility(egos: EgoMarkov, degrees,
 # stationary (partial-information) composition
 
 
-def ego_block_from_stationary(u, pi_u, degrees,
-                              fit_tol: float = 1e-12,
-                              max_fit_iter: int = 200_000) -> EgoBlock:
+# the row-sum scaling of _symmetric_rowsum_fit stops at this relative
+# residual, or falls back to the exact pairing fit after this many steps
+FIT_TOL = 1e-12
+MAX_FIT_ITER = 200_000
+
+
+def ego_block_from_stationary(u, pi_u, degrees) -> np.ndarray:
     """Symmetric ego block whose walk has the given layer distribution.
 
     Row sums of the block must be proportional to pi_u (the stationary
@@ -524,15 +497,12 @@ def ego_block_from_stationary(u, pi_u, degrees,
         raise ZeroDegree(u, int(np.argmin(deg)))
 
     if l == 1:
-        return EgoBlock(vertex=u, x=np.array([[deg[0]]]))
+        return np.array([[deg[0]]])
 
     if l == 2:
         return _stationary_block_l2(u, pi, deg)
 
-    r, s = _min_volume_residuals(u, pi, deg)
-    off = _symmetric_rowsum_fit(r, fit_tol, max_fit_iter)
-    x = off + np.diag(deg)
-    return EgoBlock(vertex=u, x=x)
+    return _symmetric_rowsum_fit(_min_volume_residuals(u, pi, deg)) + np.diag(deg)
 
 
 def _stationary_block_l2(u, pi, deg):
@@ -566,11 +536,12 @@ def _stationary_block_l2(u, pi, deg):
             f"vertex {u}: closed form gives negative coupling {x}",
             interval=(lo, hi),
         )
-    return EgoBlock(vertex=u, x=np.array([[d1, x], [x, d2]]))
+    return np.array([[d1, x], [x, d2]])
 
 
 def _min_volume_residuals(u, pi, deg):
-    """Smallest row-sum scale s with r = s pi - d >= 0 realizable symmetrically.
+    """Residuals r = s pi - d >= 0 at the smallest row-sum scale s that makes
+    them realizable symmetrically.
 
     Realizability of non-negative symmetric off-diagonals with row sums r
     needs 2 max(r) <= sum(r); per layer that is a linear bound on s, a lower
@@ -601,10 +572,10 @@ def _min_volume_residuals(u, pi, deg):
     r[np.abs(r) <= snap] = 0.0
     if r.min() < 0.0:
         raise Infeasible(f"vertex {u}: negative residual {r.min()}", interval=None)
-    return r, s_star
+    return r
 
 
-def _symmetric_rowsum_fit(r, tol, max_iter):
+def _symmetric_rowsum_fit(r):
     """Symmetric zero-diagonal non-negative matrix with row sums r.
 
     Generic case: diagonal scaling x_ij = u_i u_j fitted on the complete
@@ -644,9 +615,9 @@ def _symmetric_rowsum_fit(r, tol, max_iter):
         x[np.ix_(active, active)] = block
         return x
     u = ra / np.sqrt(scale)
-    for _ in range(max_iter):
+    for _ in range(MAX_FIT_ITER):
         u = 0.5 * (u + ra / (u.sum() - u))
-        if np.max(np.abs(u * (u.sum() - u) - ra)) <= tol * scale:
+        if np.max(np.abs(u * (u.sum() - u) - ra)) <= FIT_TOL * scale:
             block = np.outer(u, u)
             np.fill_diagonal(block, 0.0)
             x[np.ix_(active, active)] = block
@@ -689,7 +660,7 @@ def compose_stationary(layers, pis) -> SuperAdjacency:
     """
     n, l = _check_layers(layers)
     for k, lay in enumerate(layers):
-        if lay.graph.directed:
+        if lay.directed:
             raise ValueError(f"layer {k} is directed; stationary composition "
                              "requires undirected layers")
     pis = np.asarray(pis, dtype=np.float64)
@@ -700,7 +671,7 @@ def compose_stationary(layers, pis) -> SuperAdjacency:
     failures = []
     for u in np.flatnonzero(~np.isnan(pis).any(axis=1)):
         try:
-            x[u] = ego_block_from_stationary(int(u), pis[u], deg[u]).x
+            x[u] = ego_block_from_stationary(int(u), pis[u], deg[u])
         except (Infeasible, Degenerate, Underdetermined, ZeroDegree) as exc:
             failures.append((int(u), exc))
     if failures:

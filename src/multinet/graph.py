@@ -86,11 +86,6 @@ class LayerGraph:
     def out_degrees(self):
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
-    def in_degrees(self):
-        if not self.directed:
-            return self.out_degrees()
-        return np.asarray(self.matrix.sum(axis=0)).ravel()
-
     @property
     def volume(self):
         return float(self.matrix.sum())
@@ -103,18 +98,6 @@ class LayerGraph:
         if factor <= 0:
             raise NonPositiveScale(f"scale factor must be positive, got {factor}")
         return LayerGraph(self.n, self.matrix * factor, self.directed)
-
-
-@dataclass(frozen=True)
-class DegreeVector:
-    """Out- and in-degree vectors of a graph (equal for undirected input)."""
-
-    out: np.ndarray
-    in_: np.ndarray
-
-
-def degrees(g: LayerGraph) -> DegreeVector:
-    return DegreeVector(out=g.out_degrees(), in_=g.in_degrees())
 
 
 @dataclass(frozen=True)

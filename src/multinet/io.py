@@ -1,4 +1,4 @@
-"""File formats, dataset ingestion, and run configuration.
+"""File formats and dataset ingestion.
 
 Layered edge-list format (line oriented, ``#`` comments allowed)::
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import re
 from dataclasses import dataclass
 
@@ -43,29 +42,6 @@ from .errors import (
 )
 from .graph import LayerGraph, components, first_repeat
 from .transform import DynamicsParams
-
-ENV_SEED = "MULTINET_SEED"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Solver and reporting knobs shared by the CLI and demos."""
-
-    eigen_tol: float = 1e-8
-    max_iter: int = 100_000
-    seed: int = 42
-
-    def __post_init__(self):
-        if self.eigen_tol <= 0.0:
-            raise ValueError("eigen_tol must be positive")
-        if self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
-
-    def resolved_seed(self):
-        """Config seed, overridden by the MULTINET_SEED environment variable."""
-        env = os.environ.get(ENV_SEED)
-        return int(env) if env else self.seed
-
 
 @dataclass(frozen=True)
 class LayeredDataset:

@@ -162,7 +162,9 @@ def sweep_cut(g, order) -> Bisection:
                          weights=coo.data, minlength=n)
     step = d[order]
     vol = np.cumsum(step)  # summed in sweep order: a volume-free complement reads exactly 0
-    cut = np.cumsum(step - inside)[:-1]
+    # a prefix that is a union of components has cut 0, which the running
+    # sums leave as a rounding residue of either sign
+    cut = np.maximum(np.cumsum(step - inside)[:-1], 0.0)
     denom = np.minimum(vol[:-1], vol[-1] - vol[:-1])
     profile = np.divide(cut, denom, out=np.full(n - 1, np.inf), where=denom > 0.0)
     k = int(np.argmin(profile))

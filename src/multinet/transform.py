@@ -4,8 +4,10 @@ A layer with bias vector b and delay vector tau evolves like an unbiased
 random walk on a transformed graph: first every edge is reweighed by the
 bias (one-sided for directed graphs, two-sided for undirected ones), then
 each delay tau_u >= 1 becomes a self-loop of weight (tau_u - 1) times the
-reweighed out-degree. The resulting "interaction matrix" is what later
-stages compose; for undirected input it is unique up to one global scale.
+reweighed out-degree. The result, the "interaction matrix"
+W = A' + (T - I) D', is again a LayerGraph, which later stages compose
+like any other layer; for undirected input it is unique up to one global
+scale.
 """
 
 from __future__ import annotations
@@ -52,18 +54,6 @@ def _check_dynamics(bias=(), delay=()):
         raise DelayBelowOne("delay entries must be finite and >= 1")
 
 
-@dataclass(frozen=True)
-class InteractionMatrix:
-    """A transformed layer plus the reweighed degrees it was built from."""
-
-    graph: LayerGraph
-    reweighted_degrees: np.ndarray
-
-    @property
-    def n(self):
-        return self.graph.n
-
-
 def bias_transform(g: LayerGraph, b) -> LayerGraph:
     """Reweigh edges by the bias: b_u * a_uv directed, b_u * a_uv * b_v undirected."""
     b = np.asarray(b, dtype=np.float64)
@@ -81,7 +71,7 @@ def bias_transform(g: LayerGraph, b) -> LayerGraph:
     return LayerGraph(g.n, mat, g.directed)
 
 
-def delay_transform(g_prime: LayerGraph, tau) -> InteractionMatrix:
+def delay_transform(g_prime: LayerGraph, tau) -> LayerGraph:
     """Absorb delays as self-loops: W = A' + (T - I) D'.
 
     A vertex with delay tau_u gains a self-loop of weight (tau_u - 1) times
@@ -94,23 +84,14 @@ def delay_transform(g_prime: LayerGraph, tau) -> InteractionMatrix:
     if tau.shape != (g_prime.n,):
         raise DimensionMismatch(f"delay must have length {g_prime.n}")
     _check_dynamics(delay=tau)
-    d_prime = g_prime.out_degrees()
-    loops = (tau - 1.0) * d_prime
+    loops = (tau - 1.0) * g_prime.out_degrees()
     w = g_prime.matrix + sparse.diags_array(loops, format="csc")
-    return InteractionMatrix(
-        graph=LayerGraph(g_prime.n, w, g_prime.directed),
-        reweighted_degrees=d_prime,
-    )
+    return LayerGraph(g_prime.n, w, g_prime.directed)
 
 
-def transform_layer(g: LayerGraph, p: DynamicsParams) -> InteractionMatrix:
+def transform_layer(g: LayerGraph, p: DynamicsParams) -> LayerGraph:
     """Both transformations in sequence: reweigh by bias, then add delay loops."""
     return delay_transform(bias_transform(g, p.bias), p.delay)
-
-
-def as_interaction(g: LayerGraph) -> InteractionMatrix:
-    """Wrap an already-homogeneous layer (identity bias and delay)."""
-    return InteractionMatrix(graph=g, reweighted_degrees=g.out_degrees())
 
 
 def degree_proportional_delay(g: LayerGraph, kappa: float) -> np.ndarray:
@@ -120,7 +101,7 @@ def degree_proportional_delay(g: LayerGraph, kappa: float) -> np.ndarray:
     return 1.0 + kappa * g.out_degrees()
 
 
-def laplacian_of(w: InteractionMatrix):
+def laplacian_of(w: LayerGraph):
     """Normalized Laplacian (D_w - W) D_w^{-1} of a transformed layer."""
-    d, inverse = _degree_scaling(w.graph.matrix)
-    return sparse.csc_array((sparse.diags_array(d) - w.graph.matrix).multiply(inverse))
+    d, inverse = _degree_scaling(w.matrix)
+    return sparse.csc_array((sparse.diags_array(d) - w.matrix).multiply(inverse))

@@ -1,6 +1,5 @@
 """End-to-end CLI runs with exit-code checks."""
 
-import functools
 import json
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from multinet import cli, read_layers, read_super
 from multinet.cli import main
-from multinet.io import RunConfig
 
 from test_io import CATS, GR, TOY
 
@@ -159,6 +157,15 @@ def test_analyze_barbell_bisection(tmp_path, capsys):
     assert len(report["bisection"]["side"]) == 5
 
 
+def test_analyze_has_no_conductance_flag(tmp_path, capsys):
+    # the conductance is part of the --bisect report
+    path = barbell_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--layers", str(path), "--conductance"])
+    assert exc.value.code == 2
+    assert "--conductance" in capsys.readouterr().err
+
+
 def test_analyze_stationary_and_dot(tmp_path, temporal_path, capsys):
     dot = tmp_path / "out.dot"
     assert main(["analyze", "--layers", str(temporal_path), "--layer", "t1",
@@ -179,10 +186,10 @@ def test_analyze_passes_max_iter_to_both_solvers(temporal_path, capsys, monkeypa
 
     monkeypatch.setattr(cli, "stationary", recording("stationary", cli.stationary))
     monkeypatch.setattr(cli, "bisect", recording("bisect", cli.bisect))
-    monkeypatch.setattr(cli.mio, "RunConfig", functools.partial(RunConfig, max_iter=5000))
     assert main(["analyze", "--layers", str(temporal_path), "--layer", "t1",
                  "--stationary", "--bisect"]) == 0
-    assert received == {"stationary": 5000, "bisect": 5000}
+    # both solvers keep their own default iteration caps
+    assert received == {"stationary": None, "bisect": None}
 
 
 def test_ingest_dimacs_cli(tmp_path, capsys):

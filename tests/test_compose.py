@@ -12,7 +12,6 @@ from multinet import (
     MultiplexSpec,
     StationarySpec,
     SuperAdjacency,
-    as_interaction,
     check_undirected_feasibility,
     compose,
     compose_distance,
@@ -44,12 +43,12 @@ from conftest import identity_egos, random_ego, random_egos, random_graph
 
 
 def interactions(rng, n, l, directed=False, **kw):
-    return [as_interaction(random_graph(rng, n, directed=directed, **kw))
+    return [random_graph(rng, n, directed=directed, **kw)
             for _ in range(l)]
 
 
 def path_layer(n, edges):
-    return as_interaction(LayerGraph.from_edges(n, edges, directed=False))
+    return LayerGraph.from_edges(n, edges, directed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +58,7 @@ def path_layer(n, edges):
 def test_multiplex_single_layer_is_identity(rng):
     lay = interactions(rng, 5, 1)[0]
     out = compose_multiplex([lay])
-    assert np.array_equal(out.toarray(), lay.graph.toarray())
+    assert np.array_equal(out.toarray(), lay.toarray())
 
 
 def test_multiplex_disjoint_edges_form_path():
@@ -72,8 +71,8 @@ def test_multiplex_disjoint_edges_form_path():
 def test_multiplex_doubling_preserves_walk(rng):
     lay = interactions(rng, 6, 1)[0]
     out = compose_multiplex([lay, lay])
-    assert np.array_equal(out.toarray(), 2.0 * lay.graph.toarray())
-    m0 = urw_transition(lay.graph).toarray()
+    assert np.array_equal(out.toarray(), 2.0 * lay.toarray())
+    m0 = urw_transition(lay).toarray()
     m1 = urw_transition(out).toarray()
     assert np.abs(m0 - m1).max() <= 1e-15
 
@@ -92,21 +91,20 @@ def test_ego_block_paper_worked_value():
                   [0.1, 0.5, 0.3],
                   [0.3, 0.3, 0.4]])
     block = ego_block(0, m, np.array([3.0, 2.0, 1.0]))
-    assert block.x[1, 0] == 0.5
+    assert block[1, 0] == 0.5
 
 
 def test_ego_block_identity_has_no_inter_layer_edges():
     block = ego_block(0, np.eye(3), np.array([2.0, 1.0, 4.0]))
-    assert np.array_equal(block.x, np.diag([2.0, 1.0, 4.0]))
-    assert np.array_equal(block.inter_layer, np.zeros((3, 3)))
+    assert np.array_equal(block, np.diag([2.0, 1.0, 4.0]))
 
 
 def test_ego_block_two_layer_example_with_marginal_oracle():
     m = np.array([[0.5, 0.25], [0.5, 0.75]])
     block = ego_block(0, m, np.array([2.0, 3.0]))
-    assert np.array_equal(block.x, [[2.0, 1.0], [2.0, 3.0]])
+    assert np.array_equal(block, [[2.0, 1.0], [2.0, 3.0]])
     # recompute the walk marginals from X: column i normalized is m's column i
-    recovered = block.x / block.x.sum(axis=0, keepdims=True)
+    recovered = block / block.sum(axis=0, keepdims=True)
     assert np.abs(recovered - m).max() <= 1e-15
 
 
@@ -115,8 +113,8 @@ def test_ego_block_diagonal_equals_degrees(rng):
         l = int(rng.integers(2, 5))
         deg = rng.uniform(0.5, 4.0, l)
         block = ego_block(3, random_ego(rng, l), deg)
-        assert np.array_equal(np.diag(block.x), deg)
-        assert block.x.min() >= 0.0
+        assert np.array_equal(np.diag(block), deg)
+        assert block.min() >= 0.0
 
 
 def test_ego_block_zero_diagonal_rejected():
@@ -163,7 +161,7 @@ def test_ego_block_zero_degree_with_inbound_transition():
 
 def test_ego_block_absent_layer_without_transitions_is_fine():
     block = ego_block(0, np.eye(2), np.array([0.0, 3.0]))
-    assert np.array_equal(block.x, np.diag([0.0, 3.0]))
+    assert np.array_equal(block, np.diag([0.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +175,7 @@ def test_compose_ego_identity_egos_block_diagonal(rng):
     for i in range(3):
         for j in range(3):
             if i == j:
-                assert (s.block(i, i) != layers[i].graph.matrix).nnz == 0
+                assert (s.block(i, i) != layers[i].matrix).nnz == 0
             else:
                 assert s.block(i, j).nnz == 0
     report = verify_ego_consistency(s, egos)
@@ -220,7 +218,7 @@ def test_compose_ego_toy_alice_entry():
     others = [random_ego(np.random.default_rng(100 + u), 3) for u in (1, 2, 3)]
     egos = EgoMarkov(np.array([alice] + others))
     s = compose_ego([phone, email, fb], egos)
-    assert s.matrix[s.flat(0, 0), s.flat(0, 1)] == 0.5
+    assert s.matrix[0, n] == 0.5
     assert verify_ego_consistency(s, egos).passed
 
 
@@ -230,7 +228,7 @@ def test_verify_layer_detects_diagonal_perturbation(rng):
     s = compose_ego(layers, egos)
     mat = s.matrix.tolil()
     # bump one intra-layer edge of layer 1
-    block = layers[1].graph.matrix.tocoo()
+    block = layers[1].matrix.tocoo()
     u, v = int(block.row[0]), int(block.col[0])
     mat[6 + u, 6 + v] += 1e-3
     perturbed = SuperAdjacency(n=6, l=2, matrix=mat)
@@ -255,7 +253,7 @@ def test_verify_ego_detects_doubled_inter_layer_weight(rng):
     s = compose_ego(layers, egos)
     target = 2
     mat = s.matrix.tolil()
-    flat_a, flat_b = s.flat(target, 0), s.flat(target, 1)
+    flat_a, flat_b = target, n + target
     assert mat[flat_a, flat_b] > 0.0
     mat[flat_a, flat_b] *= 2.0
     report = verify_ego_consistency(SuperAdjacency(n=n, l=3, matrix=mat), egos)
@@ -348,7 +346,7 @@ def test_feasibility_from_symmetric_block_round_trip(rng):
     m = x / x.sum(axis=0, keepdims=True)
     deg = np.diag(x)
     block = ego_block(0, m, deg)
-    assert np.abs(block.x - x).max() <= 1e-12
+    assert np.abs(block - x).max() <= 1e-12
     report = check_undirected_feasibility(EgoMarkov(m[np.newaxis]), deg[np.newaxis, :])
     assert report.feasible
 
@@ -398,10 +396,10 @@ def brute_stationary(x):
 
 def test_stationary_block_closed_form_example():
     block = ego_block_from_stationary(0, np.array([0.6, 0.4]), np.array([3.0, 1.0]))
-    assert abs(block.x[0, 1] - 3.0) <= 1e-12
-    rows = block.x.sum(axis=1)
+    assert abs(block[0, 1] - 3.0) <= 1e-12
+    rows = block.sum(axis=1)
     assert np.abs(rows / rows.sum() - [0.6, 0.4]).max() <= 1e-12
-    assert np.abs(brute_stationary(block.x) - [0.6, 0.4]).max() <= 1e-10
+    assert np.abs(brute_stationary(block) - [0.6, 0.4]).max() <= 1e-10
 
 
 def test_stationary_block_endpoint_decouples():
@@ -409,7 +407,7 @@ def test_stationary_block_endpoint_decouples():
     pi1 = d1 / (d1 + d2)
     block = ego_block_from_stationary(0, np.array([pi1, 1 - pi1]),
                                       np.array([d1, d2]))
-    assert block.x[0, 1] == 0.0
+    assert block[0, 1] == 0.0
 
 
 def test_stationary_block_infeasible_interval():
@@ -433,8 +431,7 @@ def test_stationary_block_l3_properties(rng):
             pi = rng.dirichlet(np.full(l, 4.0))
             if pi.max() < 0.495:
                 break
-        block = ego_block_from_stationary(0, pi, deg)
-        x = block.x
+        x = ego_block_from_stationary(0, pi, deg)
         assert np.abs(x - x.T).max() == 0.0
         assert x.min() >= 0.0
         assert np.array_equal(np.diag(x), deg)
@@ -447,7 +444,7 @@ def test_stationary_block_l3_zero_residual_layer_decouples():
     # smallest feasible scale gives it no inter-layer edges at all
     deg = np.array([1.0, 1.0, 6.0])
     pi = np.array([0.25, 0.25, 0.5])
-    x = ego_block_from_stationary(0, pi, deg).x
+    x = ego_block_from_stationary(0, pi, deg)
     rows = x.sum(axis=1)
     assert np.abs(rows / rows.sum() - pi).max() <= 1e-9
     assert x[0, 2] == 0.0 and x[1, 2] == 0.0
@@ -458,7 +455,7 @@ def test_stationary_block_l3_boundary_star():
     # the realizability bound binds (2 max r = sum r): the fit is a star
     deg = np.array([1.0, 1.0, 1.0])
     pi = np.array([3.0, 2.0, 2.0]) / 7.0
-    x = ego_block_from_stationary(0, pi, deg).x
+    x = ego_block_from_stationary(0, pi, deg)
     rows = x.sum(axis=1)
     assert np.abs(rows / rows.sum() - pi).max() <= 1e-9
     assert x[1, 2] == 0.0  # spokes only touch the hub layer

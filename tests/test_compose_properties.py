@@ -18,7 +18,6 @@ from multinet import (
     EgoMarkov,
     LayerGraph,
     SuperAdjacency,
-    as_interaction,
     compose_distance,
     compose_ego,
     compose_stationary,
@@ -77,7 +76,7 @@ def oracle_assemble(layers, blocks):
     n, l = layers[0].n, len(layers)
     grid = [[None] * l for _ in range(l)]
     for i in range(l):
-        grid[i][i] = layers[i].graph.matrix
+        grid[i][i] = layers[i].matrix
     for i in range(l):
         for j in range(l):
             if i == j:
@@ -110,7 +109,7 @@ def oracle_compose_stationary(layers, pis):
             blocks.append(np.diag(deg[u]))
             continue
         try:
-            blocks.append(ego_block_from_stationary(u, pis[u], deg[u]).x)
+            blocks.append(ego_block_from_stationary(u, pis[u], deg[u]))
         except (Infeasible, Degenerate, Underdetermined, ZeroDegree) as exc:
             failures.append((u, exc))
             blocks.append(None)
@@ -124,7 +123,7 @@ def oracle_compose_distance(layers, dist, c, kernel, adjacent_only):
     present = degree_table(layers) > 0.0
     grid = [[None] * l for _ in range(l)]
     for i in range(l):
-        grid[i][i] = layers[i].graph.matrix
+        grid[i][i] = layers[i].matrix
     for i in range(l):
         for j in range(i + 1, l):
             if adjacent_only and j != i + 1:
@@ -156,6 +155,24 @@ def oracle_ego_deviations(s, egos):
         marginal = np.diag(q) + m_slice * (1.0 - q)[np.newaxis, :]
         devs[u] = float(np.max(np.abs(marginal - egos.m[u])))
     return devs
+
+
+def oracle_layer_deviations(s, layers):
+    """The earlier per-layer loop: each diagonal block's walk against the
+    layer's, the worst entry taken from the earliest layer that has it."""
+    def walk(block):
+        d = np.asarray(block.sum(axis=1)).ravel()
+        return block.multiply((1.0 / np.where(d > 0.0, d, 1.0))[:, None]).T
+
+    devs, worst, worst_dev = np.zeros(s.l), (0, 0, 0), -1.0
+    for i in range(s.l):
+        diff = sparse.coo_array(walk(s.block(i, i)) - walk(layers[i].matrix))
+        if diff.nnz:
+            k = int(np.argmax(np.abs(diff.data)))
+            devs[i] = float(np.abs(diff.data[k]))
+            if devs[i] > worst_dev:
+                worst_dev, worst = devs[i], (i, int(diff.row[k]), int(diff.col[k]))
+    return devs, worst
 
 
 def assert_bit_identical(a, b):
@@ -203,7 +220,7 @@ def stacks(draw, directed=None, absent_p=0.2, max_n=7, max_l=4):
         absent = rng.random(n) < absent_p
         a[absent, :] = 0.0
         a[:, absent] = 0.0
-        layers.append(as_interaction(LayerGraph.from_dense(a, directed=directed)))
+        layers.append(LayerGraph.from_dense(a, directed=directed))
     return layers, rng
 
 
@@ -290,6 +307,29 @@ def test_ego_deviations_match_vertex_slice_oracle(drawn):
         assert (got.vertex, got.layer) == (want.vertex, want.layer)
     else:
         assert np.abs(got.max_deviation_per_vertex - want).max(initial=0.0) <= 1e-15
+
+
+@PROPERTY
+@given(stacks(absent_p=0.1), st.booleans())
+def test_layer_deviations_match_per_layer_oracle(drawn, tied):
+    layers, rng = drawn
+    if tied:  # equal layers disturbed alike: every layer has the worst entry
+        layers = [layers[0]] * len(layers)
+    egos = random_egos(rng, degree_table(layers), respect_absence=True)
+    s = compose_ego(layers, egos)
+    # the same factor for an entry in every diagonal block, ties within a
+    # block from the few factors
+    factor = rng.choice([0.5, 1.0, 2.0], (s.n, s.n))
+    coo = s.matrix.tocoo()
+    own = coo.row // s.n == coo.col // s.n
+    coo.data[own] *= factor[coo.row[own] % s.n, coo.col[own] % s.n]
+    disturbed = SuperAdjacency(n=s.n, l=s.l, matrix=coo)
+    report = verify_layer_consistency(disturbed, layers)
+    devs, worst = oracle_layer_deviations(disturbed, layers)
+    assert np.array_equal(report.max_deviation_per_layer, devs)
+    assert report.worst == worst
+    if tied and devs.max() > 0.0:
+        assert report.worst[0] == 0
 
 
 @PROPERTY

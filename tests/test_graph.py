@@ -8,7 +8,6 @@ from scipy.sparse.csgraph import connected_components
 from multinet import (
     LayerGraph,
     components,
-    degrees,
     is_detailed_balanced,
     reconstruct_adjacency,
     stationary,
@@ -190,12 +189,6 @@ def test_symmetrize_rejects_unbalanced_chain():
     )
     with pytest.raises(NotDetailedBalanced):
         symmetrize_from_markov(urw_transition(g), 1.0)
-
-
-def test_degree_vector_undirected_in_equals_out(rng):
-    g = random_graph(rng, 7, directed=False)
-    d = degrees(g)
-    assert np.array_equal(d.out, d.in_)
 
 
 def test_layer_graph_rejects_negative_weight():

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from multinet import (
-    RunConfig,
-    as_interaction,
     compose_ego,
     degree_table,
     read_dimacs_gr,
@@ -249,7 +247,7 @@ def test_dimacs_vertex_absent_from_highway(tmp_path):
     cats = tmp_path / "roads.cat"
     cats.write_text(CATS)
     ds = read_dimacs_gr(gr, cats)
-    deg = degree_table([as_interaction(g) for g in ds.layers])
+    deg = degree_table(ds.layers)
     vertex_six = ds.labels.index("6")
     assert deg[vertex_six, 1] == 0.0  # appears only in the local layer
 
@@ -286,7 +284,7 @@ def test_dimacs_custom_weights(tmp_path):
 def _random_super(rng, n=5, l=3):
     from conftest import random_graph
 
-    layers = [as_interaction(random_graph(rng, n)) for _ in range(l)]
+    layers = [random_graph(rng, n) for _ in range(l)]
     egos = random_egos(rng, n, l)
     return compose_ego(layers, egos)
 
@@ -315,7 +313,7 @@ def test_super_json_round_trip_bit_identical(tmp_path):
 def test_super_mm_block_diagonal_entry_count(tmp_path, rng):
     from conftest import random_graph
 
-    layers = [as_interaction(random_graph(rng, 4)) for _ in range(2)]
+    layers = [random_graph(rng, 4) for _ in range(2)]
     egos = identity_egos(4, 2)
     s = compose_ego(layers, egos)
     path = tmp_path / "blockdiag.mm"
@@ -324,7 +322,7 @@ def test_super_mm_block_diagonal_entry_count(tmp_path, rng):
         line for line in path.read_text().splitlines()
         if line and not line.startswith("%")
     ][1:]
-    expected = sum(lay.graph.matrix.nnz for lay in layers)
+    expected = sum(lay.matrix.nnz for lay in layers)
     assert len(triples) == expected
 
 
@@ -339,18 +337,6 @@ def test_write_dot_colors_sides(tmp_path, rng):
     assert text.count('color="firebrick"') == 2
     assert text.count('color="steelblue"') == 3
     assert '"a" -- ' in text
-
-
-def test_run_config_env_seed(monkeypatch):
-    config = RunConfig(seed=7)
-    assert config.resolved_seed() == 7
-    monkeypatch.setenv("MULTINET_SEED", "99")
-    assert config.resolved_seed() == 99
-
-
-def test_run_config_validates():
-    with pytest.raises(ValueError):
-        RunConfig(eigen_tol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from scipy import sparse
 
 from multinet import (
     LayerGraph,
-    as_interaction,
     bisect,
     compose_distance,
     compose_ego,
@@ -207,6 +206,18 @@ def test_sweep_complement_of_isolated_vertices_has_no_volume():
     assert result.conductance == pytest.approx(0.2, rel=1e-12)
 
 
+def test_sweep_cut_of_a_union_of_components_is_zero():
+    # the prefix {0, 1, 2} is a whole component; its running-sum cut rounds
+    # to -5.6e-16 unless clamped
+    g = LayerGraph.from_edges(5, [(0, 1, 0.1), (1, 2, 0.7), (3, 4, 0.1)],
+                              directed=False)
+    result = sweep_cut(g, [0, 1, 2, 3, 4])
+    assert result.conductance == 0.0
+    assert result.conductance_one_sided == 0.0
+    assert result.sweep_profile.min() == 0.0
+    assert result.side.tolist() == [True, True, True, False, False]
+
+
 @st.composite
 def sweep_cases(draw):
     """A weighted graph (self-loops, directed ones, weights 1e-3 to 1e3 or all
@@ -350,7 +361,7 @@ def test_bisect_builds_the_symmetrized_matrix_once(rng):
 
 
 def test_layer_load_identical_layers(rng):
-    lay = as_interaction(random_graph(rng, 5, directed=False))
+    lay = random_graph(rng, 5, directed=False)
     egos = identity_egos(5, 2)
     s = compose_ego([lay, lay], egos)
     assert np.abs(layer_load(s).loads - 0.5).max() <= 1e-12
@@ -358,7 +369,7 @@ def test_layer_load_identical_layers(rng):
 
 def test_layer_load_one_to_three_ratio(rng):
     g = random_graph(rng, 6, directed=False)
-    lay, lay3 = as_interaction(g), as_interaction(g.scaled(3.0))
+    lay, lay3 = g, g.scaled(3.0)
     egos = identity_egos(6, 2)
     s = compose_ego([lay, lay3], egos)
     assert np.abs(layer_load(s).loads - [0.25, 0.75]).max() <= 1e-12
@@ -367,16 +378,16 @@ def test_layer_load_one_to_three_ratio(rng):
 def test_layer_load_monotone_in_layer_scale(rng):
     g = random_graph(rng, 6, directed=False)
     dist = np.array([[0.0, 1.0], [1.0, 0.0]])
-    base = compose_distance([as_interaction(g), as_interaction(g)], dist, 1.0)
+    base = compose_distance([g, g], dist, 1.0)
     boosted = compose_distance(
-        [as_interaction(g), as_interaction(g.scaled(2.0))], dist, 1.0
+        [g, g.scaled(2.0)], dist, 1.0
     )
     assert boosted and layer_load(boosted).loads[1] > layer_load(base).loads[1]
     assert abs(layer_load(boosted).loads.sum() - 1.0) <= 1e-12
 
 
 def test_bisect_on_super_adjacency(rng):
-    lay = as_interaction(random_connected_graph(rng, 6))
+    lay = random_connected_graph(rng, 6)
     dist = np.array([[0.0, 1.0], [1.0, 0.0]])
     s = compose_distance([lay, lay], dist, 0.05)
     result = bisect(s)

@@ -17,7 +17,6 @@ from scipy.sparse.csgraph import connected_components
 from multinet import (
     LayerGraph,
     TransitionMatrix,
-    as_interaction,
     compose_distance,
     reconstruct_adjacency,
     stationary,
@@ -138,7 +137,7 @@ def test_two_layer_grid_composition_is_degree_over_volume():
         a = sparse.coo_array((np.concatenate([w, w]), (np.concatenate([u, v]),
                                                       np.concatenate([v, u]))),
                              shape=(side * side, side * side))
-        layers.append(as_interaction(LayerGraph(side * side, a, directed=False)))
+        layers.append(LayerGraph(side * side, a, directed=False))
     s = compose_distance(layers, [[0.0, 1.0], [1.0, 0.0]], 1.0)
     d = np.asarray(s.matrix.sum(axis=1)).ravel()
     pi = stationary(urw_transition(s.as_graph()), max_iter=0).pi

@@ -12,7 +12,6 @@ from scipy import sparse
 
 from multinet import (
     SuperAdjacency,
-    as_interaction,
     compose_distance,
     compose_ego,
     read_super,
@@ -62,7 +61,7 @@ def compositions(draw):
     n, l = draw(st.integers(2, 6)), draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["ego", "distance"]))
     directed = kind == "ego" and draw(st.booleans())
-    layers = [as_interaction(random_graph(rng, n, directed=directed)) for _ in range(l)]
+    layers = [random_graph(rng, n, directed=directed) for _ in range(l)]
     if kind == "ego":
         s = compose_ego(layers, random_egos(rng, n, l))
     else:
