@@ -287,6 +287,8 @@ def _cmd_analyze(args):
             "side": [int(v) for v in np.flatnonzero(side_full)],
             "conductance": bisection.conductance,
             "conductance_one_sided": bisection.conductance_one_sided,
+            "eigenvalue": bisection.eigenvalue,
+            "residual": bisection.residual,
         }
     if args.layer_load:
         if not hasattr(graph, "l"):

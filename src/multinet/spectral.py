@@ -14,16 +14,25 @@ the entries that become internal at step k, every prefix's volume and cut
 are the cumulative sums of d[order] and of d[order] - inside.
 
 The eigensolver is a deflated power iteration on the spectral shift
-2I - L: the known null vector D^{1/2} 1 is projected out and the iteration
-runs until the eigen-residual drops below tolerance. No external
-eigenpackage is involved; dense arrays are used below a size cutoff and
-sparse matvecs above it.
+2I - L = I + N, with N = D^{-1/2} W D^{-1/2}, run until the eigen-residual
+|L x - lambda x| drops below tolerance. It works in blocks: a block checks
+the residual of the unit vector x orthogonal to the null vector D^{1/2} 1,
+reuses that check's N x as its first step, takes up to _CHECK_EVERY = 16
+steps x <- x + N x in all, and only then projects out the null vector and
+normalises. Deflating once per block is safe: per step the null direction
+(eigenvalue 2 of I + N) outgrows the Fiedler direction (eigenvalue
+2 - lambda_2 >= (n - 2)/(n - 1), at least 1/2 for n >= 3; for n = 2 the
+deflated start is already exact) by at most a factor 4, so the rounding a
+block leaves in it grows to at most 4^16 ~ 4e9 times eps, about 1e-6
+relative, and the next deflation removes it (at 32 steps the bound would
+be about 4e3). Dense arrays are used below a size cutoff and sparse matvecs
+above it; no external eigenpackage is involved.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -34,16 +43,20 @@ from .errors import Disconnected, EmptyGraph, EmptySide, NoConvergence
 from .graph import LayerGraph, components
 
 _DENSE_CUTOFF = 512
+_CHECK_EVERY = 16  # power steps per residual check and deflation; see above
 
 
 @dataclass(frozen=True)
 class Bisection:
-    """A two-sided vertex split with its sweep diagnostics."""
+    """A two-sided vertex split with its sweep and eigensolve diagnostics."""
 
     side: np.ndarray  # True for vertices in the returned set
     conductance: float  # cut / min(vol, vol of complement)
     conductance_one_sided: float  # cut / vol(S), the raw cut objective
     sweep_profile: np.ndarray  # symmetric conductance of every prefix
+    # the eigensolve behind the order; None when sweep_cut got the order
+    eigenvalue: float | None = None  # 1 - x.N x at the Fiedler vector x
+    residual: float | None = None  # |L x - eigenvalue x|_2 there
 
 
 @dataclass(frozen=True)
@@ -88,7 +101,10 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
     Requires a connected graph without isolated vertices. The returned unit
     vector x is orthogonal to D^{1/2} 1 and satisfies |L x - lambda x|_2
     <= tol; its sign is fixed by making the largest-magnitude entry
-    positive.
+    positive. The residual is checked on the seeded start and after every
+    block of _CHECK_EVERY = 16 power steps on I + N, which deflates against
+    D^{1/2} 1 once at its end (the 4^16 bound in the module docstring);
+    NoConvergence after exactly max_iter steps, the last block cut short.
     """
     w, d = _spectral_weights(g)
     n = w.shape[0]
@@ -106,33 +122,29 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
     null = np.sqrt(d)
     null /= np.linalg.norm(null)
 
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
+    x = np.random.default_rng(seed).standard_normal(n)
     x -= (null @ x) * null
-    norm = np.linalg.norm(x)
-    if norm < 1e-12:  # pathological start; reseed deterministically
-        x = rng.standard_normal(n)
-        x -= (null @ x) * null
-        norm = np.linalg.norm(x)
-    x /= norm
-    for _ in range(max_iter):
+    x /= np.linalg.norm(x)
+    steps = 0
+    while True:
         nx = normalized @ x
-        rayleigh = x @ nx
-        if np.linalg.norm(nx - rayleigh * x) <= tol:
+        residual = float(np.linalg.norm(nx - (x @ nx) * x))
+        if residual <= tol:
             break
-        # power step on 2I - L = I + N, deflated against the null vector
-        x = x + nx
+        if steps >= max_iter:
+            raise NoConvergence(residual, max_iter)
+        # power steps on 2I - L = I + N, the first from the check's N x;
+        # deflated against the null vector once, at the end of the block
+        block = min(_CHECK_EVERY, max_iter - steps)
+        x += nx
+        for _ in range(block - 1):
+            x += normalized @ x
+        steps += block
         x -= (null @ x) * null
         norm = np.linalg.norm(x)
         if norm < 1e-300:
             raise NoConvergence(float("nan"), max_iter)
         x /= norm
-    else:
-        nx = normalized @ x
-        rayleigh = x @ nx
-        residual = float(np.linalg.norm(nx - rayleigh * x))
-        if residual > tol:
-            raise NoConvergence(residual, max_iter)
     if x[int(np.argmax(np.abs(x)))] < 0.0:
         x = -x
     return x
@@ -180,11 +192,16 @@ def sweep_cut(g, order) -> Bisection:
 
 def bisect(g, tol: float = 1e-8, max_iter: int = 100_000,
            seed: int = 42) -> Bisection:
-    """Sweep cut along the Fiedler ordering (ascending values, index ties)."""
+    """Sweep cut along the Fiedler ordering (ascending values, index ties),
+    with the eigenvalue and residual of the Fiedler vector."""
     weights = _spectral_weights(g)
     x = fiedler_vector(weights, tol=tol, max_iter=max_iter, seed=seed)
     order = np.argsort(x, kind="stable")
-    return sweep_cut(weights, order)
+    inv_sqrt = 1.0 / np.sqrt(weights.degrees)
+    nx = inv_sqrt * (weights.matrix @ (inv_sqrt * x))  # N x, one more product
+    rayleigh = float(x @ nx)
+    return replace(sweep_cut(weights, order), eigenvalue=1.0 - rayleigh,
+                   residual=float(np.linalg.norm(nx - rayleigh * x)))
 
 
 def conductance(g, side, one_sided: bool = False) -> float:

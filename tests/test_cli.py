@@ -155,6 +155,8 @@ def test_analyze_barbell_bisection(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert abs(report["bisection"]["conductance"] - 1.0 / 21.0) <= 1e-15
     assert len(report["bisection"]["side"]) == 5
+    assert report["bisection"]["residual"] <= 1e-8
+    assert 0.0 < report["bisection"]["eigenvalue"] < 2.0
 
 
 def test_analyze_has_no_conductance_flag(tmp_path, capsys):

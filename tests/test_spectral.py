@@ -12,6 +12,7 @@ from scipy import sparse
 from multinet import (
     LayerGraph,
     bisect,
+    components,
     compose_distance,
     compose_ego,
     conductance,
@@ -19,7 +20,7 @@ from multinet import (
     layer_load,
     sweep_cut,
 )
-from multinet.errors import Disconnected, EmptyGraph, EmptySide
+from multinet.errors import Disconnected, EmptyGraph, EmptySide, NoConvergence
 
 from conftest import identity_egos, random_connected_graph, random_graph
 
@@ -102,6 +103,63 @@ def loop_sweep_oracle(g, order):
     return profile, vols, denoms, best_side, one_sided
 
 
+def loop_fiedler_oracle(g, tol=1e-8, max_iter=100_000, seed=42):
+    """The per-step power loop that the blocked one replaced, kept as an oracle.
+
+    Before every step it checks the residual; after every step it deflates
+    against the null vector and normalises. Returns the vector, or raises
+    NoConvergence as the loop did. The same matrices as fiedler_vector's,
+    dense up to 512 vertices, keep the two close to rounding.
+    """
+    mat = g.matrix
+    if (mat != mat.T).nnz != 0:
+        mat = (mat + mat.T) * 0.5
+    w = sparse.csr_array(mat)
+    d = np.asarray(w.sum(axis=1)).ravel()
+    n = w.shape[0]
+    inv_sqrt = 1.0 / np.sqrt(d)
+    if n <= 512:
+        normalized = inv_sqrt[:, np.newaxis] * w.toarray() * inv_sqrt[np.newaxis, :]
+    else:
+        scale = sparse.diags_array(inv_sqrt)
+        normalized = sparse.csr_array(scale @ w @ scale)
+    null = np.sqrt(d)
+    null /= np.linalg.norm(null)
+    x = np.random.default_rng(seed).standard_normal(n)
+    x -= (null @ x) * null
+    x /= np.linalg.norm(x)
+    for _ in range(max_iter):
+        nx = normalized @ x
+        rayleigh = x @ nx
+        residual = np.linalg.norm(nx - rayleigh * x)
+        if residual <= tol:
+            break
+        x = x + nx
+        x -= (null @ x) * null
+        norm = np.linalg.norm(x)
+        if norm < 1e-300:
+            raise NoConvergence(float("nan"), max_iter)
+        x /= norm
+    else:
+        nx = normalized @ x
+        rayleigh = x @ nx
+        residual = np.linalg.norm(nx - rayleigh * x)
+        if residual > tol:
+            raise NoConvergence(float(residual), max_iter)
+    if x[int(np.argmax(np.abs(x)))] < 0.0:
+        x = -x
+    return x
+
+
+def grid(rows, cols):
+    """Unit-weight rows x cols grid."""
+    edges = [(r * cols + c, r * cols + c + 1, 1.0)
+             for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c, 1.0)
+              for r in range(rows - 1) for c in range(cols)]
+    return LayerGraph.from_edges(rows * cols, edges, directed=False)
+
+
 def test_fiedler_path_of_four_splits_in_half():
     g = LayerGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)],
                               directed=False)
@@ -161,6 +219,80 @@ def test_fiedler_rejects_disconnected():
     with pytest.raises(Disconnected) as exc:
         fiedler_vector(g)
     assert len(exc.value.components) == 2
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected weighted graph for the dense path (3 to 40 vertices) or the
+    sparse one (two planted communities, 520 to 900 vertices)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 40))
+        return random_connected_graph(rng, n, p=draw(st.sampled_from([0.2, 0.5, 0.9])))
+    n = draw(st.integers(520, 900))
+    first = np.arange(n) < rng.integers(n // 3, 2 * n // 3)
+    p = np.where(first[:, np.newaxis] == first, 24.0 / n, 1.0 / n)
+    unit = draw(st.booleans())
+    while True:
+        a = np.triu(np.where(rng.random((n, n)) < p,
+                             1.0 if unit else rng.uniform(0.5, 2.0, (n, n)), 0.0), 1)
+        g = LayerGraph.from_dense(a + a.T, directed=False)
+        if len(components(g.matrix)) == 1:
+            return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**32 - 1))
+def test_fiedler_matches_the_per_step_loop(g, seed):
+    tol, max_iter = 1e-10, 20_000
+    try:
+        x_loop = loop_fiedler_oracle(g, tol, max_iter, seed)
+    except NoConvergence as exc:
+        with pytest.raises(NoConvergence) as caught:
+            fiedler_vector(g, tol, max_iter, seed)
+        assert caught.value.iterations == max_iter
+        assert abs(caught.value.residual - exc.residual) <= 1e-6 * exc.residual
+        return
+    x = fiedler_vector(g, tol, max_iter, seed)
+    assert x[int(np.argmax(np.abs(x)))] > 0.0
+    w = g.toarray()
+    d = w.sum(axis=1)
+    lsym = np.eye(len(d)) - w / np.sqrt(np.outer(d, d))
+    eigenvalue = x @ lsym @ x
+    # recomputing L x in another order rounds differently, by about 1e-15
+    assert np.linalg.norm(lsym @ x - eigenvalue * x) <= tol + 1e-13
+    null = np.sqrt(d) / np.linalg.norm(np.sqrt(d))
+    assert abs(null @ x) <= tol
+    vals, vecs = np.linalg.eigh(lsym)
+    if vals[2] - vals[1] >= 1e-6:
+        assert abs(x @ x_loop) >= 1.0 - 1e-6
+        assert abs(x @ vecs[:, 1]) >= 1.0 - 1e-6
+        assert abs(eigenvalue - vals[1]) <= 1e-8
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 15, 16, 17, 100])
+@pytest.mark.parametrize("shape", [(30, 30), (1, 4)])  # sparse path, dense path
+def test_fiedler_stops_after_exactly_max_iter_steps(shape, max_iter):
+    g = grid(*shape)
+    try:
+        x_loop = loop_fiedler_oracle(g, max_iter=max_iter)
+    except NoConvergence as exc:
+        with pytest.raises(NoConvergence) as caught:
+            fiedler_vector(g, max_iter=max_iter)
+        assert caught.value.iterations == max_iter
+        assert abs(caught.value.residual - exc.residual) <= 1e-6 * exc.residual
+        return
+    assert abs(fiedler_vector(g, max_iter=max_iter) @ x_loop) >= 1.0 - 1e-6
+
+
+def test_bisect_reports_the_eigensolve():
+    g = barbell(5)
+    result = bisect(g)
+    vals, _ = dense_fiedler_oracle(g)
+    assert abs(result.eigenvalue - vals[1]) <= 1e-8
+    assert 0.0 <= result.residual <= 1e-8
+    order = np.argsort(fiedler_vector(g), kind="stable")
+    assert sweep_cut(g, order).eigenvalue is None
 
 
 def test_sweep_barbell_conductance():
