@@ -12,7 +12,9 @@ Four regimes build the coupling:
                  realized uniquely as edge weights (the walk on the result
                  projects back to each layer and to each ego matrix);
 * stationary  -- only the stationary layer distribution of each vertex is
-                 known; the undirected minimum-volume solution is built;
+                 known; the undirected minimum-volume solution is built,
+                 in closed form for two layers and as a rank-one row-sum
+                 fit for more, all vertices at once;
 * distance    -- pairwise layer distances set one global coupling scale
                  (the temporal-stack case).
 """
@@ -469,12 +471,6 @@ def check_undirected_feasibility(egos: EgoMarkov, degrees,
 # stationary (partial-information) composition
 
 
-# the row-sum scaling of _symmetric_rowsum_fit stops at this relative
-# residual, or falls back to the exact pairing fit after this many steps
-FIT_TOL = 1e-12
-MAX_FIT_ITER = 200_000
-
-
 def ego_block_from_stationary(u, pi_u, degrees) -> np.ndarray:
     """Symmetric ego block whose walk has the given layer distribution.
 
@@ -483,180 +479,171 @@ def ego_block_from_stationary(u, pi_u, degrees) -> np.ndarray:
     l = 2 is fully determined and solved in closed form with its feasibility
     interval; l >= 3 is underdetermined and resolved by the minimum-volume
     solution: the smallest total row-sum scale admitting a symmetric
-    non-negative realization, which is then fitted by iterative proportional
-    scaling.
+    non-negative realization, realized as the rank-one fit x_ij = u_i u_j,
+    or as a star where that scale sits on the realizability boundary.
+    An all-NaN pi_u leaves the layers uncoupled, as in compose_stationary.
     """
     pi = np.asarray(pi_u, dtype=np.float64)
     deg = np.asarray(degrees, dtype=np.float64)
-    l = pi.shape[0]
-    if deg.shape != (l,):
+    if deg.shape != (pi.shape[0],):
         raise DimensionMismatch("pi and degrees must have equal length")
-    if pi.min() <= 0.0 or abs(pi.sum() - 1.0) > STRUCTURAL_TOL:
+    x, failures = _stationary_blocks(pi[None], deg[None], first=u)
+    if failures:
+        raise failures[0][1]
+    return x[0]
+
+
+def _stationary_blocks(pis, deg, first=0):
+    """ego_block_from_stationary broadcast over (n, l) distributions and their
+    degrees, numbering vertices from `first`. Returns the (n, l, l) blocks
+    and the (vertex, exception) failures in vertex order. An all-NaN row
+    leaves its vertex uncoupled; any other invalid row raises ValueError."""
+    n, l = pis.shape
+    idx = np.arange(l)
+    x = np.zeros((n, l, l))
+    x[:, idx, idx] = deg
+    rows = np.flatnonzero(~np.isnan(pis).all(axis=1))
+    pi, d = pis[rows], deg[rows]
+    if not ((pi > 0.0).all() and (np.abs(pi.sum(axis=1) - 1.0) <= STRUCTURAL_TOL).all()):
         raise ValueError("pi must be strictly positive and sum to 1")
-    if deg.min() <= 0.0:
-        raise ZeroDegree(u, int(np.argmin(deg)))
-
-    if l == 1:
-        return np.array([[deg[0]]])
-
+    checks = [((d <= 0.0).any(axis=1), lambda k, u: ZeroDegree(u, int(np.argmin(d[k]))))]
+    # a row that fails one check computes garbage in the later ones, unread
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if l == 2:
+            coupling, more = _stationary_couplings_l2(pi, d)
+        elif l >= 3:
+            r, more = _min_volume_residuals(pi, d)
+        else:
+            more = []
+    # each row reports the first check it fails
+    ok = np.ones(len(rows), dtype=bool)
+    failures = []
+    for mask, make in checks + more:
+        for k in np.flatnonzero(mask & ok):
+            u = first + int(rows[k])
+            failures.append((u, make(k, u)))
+        ok &= ~mask
     if l == 2:
-        return _stationary_block_l2(u, pi, deg)
+        x[rows[ok], 0, 1] = x[rows[ok], 1, 0] = coupling[ok]
+    elif l >= 3:
+        x[rows[ok]] += _symmetric_rowsum_fit(r[ok])
+    return x, sorted(failures, key=lambda failure: failure[0])
 
-    return _symmetric_rowsum_fit(_min_volume_residuals(u, pi, deg)) + np.diag(deg)
 
-
-def _stationary_block_l2(u, pi, deg):
-    d1, d2 = deg
-    p1 = pi[0]
+def _stationary_couplings_l2(pi, deg):
+    """The closed-form coupling of each two-layer row, and the checks on it
+    in order, as (row mask, make(row, vertex) -> exception) pairs."""
+    d1, d2, p1 = deg[:, 0], deg[:, 1], pi[:, 0]
     endpoint = d1 / (d1 + d2)
-    if p1 == 0.5:
-        if d1 == d2:
-            raise Underdetermined(
-                f"vertex {u}: pi = 1/2 with equal degrees leaves the coupling "
-                "free; supply it explicitly"
-            )
-        raise Degenerate(
-            f"vertex {u}: pi = 1/2 with unequal degrees admits no finite coupling"
-        )
-    lo, hi = min(0.5, endpoint), max(0.5, endpoint)
-    if not (lo <= p1 <= hi):
-        raise Infeasible(
-            f"vertex {u}: pi^1 = {p1} outside feasible interval [{lo}, {hi}]",
-            interval=(lo, hi),
-        )
+    lo, hi = np.minimum(0.5, endpoint), np.maximum(0.5, endpoint)
     numerator = p1 * (d1 + d2) - d1
     # the numerator vanishes at the degree-proportional endpoint; snap the
     # rounding residue so decoupling is exact
-    if abs(numerator) <= 8.0 * np.finfo(np.float64).eps * (d1 + d2):
-        x = 0.0
-    else:
-        x = numerator / (1.0 - 2.0 * p1)
-    if x < 0.0:
-        raise Infeasible(
-            f"vertex {u}: closed form gives negative coupling {x}",
-            interval=(lo, hi),
-        )
-    return np.array([[d1, x], [x, d2]])
+    snap = np.abs(numerator) <= 8.0 * np.finfo(np.float64).eps * (d1 + d2)
+    x = np.where(snap, 0.0, numerator / (1.0 - 2.0 * p1))
+    half = p1 == 0.5
+    return x, [
+        (half & (d1 == d2), lambda k, u: Underdetermined(
+            f"vertex {u}: pi = 1/2 with equal degrees leaves the coupling "
+            "free; supply it explicitly")),
+        (half, lambda k, u: Degenerate(
+            f"vertex {u}: pi = 1/2 with unequal degrees admits no finite coupling")),
+        (~((lo <= p1) & (p1 <= hi)), lambda k, u: Infeasible(
+            f"vertex {u}: pi^1 = {p1[k]} outside feasible interval [{lo[k]}, {hi[k]}]",
+            interval=(lo[k], hi[k]))),
+        (x < 0.0, lambda k, u: Infeasible(
+            f"vertex {u}: closed form gives negative coupling {x[k]}",
+            interval=(lo[k], hi[k]))),
+    ]
 
 
-def _min_volume_residuals(u, pi, deg):
-    """Residuals r = s pi - d >= 0 at the smallest row-sum scale s that makes
-    them realizable symmetrically.
+def _min_volume_residuals(pi, deg):
+    """Residuals r = s pi - d >= 0 of each row at the smallest row-sum scale
+    s that makes them realizable symmetrically, and the checks on them in
+    order, as (row mask, make(row, vertex) -> exception) pairs.
 
     Realizability of non-negative symmetric off-diagonals with row sums r
     needs 2 max(r) <= sum(r); per layer that is a linear bound on s, a lower
     bound where pi_i < 1/2 and an upper bound where pi_i > 1/2.
     """
-    total_d = deg.sum()
-    s_star = np.max(deg / pi)
-    s_cap = np.inf
-    for i in range(len(pi)):
-        if pi[i] < 0.5:
-            s_star = max(s_star, (total_d - 2.0 * deg[i]) / (1.0 - 2.0 * pi[i]))
-        elif pi[i] > 0.5:
-            s_cap = min(s_cap, (2.0 * deg[i] - total_d) / (2.0 * pi[i] - 1.0))
-        elif 2.0 * deg[i] < total_d:
-            raise Infeasible(
-                f"vertex {u}: pi_{i} = 1/2 requires layer {i} to carry at "
-                "least half the degree mass",
-                interval=None,
-            )
-    if s_star > s_cap * (1.0 + 1e-14):
-        raise Infeasible(
+    total_d = deg.sum(axis=1, keepdims=True)
+    bound = (total_d - 2.0 * deg) / (1.0 - 2.0 * pi)
+    s_star = np.maximum((deg / pi).max(axis=1),
+                        np.where(pi < 0.5, bound, -np.inf).max(axis=1))
+    s_cap = np.where(pi > 0.5, bound, np.inf).min(axis=1)
+    half = (pi == 0.5) & (2.0 * deg < total_d)
+    r = s_star[:, None] * pi - deg
+    snap = 8.0 * np.finfo(np.float64).eps * np.maximum(s_star, deg.max(axis=1))
+    r[np.abs(r) <= snap[:, None]] = 0.0
+    scale = r.sum(axis=1)
+    return r, [
+        (half.any(axis=1), lambda k, u: Infeasible(
+            f"vertex {u}: pi_{np.argmax(half[k])} = 1/2 requires layer "
+            f"{np.argmax(half[k])} to carry at least half the degree mass",
+            interval=None)),
+        (s_star > s_cap * (1.0 + 1e-14), lambda k, u: Infeasible(
             f"vertex {u}: no scale satisfies all residual bounds "
-            f"(need s in [{s_star}, {s_cap}])",
-            interval=(s_star, s_cap),
-        )
-    r = s_star * pi - deg
-    snap = 8.0 * np.finfo(np.float64).eps * max(s_star, deg.max())
-    r[np.abs(r) <= snap] = 0.0
-    if r.min() < 0.0:
-        raise Infeasible(f"vertex {u}: negative residual {r.min()}", interval=None)
-    return r
+            f"(need s in [{s_star[k]}, {s_cap[k]}])",
+            interval=(s_star[k], s_cap[k]))),
+        (r.min(axis=1) < 0.0, lambda k, u: Infeasible(
+            f"vertex {u}: negative residual {r[k].min()}", interval=None)),
+        (scale - 2.0 * r.max(axis=1) < -1e-9 * scale, lambda k, u: Infeasible(
+            f"row sums {r[k]} violate 2 max <= sum", interval=None)),
+    ]
 
 
 def _symmetric_rowsum_fit(r):
-    """Symmetric zero-diagonal non-negative matrix with row sums r.
+    """Symmetric zero-diagonal non-negative blocks, one per row of r (k, l),
+    with that row as row sums; 2 max(r) <= sum(r) holds up to rounding.
 
-    Generic case: diagonal scaling x_ij = u_i u_j fitted on the complete
-    off-diagonal support. The boundary 2 max(r) = sum(r) forces a star and
-    is built directly, and instances too close to it for the scaling to
-    converge fall back to an exact pairing construction.
+    On the boundary 2 max(r) = sum(r) the one realization is the star on the
+    largest residual h, x_hj = r_j. Inside it, the block is the rank-one fit
+    x_ij = u_i u_j. With c = sum_{j != h} u_j and S = c + r_h / c the whole
+    sum, u_h = r_h / c and every other u_i is the smaller root of
+    u_i (S - u_i) = r_i, 2 r_i / (S + sqrt(S^2 - 4 r_i)), exactly 0 where
+    r_i = 0. What remains is one equation per row, sum_{i != h} u_i = c,
+    whose left side exceeds c for small c (by the slack) and falls below it
+    from c = sqrt(2 sum r) on; bisection of all rows at once brackets the
+    root to rounding, and u_h is taken from the sum it reaches.
     """
-    l = r.shape[0]
-    x = np.zeros((l, l))
-    active = np.flatnonzero(r > 0.0)
-    if active.size == 0:
-        return x
-    if active.size == 1:
-        raise Infeasible(f"row sums {r} violate 2 max <= sum", interval=None)
-    ra = r[active]
-    scale = ra.sum()
-    slack = scale - 2.0 * ra.max()
-    if slack < -1e-9 * scale:
-        raise Infeasible(f"row sums {r} violate 2 max <= sum", interval=None)
-    if slack <= 1e-12 * scale:
-        hub = int(np.argmax(ra))
-        block = np.zeros((active.size, active.size))
-        for j in range(active.size):
-            if j != hub:
-                block[hub, j] = block[j, hub] = ra[j]
-        x[np.ix_(active, active)] = block
-        return x
-    if active.size == 3:
-        # three unknowns, three row sums: the fit is unique in closed form
-        a, b, c = ra
-        block = np.zeros((3, 3))
-        block[0, 1] = block[1, 0] = (a + b - c) / 2.0
-        block[0, 2] = block[2, 0] = (a + c - b) / 2.0
-        block[1, 2] = block[2, 1] = (b + c - a) / 2.0
-        if block.min() < 0.0:
-            raise Infeasible(f"row sums {r} violate 2 max <= sum", interval=None)
-        x[np.ix_(active, active)] = block
-        return x
-    u = ra / np.sqrt(scale)
-    for _ in range(MAX_FIT_ITER):
-        u = 0.5 * (u + ra / (u.sum() - u))
-        if np.max(np.abs(u * (u.sum() - u) - ra)) <= FIT_TOL * scale:
-            block = np.outer(u, u)
-            np.fill_diagonal(block, 0.0)
-            x[np.ix_(active, active)] = block
-            return x
-    x[np.ix_(active, active)] = _pairing_fit(ra)
+    k, l = r.shape
+    rows, idx = np.arange(k), np.arange(l)
+    hub = r.argmax(axis=1)
+    rh = r[rows, hub][:, None]
+    rest = r.copy()
+    rest[rows, hub] = 0.0
+    x = np.zeros((k, l, l))
+    x[rows, hub], x[rows, :, hub] = rest, rest
+    scale = r.sum(axis=1, keepdims=True)
+    fit = (scale - 2.0 * rh > 1e-12 * scale)[:, 0]
+    rh, rest = rh[fit], rest[fit]
+
+    def spokes(c):
+        # S^2 - 4 r_i rewritten as a sum of non-negative terms
+        gap = c - rh / c
+        return 2.0 * rest / (c + rh / c + np.sqrt(gap * gap + 4.0 * (rh - rest)))
+
+    lo, hi = np.zeros_like(rh), np.sqrt(2.0 * scale[fit])
+    c = 0.5 * hi
+    while ((lo < c) & (c < hi)).any():
+        above = spokes(c).sum(axis=1, keepdims=True) > c
+        lo, hi = np.where(above, c, lo), np.where(above, hi, c)
+        c = 0.5 * (lo + hi)
+    u = spokes(c)
+    u[np.arange(len(u)), hub[fit]] = rh[:, 0] / u.sum(axis=1)
+    blocks = u[:, :, None] * u[:, None, :]
+    blocks[:, idx, idx] = 0.0
+    x[fit] = blocks
     return x
-
-
-def _pairing_fit(ra):
-    """Exact symmetric realization of row sums by greedy largest-pair edges.
-
-    Each step joins the two largest residuals with the heaviest weight that
-    keeps the remainder realizable (2 max <= sum), so every step either
-    zeroes a residual or reaches the star boundary; O(l) steps total.
-    """
-    k = ra.size
-    block = np.zeros((k, k))
-    res = ra.copy()
-    for _ in range(4 * k):
-        order = np.argsort(res)[::-1]
-        a, b = order[0], order[1]
-        third = res[order[2]] if k > 2 else 0.0
-        w = min(res[b], res.sum() / 2.0 - third)
-        if w <= 0.0:
-            break
-        block[a, b] += w
-        block[b, a] += w
-        res[a] -= w
-        res[b] -= w
-    return block
 
 
 def compose_stationary(layers, pis) -> SuperAdjacency:
     """Super-adjacency from per-vertex stationary layer distributions.
 
     Requires undirected layers. Every vertex's slice, taken as an isolated
-    ego system, has the requested stationary distribution. A row of NaN in
-    pis leaves that vertex uncoupled (no inter-layer edges), the natural
-    choice for vertices absent from some layer.
+    ego system, has the requested stationary distribution. An all-NaN row
+    of pis leaves that vertex uncoupled (no inter-layer edges), the natural
+    choice for vertices absent from some layer; a partly-NaN row is invalid.
     """
     n, l = _check_layers(layers)
     for k, lay in enumerate(layers):
@@ -666,14 +653,7 @@ def compose_stationary(layers, pis) -> SuperAdjacency:
     pis = np.asarray(pis, dtype=np.float64)
     if pis.shape != (n, l):
         raise DimensionMismatch(f"pis must have shape ({n}, {l})")
-    deg = degree_table(layers)
-    x = np.zeros((n, l, l))  # NaN rows keep zero couplings
-    failures = []
-    for u in np.flatnonzero(~np.isnan(pis).any(axis=1)):
-        try:
-            x[u] = ego_block_from_stationary(int(u), pis[u], deg[u])
-        except (Infeasible, Degenerate, Underdetermined, ZeroDegree) as exc:
-            failures.append((int(u), exc))
+    x, failures = _stationary_blocks(pis, degree_table(layers))
     if failures:
         raise StationaryCompositionError(failures)
     return _assemble(layers, *_block_couplings(x))

@@ -232,7 +232,8 @@ def write_ego_file(egos: EgoMarkov, ds: LayeredDataset, path):
 def read_pi_file(path, ds: LayeredDataset) -> np.ndarray:
     """Per-vertex stationary layer distributions, NaN rows where unlisted.
 
-    Vertices absent from the file are composed without inter-layer coupling.
+    Vertices absent from the file are composed without inter-layer coupling;
+    a listed vertex needs l finite JSON numbers.
     """
     payload = _read_object(path)
     ids, l = ds.label_ids, len(ds.layer_names)
@@ -240,16 +241,21 @@ def read_pi_file(path, ds: LayeredDataset) -> np.ndarray:
     for label, vec in payload.items():
         if label not in ids:
             raise ParseError(0, f"unknown vertex label {label!r}", path)
+        if isinstance(vec, list) and any(isinstance(v, (str, bool)) for v in vec):
+            raise ParseError(0, f"pi of {label!r} must hold numbers, not JSON strings or "
+                                "booleans", path)
         arr = _floats(vec, path, f"pi of {label!r}")
         if arr.shape != (l,):
             raise ParseError(0, f"pi of {label!r} must have length {l}", path)
+        if not np.isfinite(arr).all():
+            raise ParseError(0, f"pi of {label!r} must hold finite numbers", path)
         pis[ids[label]] = arr
     return pis
 
 
 def write_pi_file(pis, ds: LayeredDataset, path):
     pis = np.asarray(pis, dtype=np.float64)
-    payload = dict(itertools.compress(zip(ds.labels, pis.tolist()), ~np.isnan(pis).any(axis=1)))
+    payload = dict(itertools.compress(zip(ds.labels, pis.tolist()), ~np.isnan(pis).all(axis=1)))
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1)
 

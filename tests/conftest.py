@@ -1,9 +1,14 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and Hypothesis profile for the test suite."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from multinet import EgoMarkov, LayerGraph
+
+# every run draws the same examples, so a failure in CI reproduces locally
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def random_graph(rng, n, directed=False, p=0.5, weight_range=(0.5, 2.0),

@@ -378,6 +378,12 @@ COMPANION_FAULTS = {
                           "ego matrix of 'a' must hold numbers, not JSON objects"),
     "pi vector object": (["compose", "--mode", "stationary", "--pi-file"], {"a": {"k": 1}},
                          "pi of 'a' must hold numbers, not JSON objects"),
+    "pi strings": (["compose", "--mode", "stationary", "--pi-file"], {"a": ["0.4", "0.3", "0.3"]},
+                   "pi of 'a' must hold numbers, not JSON strings or booleans"),
+    "pi booleans": (["compose", "--mode", "stationary", "--pi-file"], {"a": [True, False, False]},
+                    "pi of 'a' must hold numbers, not JSON strings or booleans"),
+    "pi NaN": (["compose", "--mode", "stationary", "--pi-file"], {"a": [float("nan"), 0.5, 0.5]},
+               "pi of 'a' must hold finite numbers"),
     "bias top level list": (["transform", "--bias-file"], ["t1"],
                             "top level must be a JSON object keyed by layer name"),
     "bias layer list": (["transform", "--bias-file"], {"t1": ["a"]},

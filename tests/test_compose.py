@@ -500,6 +500,15 @@ def test_compose_stationary_nan_rows_uncoupled(rng):
     assert s.block(0, 1).nnz == 0
 
 
+def test_compose_stationary_partly_nan_row_is_invalid(rng):
+    # only an all-NaN row means "uncoupled"; a partly-NaN one is a bad pi
+    layers = interactions(rng, 4, 2)
+    pis = np.full((4, 2), np.nan)
+    pis[2] = [np.nan, 1.0]
+    with pytest.raises(ValueError, match="pi must be strictly positive and sum to 1"):
+        compose_stationary(layers, pis)
+
+
 def test_compose_stationary_aggregates_failures(rng):
     layers = interactions(rng, 4, 2)
     deg = degree_table(layers)

@@ -4,10 +4,14 @@ The oracles below are the straightforward per-vertex constructions: one l x l
 ego block per vertex, one ``sparse.block_array`` grid of diagonal
 off-diagonal blocks, and one dense vertex slice per vertex for the ego
 check. The vectorised library code must reproduce their matrices bit for
-bit, their ego deviations to 1e-15, and their first reported failure.
+bit, their ego deviations to 1e-15, and their first reported failure. The
+stationary regime's oracle is the earlier per-vertex fit kept in
+``stationary_oracle``; its fixed point matches the batched rank-one fit to
+``FIT_TOL`` relative to the residual mass, and its l <= 2 blocks bit for bit.
 """
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,7 +26,6 @@ from multinet import (
     compose_ego,
     compose_stationary,
     degree_table,
-    ego_block_from_stationary,
     split_flat,
     verify_ego_consistency,
     verify_layer_consistency,
@@ -38,6 +41,9 @@ from multinet.errors import (
     ZeroDegree,
     ZeroDiagonal,
 )
+
+import stationary_oracle
+from stationary_oracle import FIT_TOL
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -100,22 +106,36 @@ def oracle_compose_ego(layers, egos, require_undirected, force_symmetrize):
     return oracle_assemble(layers, blocks)
 
 
+# The oracle's fixed point meets FIT_TOL within about 6,000 steps where the
+# star-boundary slack is 5e-3 of the residual mass or more; much closer to the
+# boundary it mostly runs all its 200,000 steps (3 to 4 s) and falls back to
+# pairing. Capped at 20,000 steps, such a fallback takes about 0.3 s; a vertex
+# that reaches the cap is checked like a paired one.
+ORACLE_FIT_ITER = 20_000
+
+
 def oracle_compose_stationary(layers, pis):
+    """The super-adjacency and the vertices whose fit fell back to pairing."""
     n, l = layers[0].n, len(layers)
     deg = degree_table(layers)
-    blocks, failures = [], []
+    blocks, failures, paired = [], [], set()
     for u in range(n):
-        if np.any(np.isnan(pis[u])):
+        if np.all(np.isnan(pis[u])):
             blocks.append(np.diag(deg[u]))
             continue
         try:
-            blocks.append(ego_block_from_stationary(u, pis[u], deg[u]))
+            with mock.patch.object(stationary_oracle, "MAX_FIT_ITER", ORACLE_FIT_ITER), \
+                    mock.patch.object(stationary_oracle, "_pairing_fit",
+                                      wraps=stationary_oracle._pairing_fit) as pairing:
+                blocks.append(stationary_oracle.ego_block_from_stationary(u, pis[u], deg[u]))
         except (Infeasible, Degenerate, Underdetermined, ZeroDegree) as exc:
             failures.append((u, exc))
             blocks.append(None)
+        if pairing.called:
+            paired.add(u)
     if failures:
         raise StationaryCompositionError(failures)
-    return oracle_assemble(layers, blocks)
+    return oracle_assemble(layers, blocks), paired
 
 
 def oracle_compose_distance(layers, dist, c, kernel, adjacent_only):
@@ -239,21 +259,74 @@ def random_egos(rng, deg, respect_absence):
     return EgoMarkov(np.array(egos).reshape(n, l, l))
 
 
-def random_pis(rng, deg):
-    n, l = deg.shape
-    pis = rng.dirichlet(np.full(l, 3.0), size=n)
-    for u in range(n):
-        kind = rng.integers(0, 4)
-        if kind == 0:
-            pis[u] = np.nan
-        elif kind == 1 and l == 2 and deg[u].min() > 0.0:
-            # strictly inside the feasible interval between 1/2 and d1/(d1+d2)
-            endpoint = deg[u, 0] / deg[u].sum()
-            p1 = 0.5 + rng.uniform(0.05, 0.95) * (endpoint - 0.5)
-            pis[u] = [p1, 1.0 - p1]
-        elif kind == 2 and deg[u].min() > 0.0:
-            pis[u] = deg[u] / deg[u].sum()
-    return pis
+# kinds meant to compose on vertices present in every layer, and kinds that
+# often fail
+FEASIBLE_PI_KINDS = ("inside", "pulled to uniform", "degree share", "nan", "star",
+                     "near star")
+PI_KINDS = FEASIBLE_PI_KINDS + ("dirichlet", "half", "endpoint")
+
+
+def random_pi(rng, d, kind):
+    """One vertex's stationary distribution of the given kind; a kind that
+    needs more layers or positive degrees falls back to a Dirichlet draw."""
+    l = d.size
+    pi = rng.dirichlet(np.full(l, 3.0))
+    if kind == "nan":
+        return np.full(l, np.nan)
+    if kind == "pulled to uniform" and l != 2:
+        return 0.5 * pi + 0.5 / l
+    if kind == "half" and l >= 2:
+        # one layer at exactly 1/2; with l = 2 that is pi = (1/2, 1/2)
+        i = rng.integers(0, l)
+        pi = np.insert(0.5 * rng.dirichlet(np.full(l - 1, 3.0)), i, 0.0)
+        pi[i] = 0.5
+        return pi
+    if d.min() <= 0.0:
+        return pi
+    if kind == "degree share":
+        return d / d.sum()
+    if kind in ("inside", "pulled to uniform") and l == 2:
+        # strictly inside the feasible interval between 1/2 and d1/(d1+d2)
+        p1 = 0.5 + rng.uniform(0.05, 0.95) * (d[0] / d.sum() - 0.5)
+        return np.array([p1, 1.0 - p1])
+    if kind in ("star", "near star", "endpoint") and l == 2:
+        # at the degree-share endpoint of the interval or a few rounding
+        # steps inside it, across the snap of the coupling to 0; an endpoint
+        # draw may also step outside
+        p1 = endpoint = d[0] / d.sum()
+        toward = rng.choice((0.5, 0.0, 1.0) if kind == "endpoint" else (0.5,))
+        for _ in range(rng.choice([0, 1, 4, 16, 64])):
+            p1 = np.nextafter(p1, toward)
+        return np.array([p1, 1.0 - p1])
+    if kind in ("star", "near star") and l >= 3:
+        # minimum-volume residuals r on the realizability boundary
+        # 2 max(r) = sum(r), or inside it by a relative slack below 1e-6;
+        # pi = (r + d) / s puts the smallest feasible scale at s
+        r = rng.uniform(0.1, 2.0, l) * (rng.random(l) < 0.8)
+        hub = rng.integers(0, l)
+        r[hub] = 0.0
+        slack = 0.0 if kind == "star" else rng.choice([1e-13, 1e-10, rng.uniform(0.0, 2e-6)])
+        r[hub] = r.sum() * (1.0 - slack)
+        return (r + d) / (r.sum() + d.sum())
+    return pi
+
+
+@st.composite
+def stationary_inputs(draw):
+    """Undirected stacks of up to 8 layers, one drawn pi kind per vertex.
+    Half the stacks have no absent vertices and only feasible kinds, so that
+    they compose; of the others, tied stacks repeat layer 0, giving equal
+    degrees."""
+    faults = draw(st.booleans())
+    layers, rng = draw(stacks(directed=False, absent_p=0.2 if faults else 0.0, max_n=12,
+                              max_l=8))
+    if faults and draw(st.booleans()):
+        layers = [layers[0]] * len(layers)
+    deg = degree_table(layers)
+    kinds = draw(st.lists(st.sampled_from(PI_KINDS if faults else FEASIBLE_PI_KINDS),
+                          min_size=len(deg), max_size=len(deg)))
+    pis = np.array([random_pi(rng, d, kind) for d, kind in zip(deg, kinds)])
+    return layers, pis.reshape(deg.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +405,43 @@ def test_layer_deviations_match_per_layer_oracle(drawn, tied):
         assert report.worst[0] == 0
 
 
+def assert_fit_agrees(got, want, paired, layers, pis):
+    """Couplings within FIT_TOL of the residual mass of the oracle's fixed
+    point; where the oracle fell back to pairing, a symmetric non-negative
+    block whose row sums are s pi. Everything else is bit-identical."""
+    n, l = got.n, got.l
+    flat = np.arange(n * l)
+    coupling = (flat[:, None] % n == flat % n) & (flat[:, None] // n != flat // n)
+    assert not (got.matrix - want.matrix).toarray()[~coupling].any()
+    deg = degree_table(layers)
+    off = ~np.eye(l, dtype=bool)
+    for u in range(n):
+        x, y = got.vertex_slice(u) * off, want.vertex_slice(u) * off
+        if u in paired:
+            assert np.array_equal(x, x.T) and x.min() >= 0.0
+            rows = x.sum(axis=1) + deg[u]
+            assert np.abs(rows - rows.sum() * pis[u]).max() <= FIT_TOL * rows.sum()
+        else:
+            assert np.abs(x - y).max() <= FIT_TOL * y.sum()
+
+
 @PROPERTY
-@given(stacks(directed=False))
+@given(stationary_inputs())
 def test_compose_stationary_matches_per_vertex_oracle(drawn):
-    layers, rng = drawn
-    pis = random_pis(rng, degree_table(layers))
+    layers, pis = drawn
     got_kind, got = outcome(compose_stationary, layers, pis)
     want_kind, want = outcome(oracle_compose_stationary, layers, pis)
     assert got_kind == want_kind
     if got_kind == "ok":
-        assert_bit_identical(got, want)
+        want, paired = want
+        if len(layers) <= 2:
+            assert_bit_identical(got, want)
+        else:
+            assert_fit_agrees(got, want, paired, layers, pis)
     else:
-        assert [(v, type(e), str(e)) for v, e in got.failures] == \
-            [(v, type(e), str(e)) for v, e in want.failures]
+        def report(failures):
+            return [(v, type(e), str(e), getattr(e, "interval", None)) for v, e in failures]
+        assert report(got.failures) == report(want.failures)
 
 
 @PROPERTY
