@@ -50,7 +50,7 @@ print("phone->email weight:", block[1, 0])
 
 s = compose_ego([phone, email, feed], egos)
 print(f"\nsuper-adjacency: {s.n * s.l} instances,",
-      f"{s.inter_layer_slots} settable inter-layer scalars")
+      f"{s.n * s.l * (s.l - 1)} settable inter-layer scalars")
 
 layer_report = verify_layer_consistency(s, [phone, email, feed])
 ego_report = verify_ego_consistency(s, egos)

@@ -29,15 +29,9 @@ from .transform import (
     transform_layer,
 )
 from .compose import (
-    CompositionSpec,
-    DistanceSpec,
     EgoMarkov,
-    EgoSpec,
-    MultiplexSpec,
-    StationarySpec,
     SuperAdjacency,
     check_undirected_feasibility,
-    compose,
     compose_distance,
     compose_ego,
     compose_multiplex,

@@ -17,11 +17,10 @@ import numpy as np
 
 from . import io as mio
 from .compose import (
-    DistanceSpec,
-    EgoSpec,
-    MultiplexSpec,
-    StationarySpec,
-    compose,
+    compose_distance,
+    compose_ego,
+    compose_multiplex,
+    compose_stationary,
     verify_ego_consistency,
     verify_layer_consistency,
 )
@@ -99,8 +98,8 @@ def _build_parser():
                         "--distances file is given)")
     p.add_argument("--all-pairs", dest="adjacent_only", action="store_false")
     p.add_argument("--require-undirected", action="store_true")
-    p.add_argument("--force-symmetrize", action="store_true")
-    p.add_argument("--format", default="mm", choices=["mm", "json"])
+    p.add_argument("--force-symmetrize", action="store_true",
+                   help="average asymmetric ego blocks; implies --require-undirected")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_compose)
 
@@ -176,43 +175,42 @@ def _cmd_transform(args):
     return 0
 
 
-def _composition_spec(args, ds):
+# A module-level name: bench/tracing.py times it as compose.compose, its file reads apart.
+def compose(args, ds, layers):
+    """Compose the transformed layers under --mode, reading its side file."""
     if args.mode == "multiplex":
-        return MultiplexSpec()
+        return compose_multiplex(layers)
     if args.mode == "ego":
         if not args.ego_file:
             raise ValueError("--mode ego requires --ego-file")
-        egos = mio.read_ego_file(args.ego_file, ds)
-        return EgoSpec(egos=egos, require_undirected=args.require_undirected,
-                       force_symmetrize=args.force_symmetrize)
+        return compose_ego(layers, mio.read_ego_file(args.ego_file, ds),
+                           require_undirected=args.require_undirected or args.force_symmetrize,
+                           force_symmetrize=args.force_symmetrize)
     if args.mode == "stationary":
         if not args.pi_file:
             raise ValueError("--mode stationary requires --pi-file")
-        return StationarySpec(pis=mio.read_pi_file(args.pi_file, ds))
+        return compose_stationary(layers, mio.read_pi_file(args.pi_file, ds))
     if args.coupling is None:
         raise ValueError("--mode distance requires --coupling")
-    l = len(ds.layer_names)
     if args.distances:
         dist = np.asarray(mio.read_json(args.distances), dtype=np.float64)
         adjacent_only = bool(args.adjacent_only)
     else:
-        idx = np.arange(l, dtype=np.float64)
+        idx = np.arange(len(ds.layer_names), dtype=np.float64)
         dist = np.abs(idx[:, None] - idx[None, :])
-        adjacent_only = True if args.adjacent_only is None else args.adjacent_only
-    return DistanceSpec(distances=dist, coupling=args.coupling,
-                        kernel=args.kernel, adjacent_only=adjacent_only)
+        adjacent_only = args.adjacent_only is not False
+    return compose_distance(layers, dist, args.coupling, kernel=args.kernel,
+                            adjacent_only=adjacent_only)
 
 
 def _cmd_compose(args):
     ds, transformed = _load_transformed(args)
-    spec = _composition_spec(args, ds)
-    result = compose(transformed, spec)
-    if isinstance(result, LayerGraph):
-        out = mio.LayeredDataset(layer_names=["composed"], layers=[result],
-                                 labels=ds.labels)
-        mio.write_layers(out, args.out)
+    result = compose(args, ds, transformed)
+    if args.mode == "multiplex":
+        mio.write_layers(mio.LayeredDataset(layer_names=["composed"], layers=[result],
+                                            labels=ds.labels), args.out)
     else:
-        mio.write_super(result, args.out, format=args.format)
+        mio.write_super(result, args.out)
     return 0
 
 

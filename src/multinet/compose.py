@@ -22,7 +22,6 @@ Four regimes build the coupling:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy import sparse
@@ -128,9 +127,8 @@ class SuperAdjacency:
 
     def block(self, i, j):
         """The n x n block coupling layer i to layer j (edges i -> j)."""
-        rows = np.arange(self.n) + i * self.n
-        cols = np.arange(self.n) + j * self.n
-        return sparse.csc_array(self.matrix[rows, :][:, cols])
+        n = self.n
+        return self.matrix[i * n:(i + 1) * n, j * n:(j + 1) * n]
 
     def vertex_slice(self, u):
         """Dense l x l slice of vertex u: entry (i, j) = weight (u,i)->(u,j)."""
@@ -140,54 +138,8 @@ class SuperAdjacency:
     def out_degrees(self):
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
-    @property
-    def inter_layer_slots(self):
-        """Settable scalars left once diagonal blocks are fixed: n(l^2 - l)."""
-        return self.n * self.l * (self.l - 1)
-
-    def vertex_major_matrix(self):
-        """Pure permutation view grouping each vertex's instances together."""
-        size = self.n * self.l
-        new = np.arange(size)
-        old = (new % self.l) * self.n + new // self.l
-        return sparse.csc_array(self.matrix[old, :][:, old])
-
     def as_graph(self):
         return LayerGraph(self.n * self.l, self.matrix, directed=True)
-
-
-# tagged union of composition modes
-
-
-@dataclass(frozen=True)
-class MultiplexSpec:
-    mode = "multiplex"
-
-
-@dataclass(frozen=True)
-class EgoSpec:
-    egos: EgoMarkov
-    require_undirected: bool = False
-    force_symmetrize: bool = False
-    mode = "ego"
-
-
-@dataclass(frozen=True)
-class StationarySpec:
-    pis: np.ndarray  # (n, l), strictly positive rows summing to 1
-    mode = "stationary"
-
-
-@dataclass(frozen=True)
-class DistanceSpec:
-    distances: np.ndarray  # (l, l) symmetric, zero diagonal
-    coupling: float
-    kernel: str = "reciprocal"
-    adjacent_only: bool = False
-    mode = "distance"
-
-
-CompositionSpec = Union[MultiplexSpec, EgoSpec, StationarySpec, DistanceSpec]
 
 
 # ---------------------------------------------------------------------------
@@ -701,24 +653,3 @@ def compose_distance(layers, dist, c, kernel="reciprocal",
     present = degree_table(layers) > 0.0  # (n, l)
     vertex, pair = np.nonzero(present[:, src] & present[:, dst])
     return _assemble(layers, vertex, src[pair], dst[pair], w[pair])
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def compose(layers, spec: CompositionSpec):
-    """Run the composition selected by a CompositionSpec."""
-    if isinstance(spec, MultiplexSpec):
-        return compose_multiplex(layers)
-    if isinstance(spec, EgoSpec):
-        return compose_ego(layers, spec.egos,
-                           require_undirected=spec.require_undirected,
-                           force_symmetrize=spec.force_symmetrize)
-    if isinstance(spec, StationarySpec):
-        return compose_stationary(layers, spec.pis)
-    if isinstance(spec, DistanceSpec):
-        return compose_distance(layers, spec.distances, spec.coupling,
-                                kernel=spec.kernel,
-                                adjacent_only=spec.adjacent_only)
-    raise TypeError(f"unknown composition spec {type(spec).__name__}")

@@ -86,10 +86,6 @@ class LayerGraph:
     def out_degrees(self):
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
-    @property
-    def volume(self):
-        return float(self.matrix.sum())
-
     def toarray(self):
         return self.matrix.toarray()
 

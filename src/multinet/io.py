@@ -14,7 +14,9 @@ Companion JSON files carry per-vertex ego matrices or stationary layer
 distributions keyed by vertex label, and per-layer bias/delay vectors keyed
 by layer name then vertex label. Super-adjacencies serialize to
 Matrix-Market coordinate files (header comment records n, l, and the
-layer-major index convention) or to a JSON block layout; both round-trip
+layer-major index convention) or to a JSON block layout, picked by the
+file name alone: a name ending in ``.json`` is JSON, any other name Matrix
+Market, for writing and reading alike. Both formats round-trip
 weights bit-identically. Entry order and float spelling are not part of
 either format. Both readers reject indices out of range, non-numeric or
 non-finite weights and duplicate entries; the Matrix-Market reader also
@@ -390,24 +392,20 @@ def _read_categories(path):
 # super-adjacency serialization
 
 
-def write_super(s: SuperAdjacency, path, format="mm"):
-    """Serialize a super-adjacency; read_super restores it bit-identically."""
-    if format == "mm":
-        _write_super_mm(s, path)
-    elif format == "json":
-        _write_super_json(s, path)
-    else:
-        raise ValueError(f"unknown format {format!r} (expected 'mm' or 'json')")
+def _is_json(path):
+    """The one format rule: a name ending in .json holds the JSON block
+    layout, any other name Matrix Market."""
+    return str(path).endswith(".json")
 
 
-def read_super(path, format=None) -> SuperAdjacency:
-    if format is None:
-        format = "json" if str(path).endswith(".json") else "mm"
-    if format == "mm":
-        return _read_super_mm(path)
-    if format == "json":
-        return _read_super_json(path)
-    raise ValueError(f"unknown format {format!r} (expected 'mm' or 'json')")
+def write_super(s: SuperAdjacency, path):
+    """Serialize a super-adjacency in the format its file name picks;
+    read_super restores it bit-identically."""
+    (_write_super_json if _is_json(path) else _write_super_mm)(s, path)
+
+
+def read_super(path) -> SuperAdjacency:
+    return _read_super_json(path) if _is_json(path) else _read_super_mm(path)
 
 
 def _write_super_mm(s, path):

@@ -305,7 +305,8 @@ def test_criterion_8_layer_load():
             lo = mid
         else:
             hi = mid
-    v1, v2 = g.volume, 3.0 * g.volume
+    v1 = float(g.matrix.sum())
+    v2 = 3.0 * v1
     closed_form = (target / (1.0 - target)) * v1 / v2
     assert abs(0.5 * (lo + hi) - closed_form) <= 1e-10
     elapsed = time.time() - start

@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from multinet import cli, read_layers, read_super
+from multinet import (
+    EgoMarkov,
+    cli,
+    compose_distance,
+    compose_ego,
+    compose_multiplex,
+    compose_stationary,
+    read_layers,
+    read_super,
+)
 from multinet.cli import main
 
 from test_io import CATS, GR, TOY
@@ -147,6 +156,75 @@ def test_compose_multiplex_writes_layered_file(tmp_path, temporal_path):
     ds = read_layers(out)
     assert ds.layer_names == ["composed"]
     assert ds.layer("composed").toarray()[0, 1] == 3.0  # three unit layers summed
+
+
+# one CLI compose per flag set, against the library call it stands for
+ASYMMETRIC_EGO = [[0.6, 0.3, 0.2], [0.3, 0.5, 0.3], [0.1, 0.2, 0.5]]
+EGOS = EgoMarkov(np.tile(ASYMMETRIC_EGO, (3, 1, 1)))
+DISTANCES = [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]]
+PI = {"a": [0.3, 0.3, 0.4], "b": [0.25, 0.4, 0.35], "c": [1 / 3, 1 / 3, 1 / 3]}
+POSITION = np.arange(3.0)
+UNIT_SPACED = np.abs(POSITION[:, None] - POSITION[None, :])
+COMPOSE_FLAGS = {
+    "multiplex": (["--mode", "multiplex"], compose_multiplex),
+    "ego": (["--mode", "ego", "--ego-file", "{ego}"],
+            lambda layers: compose_ego(layers, EGOS)),
+    "ego symmetrized": (["--mode", "ego", "--ego-file", "{ego}", "--require-undirected",
+                         "--force-symmetrize"],
+                        lambda layers: compose_ego(layers, EGOS, require_undirected=True,
+                                                   force_symmetrize=True)),
+    "stationary": (["--mode", "stationary", "--pi-file", "{pi}"],
+                   lambda layers: compose_stationary(layers, [PI[v] for v in "abc"])),
+    "distance adjacent": (["--mode", "distance", "--coupling", "0.5"],
+                          lambda layers: compose_distance(layers, UNIT_SPACED, 0.5,
+                                                          adjacent_only=True)),
+    "distance all pairs uniform": (["--mode", "distance", "--coupling", "0.5", "--all-pairs",
+                                    "--kernel", "uniform"],
+                                   lambda layers: compose_distance(layers, UNIT_SPACED, 0.5,
+                                                                   kernel="uniform")),
+    "distance file": (["--mode", "distance", "--coupling", "0.5", "--distances", "{dist}"],
+                      lambda layers: compose_distance(layers, DISTANCES, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", COMPOSE_FLAGS)
+def test_compose_flags_match_library(case, tmp_path, temporal_path):
+    flags, library = COMPOSE_FLAGS[case]
+    files = {"ego": {v: ASYMMETRIC_EGO for v in "abc"}, "pi": PI, "dist": DISTANCES}
+    for name, payload in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    out = tmp_path / ("flat.layers" if case == "multiplex" else "super.mtx")
+    argv = ["compose", "--layers", str(temporal_path), "--out", str(out)]
+    argv += [flag.format(**{k: tmp_path / f"{k}.json" for k in files}) for flag in flags]
+    assert main(argv) == 0
+    want = library(read_layers(temporal_path).layers)
+    got = read_layers(out).layers[0] if case == "multiplex" else read_super(out)
+    assert want.matrix.shape == got.matrix.shape
+    assert np.array_equal(got.matrix.indptr, want.matrix.indptr)
+    assert np.array_equal(got.matrix.indices, want.matrix.indices)
+    assert np.array_equal(got.matrix.data, want.matrix.data)
+
+
+def test_force_symmetrize_alone_symmetrizes(tmp_path):
+    layers = tmp_path / "two.layers"
+    layers.write_text("layer p undirected\nlayer q undirected\n"
+                      "edge p a b 1.0\nedge q a b 1.0\n")
+    ego = tmp_path / "ego.json"
+    ego.write_text(json.dumps({v: [[0.8, 0.3], [0.2, 0.7]] for v in "ab"}))
+    out = tmp_path / "super.mtx"
+    assert main(["compose", "--layers", str(layers), "--mode", "ego", "--ego-file", str(ego),
+                 "--force-symmetrize", "--out", str(out)]) == 0
+    mat = read_super(out).matrix
+    assert (mat != mat.T).nnz == 0
+
+
+def test_compose_json_name_round_trips_through_analyze(tmp_path, temporal_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(["compose", "--layers", str(temporal_path), "--mode", "distance",
+                 "--coupling", "0.5", "--out", str(out)]) == 0
+    json.loads(out.read_text())  # the name picked the JSON block layout
+    assert main(["analyze", "--super", str(out), "--layer-load"]) == 0
+    assert abs(sum(json.loads(capsys.readouterr().out)["layer_load"]) - 1.0) <= 1e-12
 
 
 def test_analyze_barbell_bisection(tmp_path, capsys):

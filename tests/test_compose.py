@@ -5,15 +5,10 @@ import pytest
 from scipy import sparse
 
 from multinet import (
-    DistanceSpec,
     EgoMarkov,
-    EgoSpec,
     LayerGraph,
-    MultiplexSpec,
-    StationarySpec,
     SuperAdjacency,
     check_undirected_feasibility,
-    compose,
     compose_distance,
     compose_ego,
     compose_multiplex,
@@ -312,27 +307,6 @@ def test_super_adjacency_rejects_cross_vertex_coupling(rng):
         SuperAdjacency(n=3, l=2, matrix=mat)
 
 
-def test_vertex_major_view_is_permutation(rng):
-    layers = interactions(rng, 4, 3)
-    egos = random_egos(rng, 4, 3)
-    s = compose_ego(layers, egos)
-    vm = s.vertex_major_matrix().toarray()
-    lm = s.matrix.toarray()
-    for u in range(4):
-        for v in range(4):
-            for i in range(3):
-                for j in range(3):
-                    assert vm[u * 3 + i, v * 3 + j] == lm[i * 4 + u, j * 4 + v]
-    assert vm.sum() == lm.sum()
-
-
-def test_inter_layer_slot_count(rng):
-    layers = interactions(rng, 7, 4)
-    egos = identity_egos(7, 4)
-    s = compose_ego(layers, egos)
-    assert s.inter_layer_slots == 7 * (4 * 4 - 4)
-
-
 # ---------------------------------------------------------------------------
 # undirected feasibility
 
@@ -592,19 +566,3 @@ def test_distance_rejects_bad_inputs(rng):
         compose_distance(layers, np.array([[0.0, 1.0], [2.0, 0.0]]), 1.0)
     with pytest.raises(NonPositiveCoupling):
         compose_distance(layers, good, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def test_compose_dispatch_all_modes(rng):
-    layers = interactions(rng, 4, 2)
-    assert compose(layers, MultiplexSpec()).n == 4
-    egos = random_egos(rng, 4, 2)
-    assert compose(layers, EgoSpec(egos=egos)).l == 2
-    deg = degree_table(layers)
-    pis = deg / deg.sum(axis=1, keepdims=True)
-    assert compose(layers, StationarySpec(pis=pis)).l == 2
-    dist = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert compose(layers, DistanceSpec(distances=dist, coupling=1.0)).l == 2

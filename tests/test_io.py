@@ -293,7 +293,7 @@ def test_super_mm_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(11)
     s = _random_super(rng)
     path = tmp_path / "super.mm"
-    write_super(s, path, format="mm")
+    write_super(s, path)
     again = read_super(path)
     assert (again.n, again.l) == (s.n, s.l)
     assert np.array_equal(again.matrix.data, s.matrix.data)
@@ -304,7 +304,7 @@ def test_super_json_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(12)
     s = _random_super(rng)
     path = tmp_path / "super.json"
-    write_super(s, path, format="json")
+    write_super(s, path)
     again = read_super(path)
     assert np.array_equal(again.matrix.data, s.matrix.data)
     assert (again.matrix != s.matrix).nnz == 0

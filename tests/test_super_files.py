@@ -81,14 +81,18 @@ def compositions(draw):
 @given(compositions())
 def test_super_round_trip_bit_identical_both_formats(s):
     with tempfile.TemporaryDirectory() as tmp:
-        # no .mtx suffix: the writer must keep the name it is given
-        mm, js = Path(tmp) / "super.mm", Path(tmp) / "super.json"
-        write_super(s, mm, format="mm")
-        write_super(s, js, format="json")
-        assert sorted(p.name for p in Path(tmp).iterdir()) == ["super.json", "super.mm"]
-        assert mm.read_text().startswith("%%MatrixMarket matrix coordinate real general\n")
-        assert_bit_identical(read_super(mm), s)
-        assert_bit_identical(read_super(js), s)
+        # the writer keeps the name it is given (no .mtx appended), and the
+        # name alone picks the format: .json is the block layout, else Matrix Market
+        names = ["super.json", "super.mm", "super.mtx"]
+        for name in names:
+            write_super(s, Path(tmp) / name)
+        assert sorted(p.name for p in Path(tmp).iterdir()) == names
+        json.loads((Path(tmp) / "super.json").read_text())
+        for name in names[1:]:
+            assert (Path(tmp) / name).read_text().startswith(
+                "%%MatrixMarket matrix coordinate real general\n")
+        for name in names:
+            assert_bit_identical(read_super(Path(tmp) / name), s)
 
 
 @PROPERTY
@@ -103,7 +107,7 @@ def test_row_order_repr_files_still_read(s):
 def test_empty_super_round_trips(tmp_path):
     s = SuperAdjacency(n=3, l=2, matrix=sparse.csc_array((6, 6)))
     for name in ("empty.mm", "empty.json"):
-        write_super(s, tmp_path / name, format=name.split(".")[1])
+        write_super(s, tmp_path / name)
         assert_bit_identical(read_super(tmp_path / name), s)
 
 
