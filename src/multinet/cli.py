@@ -233,8 +233,7 @@ def _cmd_verify(args):
             "worst_vertex": ego_report.worst_vertex,
         },
     }
-    json.dump(payload, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    _write_report(payload)
     return 0 if layer_report.passed and ego_report.passed else 1
 
 
@@ -273,7 +272,7 @@ def _cmd_analyze(args):
 
     report = {"seed": seed}
     if restrict is not None:
-        report["restricted_to_component"] = [int(v) for v in restrict]
+        report["restricted_to_component"] = restrict.tolist()
     bisection = None
     side_full = None
     if args.bisect or args.dot:
@@ -282,7 +281,7 @@ def _cmd_analyze(args):
         kept = restrict if restrict is not None else np.arange(full.n)
         side_full[kept[bisection.side]] = True
         report["bisection"] = {
-            "side": [int(v) for v in np.flatnonzero(side_full)],
+            "side": np.flatnonzero(side_full).tolist(),
             "conductance": bisection.conductance,
             "conductance_one_sided": bisection.conductance_one_sided,
             "eigenvalue": bisection.eigenvalue,
@@ -298,13 +297,22 @@ def _cmd_analyze(args):
     if args.dot:
         mio.write_dot(graph, args.dot, side=side_full,
                       labels=labels, layer_names=layer_names)
-    text = json.dumps(report, indent=1)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    _write_report(report, args.out)
     return 0
+
+
+def _write_report(report, path=None):
+    """Write a JSON report to `path`, or to stdout when None: one top-level
+    key per line, each value compact JSON from json's C encoder (any indent
+    would switch it to the pure-Python one)."""
+    lines = ",\n".join(f"{json.dumps(key)}: {json.dumps(value)}"
+                        for key, value in report.items())
+    text = "{\n" + lines + "\n}\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_ingest(args):

@@ -38,6 +38,16 @@ def _canonical(mat, shape=None):
     return out
 
 
+def _is_symmetric(mat) -> bool:
+    """Whether a canonical CSC matrix (sorted, no duplicates, no stored
+    zeros) equals its transpose: exactly when its CSR form stores the same
+    arrays, which builds no comparison matrix."""
+    other = mat.tocsr()
+    return (np.array_equal(other.indptr, mat.indptr)
+            and np.array_equal(other.indices, mat.indices)
+            and np.array_equal(other.data, mat.data))
+
+
 @dataclass(frozen=True)
 class LayerGraph:
     """One layer: sparse non-negative adjacency plus a directedness flag.
@@ -56,7 +66,7 @@ class LayerGraph:
         data = mat.data
         if data.size and (not np.all(np.isfinite(data)) or data.min() <= 0.0):
             raise ValueError("edge weights must be strictly positive and finite")
-        if not self.directed and (mat != mat.T).nnz != 0:
+        if not self.directed and not _is_symmetric(mat):
             raise ValueError("undirected graph requires an exactly symmetric matrix")
 
     @classmethod
@@ -268,9 +278,10 @@ def first_repeat(key):
 
 
 def components(matrix) -> list[np.ndarray]:
-    """Weakly connected components of a sparse adjacency, largest first."""
+    """Weakly connected components of a sparse adjacency, largest first,
+    equal sizes in label order; each a slice of one label-sorted array."""
     count, labels = _cc(sparse.csr_array(matrix), directed=True, connection="weak")
     sizes = np.bincount(labels, minlength=count)
-    comps = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1]) if count else []
-    comps.sort(key=len, reverse=True)
-    return comps
+    order, ends = np.argsort(labels, kind="stable"), np.cumsum(sizes)
+    starts, ends = (ends - sizes).tolist(), ends.tolist()
+    return [order[starts[k]:ends[k]] for k in np.argsort(-sizes, kind="stable").tolist()]

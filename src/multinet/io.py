@@ -426,10 +426,13 @@ def _read_super_mm(path):
         if not all(found):
             raise ParseError(2, "header comment must record n= and l=", path)
         n, l = (int(match[1]) for match in found)
+        nul = _first_nul_line(handle)
+        if nul is not None:  # scipy's reader crashes on a NUL byte
+            raise ParseError(nul, "NUL byte", path)
         handle.seek(0)
         try:
             coo = sparse.coo_array(scipy.io.mmread(handle))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             where = re.match(r"Line (\d+): (.*)", str(exc))
             line, reason = (int(where[1]), where[2]) if where else (0, str(exc))
             raise ParseError(line, reason, path) from None
@@ -437,6 +440,25 @@ def _read_super_mm(path):
         raise ParseError(header.count(b"\n") + 2,
                          f"matrix size {coo.shape} is not n*l = {n * l} square", path)
     return _super_from_entries(path, n, l, coo.row, coo.col, coo.data)
+
+
+def _first_nul_line(handle):
+    """Line number of the first NUL byte in a binary file, or None. Reads
+    from the start into one 1 MB buffer and counts lines only after a find."""
+    handle.seek(0)
+    buf, offset = bytearray(1 << 20), 0
+    while size := handle.readinto(buf):
+        at = buf.find(b"\0", 0, size)
+        if at >= 0:
+            handle.seek(0)
+            line, head = 1, offset + at  # head: bytes before the NUL
+            while head:
+                size = handle.readinto(memoryview(buf)[:min(head, len(buf))])
+                line += buf.count(b"\n", 0, size)
+                head -= size
+            return line
+        offset += size
+    return None
 
 
 def _write_super_json(s, path):

@@ -40,7 +40,7 @@ from scipy import sparse
 
 from .compose import SuperAdjacency
 from .errors import Disconnected, EmptyGraph, EmptySide, NoConvergence
-from .graph import LayerGraph, components
+from .graph import LayerGraph, _is_symmetric, components
 
 _DENSE_CUTOFF = 512
 _CHECK_EVERY = 16  # power steps per residual check and deflation; see above
@@ -87,7 +87,7 @@ def _spectral_weights(g) -> _Weights:
     if not isinstance(g, (SuperAdjacency, LayerGraph)):
         raise TypeError("expected a LayerGraph or SuperAdjacency")
     mat = g.matrix
-    if (mat != mat.T).nnz != 0:
+    if not _is_symmetric(mat):
         warnings.warn("directed graph symmetrized as (W + W^T)/2 for spectral analysis")
         mat = (mat + mat.T) * 0.5
     w = sparse.csr_array(mat)

@@ -7,13 +7,22 @@ import pytest
 
 from multinet import (
     EgoMarkov,
+    LayerGraph,
+    bisect,
     cli,
+    components,
     compose_distance,
     compose_ego,
     compose_multiplex,
     compose_stationary,
+    layer_load,
+    read_ego_file,
     read_layers,
     read_super,
+    stationary,
+    urw_transition,
+    verify_ego_consistency,
+    verify_layer_consistency,
 )
 from multinet.cli import main
 
@@ -73,6 +82,66 @@ def test_transform_degree_delay(tmp_path, toy_path):
     assert main(["transform", "--layers", str(toy_path),
                  "--delay-file", str(delay), "--degree-delay", "1.0",
                  "--out", str(out)]) == 1
+
+
+def assert_report(text, expected):
+    """One top-level key per line, values bit-identical to `expected`."""
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    keys = [json.loads("{" + line.removesuffix(",") + "}") for line in lines[1:-1]]
+    assert [list(k) for k in keys] == [[key] for key in expected]
+    # float repr round-trips, so equal dumps mean bit-identical values
+    assert json.dumps(json.loads(text)) == json.dumps(expected)
+
+
+def test_analyze_report_matches_library(tmp_path, temporal_path):
+    # vertex d lives in t1 only, leaving isolated instances in t2 and t3
+    path = tmp_path / "stack.layers"
+    path.write_text(temporal_path.read_text() + "edge t1 c d 2.0\n")
+    super_path, out = tmp_path / "super.mtx", tmp_path / "report.json"
+    assert main(["compose", "--layers", str(path), "--mode", "distance",
+                 "--coupling", "0.5", "--out", str(super_path)]) == 0
+    assert main(["analyze", "--super", str(super_path), "--bisect", "--stationary",
+                 "--layer-load", "--largest-component", "--out", str(out)]) == 0
+    s = read_super(super_path)
+    kept = components(s.matrix)[0]
+    assert kept.size < s.n * s.l
+    walk = LayerGraph(kept.size, s.matrix[kept, :][:, kept], directed=False)
+    b = bisect(walk, seed=42)
+    assert_report(out.read_text(), {
+        "seed": 42,
+        "restricted_to_component": kept.tolist(),
+        "bisection": {"side": np.sort(kept[b.side]).tolist(),
+                      "conductance": b.conductance,
+                      "conductance_one_sided": b.conductance_one_sided,
+                      "eigenvalue": b.eigenvalue, "residual": b.residual},
+        "layer_load": layer_load(s).loads.tolist(),
+        "stationary": stationary(urw_transition(walk)).pi.tolist(),
+    })
+
+
+def test_verify_report_matches_library(tmp_path, toy_path, capsys):
+    ds = read_layers(toy_path)
+    rng = np.random.default_rng(5)
+    ego_path, super_path = tmp_path / "egos.json", tmp_path / "super.mtx"
+    ego_path.write_text(json.dumps({label: rng.dirichlet(np.ones(3), size=3).T.tolist()
+                                    for label in ds.labels}))
+    assert main(["compose", "--layers", str(toy_path), "--mode", "ego",
+                 "--ego-file", str(ego_path), "--out", str(super_path)]) == 0
+    assert main(["verify", "--super", str(super_path), "--layers", str(toy_path),
+                 "--ego-file", str(ego_path), "--tol", "1e-12"]) == 0
+    s = read_super(super_path)
+    layers = verify_layer_consistency(s, ds.layers, tol=1e-12)
+    egos = verify_ego_consistency(s, read_ego_file(ego_path, ds), tol=1e-12)
+    assert_report(capsys.readouterr().out, {
+        "tol": 1e-12,
+        "layer_consistency": {"passed": True,
+                              "max_deviation_per_layer": layers.max_deviation_per_layer.tolist(),
+                              "worst": list(layers.worst)},
+        "ego_consistency": {"passed": True,
+                            "max_deviation_per_vertex": egos.max_deviation_per_vertex.tolist(),
+                            "worst_vertex": egos.worst_vertex},
+    })
 
 
 def test_compose_distance_and_analyze(tmp_path, temporal_path, capsys):

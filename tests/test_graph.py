@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
@@ -20,6 +22,7 @@ from multinet.errors import (
     NonPositiveScale,
     NotDetailedBalanced,
 )
+from multinet.graph import _canonical, _is_symmetric
 
 from conftest import random_graph
 
@@ -204,6 +207,20 @@ def test_layer_graph_rejects_asymmetric_undirected():
         LayerGraph(2, mat, directed=False)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "mirrored", "mirrored then nudged"]))
+def test_symmetry_check_matches_transpose_comparison(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    a = rng.choice([0.0, 0.0, 1.0, 2.5], size=(n, n))
+    if kind != "random":
+        a = np.triu(a) + np.triu(a, 1).T
+    if kind == "mirrored then nudged" and n:
+        a[rng.integers(n), rng.integers(n)] += 1.0  # on the diagonal it stays symmetric
+    mat = _canonical(a)
+    assert _is_symmetric(mat) == ((mat != mat.T).nnz == 0)
+
+
 def components_oracle(matrix):
     """The per-label scan that components() replaced, kept as an oracle."""
     count, labels = connected_components(sparse.csr_array(matrix), directed=True,
@@ -221,3 +238,42 @@ def test_components_match_the_per_label_scan(rng):
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
+def components_split_oracle(matrix):
+    """The np.split version that components() replaced, kept as an oracle."""
+    count, labels = connected_components(sparse.csr_array(matrix), directed=True,
+                                         connection="weak")
+    sizes = np.bincount(labels, minlength=count)
+    comps = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1]) if count else []
+    comps.sort(key=len, reverse=True)
+    return comps
+
+
+@st.composite
+def component_digraphs(draw):
+    """Sparse directed graphs from drawn component sizes (repeats give ties,
+    size 1 an isolated vertex), each component a random tree of one-way
+    edges plus a few extra edges and self-loops, under a drawn vertex order."""
+    sizes = draw(st.lists(st.integers(1, 5), max_size=12))
+    n = sum(sizes)
+    edges, start = [], 0
+    for size in sizes:
+        for k in range(start + 1, start + size):
+            parent = draw(st.integers(start, k - 1))
+            edges.append((k, parent) if draw(st.booleans()) else (parent, k))
+        members = st.integers(start, start + size - 1)
+        edges += draw(st.lists(st.tuples(members, members), max_size=2))
+        start += size
+    relabel = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    ends = relabel[np.asarray(edges, dtype=np.int64).reshape(-1, 2)]
+    return sparse.coo_array((np.ones(len(edges)), (ends[:, 0], ends[:, 1])), shape=(n, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(component_digraphs(), st.sampled_from([sparse.csr_array, sparse.csc_array]))
+def test_components_match_the_split_version(a, fmt):
+    got, expected = components(fmt(a)), components_split_oracle(a)
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.dtype == e.dtype and np.array_equal(g, e)

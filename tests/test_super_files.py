@@ -1,6 +1,9 @@
 """Super-adjacency files: bit-identical round trips and malformed-file rejection."""
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -249,3 +252,34 @@ def test_non_finite_weight_names_its_flat_position(weight, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ParseError",
                    "message": f"{path}:0: non-finite weight at 0-based flat (0, 2)"}
+
+
+# scipy's reader crashed the interpreter on a NUL byte and raised a bare
+# OverflowError on a huge index; each case runs in its own interpreter, so
+# a crash fails the test instead of ending the run
+HOSTILE_MM = {
+    "NUL byte in an entry": (dict(entries=[ENTRIES[0], "2 1 1\x005", *ENTRIES[2:]]),
+                             "5: NUL byte"),
+    "NUL byte in the header comment": (dict(comment=COMMENT + " \x00"), "2: NUL byte"),
+    "NUL byte past the first megabyte": (
+        dict(comment="\n".join([COMMENT] + ["% padding" + "." * 90] * 11_000),
+             entries=[*ENTRIES[:5], "4 3 2\x00"]),
+        "11009: NUL byte"),
+    "oversized index": (dict(entries=[ENTRIES[0], "99999999999999999999999 1 1.5",
+                                      *ENTRIES[2:]]),
+                        "5: Integer out of range."),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_MM))
+def test_cli_analyze_hostile_super_exits_2(case, tmp_path):
+    fields, where = HOSTILE_MM[case]
+    path = tmp_path / "bad.mtx"
+    path.write_bytes(mm_text(**fields).encode())
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "multinet.cli", "analyze", "--super",
+                           str(path), "--stationary"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert json.loads(done.stderr) == {"error": "ParseError", "message": f"{path}:{where}"}
