@@ -34,7 +34,7 @@ from .errors import (
 )
 from .graph import LayerGraph, components, stationary, urw_transition
 from .spectral import bisect, layer_load
-from .transform import DynamicsParams, degree_proportional_delay, transform_layer
+from .transform import degree_proportional_delay, transform_layer
 
 _IO_ERRORS = (ParseError, DuplicateEdge, UnknownLayer, MissingCategory,
               OSError, json.JSONDecodeError, UnicodeDecodeError)
@@ -146,27 +146,16 @@ def _build_parser():
 def _load_transformed(args):
     """Read layers and apply stage-1 dynamics from the optional files."""
     ds = mio.read_layers(args.layers)
-    bias = getattr(args, "bias_file", None)
-    delay = getattr(args, "delay_file", None)
-    kappa = getattr(args, "degree_delay", None)
-    if kappa is not None and delay is not None:
+    kappa = args.degree_delay
+    if kappa is not None and args.delay_file is not None:
         raise ValueError("--degree-delay and --delay-file are exclusive")
-    if bias is None and delay is None and kappa is None:
+    if args.bias_file is None and args.delay_file is None and kappa is None:
         return ds, ds.layers
-    dynamics = mio.read_dynamics(bias, delay, ds)
+    dynamics = mio.read_dynamics(args.bias_file, args.delay_file, ds)
     if kappa is not None:
-        dynamics = {
-            name: DynamicsParams(
-                bias=dynamics[name].bias,
-                delay=degree_proportional_delay(g, kappa),
-            )
-            for name, g in zip(ds.layer_names, ds.layers)
-        }
-    transformed = [
-        transform_layer(g, dynamics[name])
-        for name, g in zip(ds.layer_names, ds.layers)
-    ]
-    return ds, transformed
+        dynamics = {name: replace(dynamics[name], delay=degree_proportional_delay(g, kappa))
+                    for name, g in zip(ds.layer_names, ds.layers)}
+    return ds, [transform_layer(g, dynamics[name]) for name, g in zip(ds.layer_names, ds.layers)]
 
 
 def _cmd_transform(args):
@@ -193,7 +182,7 @@ def compose(args, ds, layers):
     if args.coupling is None:
         raise ValueError("--mode distance requires --coupling")
     if args.distances:
-        dist = np.asarray(mio.read_json(args.distances), dtype=np.float64)
+        dist = mio.read_distances(args.distances)
         adjacent_only = bool(args.adjacent_only)
     else:
         idx = np.arange(len(ds.layer_names), dtype=np.float64)
@@ -317,9 +306,7 @@ def _write_report(report, path=None):
 
 def _cmd_ingest(args):
     highway = tuple(c for c in args.highway_classes.split(",") if c)
-    weights = None
-    if args.class_weights:
-        weights = {k: float(v) for k, v in mio.read_json(args.class_weights).items()}
+    weights = mio.read_class_weights(args.class_weights) if args.class_weights else None
     ds = mio.read_dimacs_gr(args.gr, args.categories,
                             highway_classes=highway, class_weights=weights)
     layers = list(ds.layers)

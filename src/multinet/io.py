@@ -10,9 +10,10 @@ Layered edge-list format (line oriented, ``#`` comments allowed)::
 
 Vertex labels are shared across layers; ids follow first appearance. A
 malformed file raises at its earliest faulty line, a repeated edge included.
-Companion JSON files carry per-vertex ego matrices or stationary layer
-distributions keyed by vertex label, and per-layer bias/delay vectors keyed
-by layer name then vertex label. Super-adjacencies serialize to
+Companion JSON files hold ego matrices or stationary layer distributions
+keyed by vertex label, bias/delay values keyed by layer then vertex label,
+layer distances, or road-class weights; each value a finite JSON number, or
+a ParseError names the file and the key. Super-adjacencies serialize to
 Matrix-Market coordinate files (header comment records n, l, and the
 layer-major index convention) or to a JSON block layout, picked by the
 file name alone: a name ending in ``.json`` is JSON, any other name Matrix
@@ -42,7 +43,7 @@ from .errors import (
     ParseError,
     UnknownLayer,
 )
-from .graph import LayerGraph, components, first_repeat
+from .graph import LayerGraph, _is_symmetric, components, first_repeat
 from .transform import DynamicsParams
 
 @dataclass(frozen=True)
@@ -56,10 +57,6 @@ class LayeredDataset:
     @property
     def n(self):
         return len(self.labels)
-
-    @property
-    def label_ids(self):
-        return dict(zip(self.labels, range(len(self.labels))))
 
     def layer(self, name):
         return self.layers[self.layer_names.index(name)]
@@ -189,12 +186,42 @@ def _read_object(path, keys="vertex label"):
     return payload
 
 
-def _floats(value, path, what):
-    """A JSON payload as float64; a JSON object inside it is a ParseError."""
+def _numbers(value, path=None, where=None, shape=None):
+    """A JSON value of finite JSON numbers as float64 of `shape` (any shape
+    when None). Anything else -- a string, boolean, null, object, ragged
+    list, NaN, an infinity, an integer beyond float range or another shape --
+    is a ParseError naming `where`, or None when `where` is None."""
     try:
-        return np.asarray(value, dtype=np.float64)
-    except TypeError:
-        raise ParseError(0, f"{what} must hold numbers, not JSON objects", path) from None
+        cells = np.array(value, dtype=object)
+        if shape in (None, cells.shape) and set(map(type, cells.flat)) <= {int, float}:
+            values = cells.astype(np.float64)
+            if np.isfinite(values).all():
+                return values
+    except (ValueError, OverflowError):
+        pass
+    if where is not None:
+        wanted = ("finite JSON numbers" if shape is None else "a finite JSON number"
+                  if shape == () else f"a list of {shape[0]} finite JSON numbers")
+        raise ParseError(0, f"{where} must be {wanted}", path)
+
+
+def _values(payload, path, where, shape=()):
+    """The values of a JSON object as float64, one row of `shape` per key in
+    file order; a fault names the first faulty key, as `where(key)`."""
+    values = _numbers(list(payload.values()) or np.empty((0, *shape)))
+    if values is None or values.shape[1:] != shape:
+        for key, value in payload.items():
+            _numbers(value, path, where(key), shape)
+    return values
+
+
+def _ids(labels, ds, path):
+    """Vertex ids of `labels` in `ds`; an unknown label is a ParseError."""
+    ids = dict(zip(ds.labels, range(ds.n)))
+    try:
+        return np.fromiter(map(ids.__getitem__, labels), np.int64, len(labels))
+    except KeyError as exc:
+        raise ParseError(0, f"unknown vertex label {exc.args[0]!r}", path) from None
 
 
 def read_ego_file(path, ds: LayeredDataset) -> EgoMarkov:
@@ -202,26 +229,20 @@ def read_ego_file(path, ds: LayeredDataset) -> EgoMarkov:
     one (n, l, l) stack in vertex-id order. A label fault (unknown, then
     missing) comes first; of several faulty matrices, the lowest vertex's."""
     payload = _read_object(path)
-    ids, l = ds.label_ids, len(ds.layer_names)
-    if not payload.keys() <= ids.keys():
-        unknown = next(label for label in payload if label not in ids)
-        raise ParseError(0, f"unknown vertex label {unknown!r}", path)
+    l, order = len(ds.layer_names), _ids(payload, ds, path)
     if len(payload) != ds.n:
         missing = set(ds.labels) - payload.keys()
         raise ParseError(0, f"missing ego matrices for {sorted(missing)}", path)
-    try:
-        values = np.asarray(list(payload.values()) or np.empty((0, l, l)), dtype=np.float64)
-    except (TypeError, ValueError):
-        values = None
-    if values is None or values.shape != (ds.n, l, l):
+    values = _numbers(list(payload.values()) or np.empty((0, l, l)), shape=(ds.n, l, l))
+    if values is None:
         for u, label in enumerate(ds.labels):  # raises what its matrix alone would
-            m_u = _floats(payload[label], path, f"ego matrix of {label!r}")
+            m_u = _numbers(payload[label], path, f"ego matrix of {label!r}")
             _check_egos(m_u[None], first=u)
             if m_u.shape != (l, l):
                 k = len(m_u)
                 raise DimensionMismatch(f"ego of vertex {u} is {k}x{k}, expected {l}x{l}")
     m = np.empty_like(values)
-    m[np.fromiter(map(ids.__getitem__, payload), np.int64, ds.n)] = values
+    m[order] = values
     return EgoMarkov(m)
 
 
@@ -238,20 +259,9 @@ def read_pi_file(path, ds: LayeredDataset) -> np.ndarray:
     a listed vertex needs l finite JSON numbers.
     """
     payload = _read_object(path)
-    ids, l = ds.label_ids, len(ds.layer_names)
-    pis = np.full((ds.n, l), np.nan)
-    for label, vec in payload.items():
-        if label not in ids:
-            raise ParseError(0, f"unknown vertex label {label!r}", path)
-        if isinstance(vec, list) and any(isinstance(v, (str, bool)) for v in vec):
-            raise ParseError(0, f"pi of {label!r} must hold numbers, not JSON strings or "
-                                "booleans", path)
-        arr = _floats(vec, path, f"pi of {label!r}")
-        if arr.shape != (l,):
-            raise ParseError(0, f"pi of {label!r} must have length {l}", path)
-        if not np.isfinite(arr).all():
-            raise ParseError(0, f"pi of {label!r} must hold finite numbers", path)
-        pis[ids[label]] = arr
+    pis = np.full((ds.n, len(ds.layer_names)), np.nan)
+    pis[_ids(payload, ds, path)] = _values(
+        payload, path, lambda label: f"pi of {label!r}", pis.shape[1:])
     return pis
 
 
@@ -268,8 +278,6 @@ def read_dynamics(bias_path, delay_path, ds: LayeredDataset) -> dict:
     Each file maps layer name -> {vertex label -> value}; missing layers or
     vertices default to 1.0 (identity). Either path may be None.
     """
-    ids = ds.label_ids
-
     def load(path):
         vectors = {}
         payload = {} if path is None else _read_object(path, "layer name")
@@ -279,21 +287,26 @@ def read_dynamics(bias_path, delay_path, ds: LayeredDataset) -> dict:
             if not isinstance(entry, dict):
                 raise ParseError(0, f"layer {name!r} must be a JSON object keyed by vertex label",
                                  path)
-            values = vectors[name] = np.ones(ds.n)
-            for label, value in entry.items():
-                if label not in ids:
-                    raise ParseError(0, f"unknown vertex label {label!r}", path)
-                try:
-                    values[ids[label]] = float(value)
-                except (TypeError, ValueError):
-                    raise ParseError(0, f"value of {label!r} in layer {name!r} must be a number",
-                                     path) from None
+            vectors[name] = np.ones(ds.n)
+            vectors[name][_ids(entry, ds, path)] = _values(
+                entry, path, lambda label: f"value of {label!r} in layer {name!r}")
         return vectors
 
     bias, delay = load(bias_path), load(delay_path)
     return {name: DynamicsParams(bias=bias.get(name, np.ones(ds.n)),
                                  delay=delay.get(name, np.ones(ds.n)))
             for name in ds.layer_names}
+
+
+def read_distances(path) -> np.ndarray:
+    """An l x l layer-distance matrix, checked by compose_distance."""
+    return _numbers(read_json(path), path, "distance matrix")
+
+
+def read_class_weights(path) -> dict:
+    """Road class -> affinity weight, for read_dimacs_gr."""
+    payload = _read_object(path, "road class")
+    return dict(zip(payload, _values(payload, path, lambda c: f"weight of {c!r}").tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +518,10 @@ def _super_from_entries(path, n, l, rows, cols, vals):
     """SuperAdjacency from flat COO arrays; rejects what summing would hide."""
     try:
         coo = sparse.coo_array((vals, (rows, cols)), shape=(n * l, n * l))
-        keys = coo.row.astype(np.int64) * (n * l) + coo.col
-        keys.sort()
-        dup = keys[1:][keys[1:] == keys[:-1]]
-        if dup.size:
-            raise ValueError(f"duplicate entry at 0-based flat {divmod(int(dup[0]), n * l)}")
+        repeat = first_repeat(coo.row.astype(np.int64) * (n * l) + coo.col)
+        if repeat is not None:
+            raise ValueError(f"duplicate entry at 0-based flat "
+                             f"({coo.row[repeat]}, {coo.col[repeat]})")
         return SuperAdjacency(n=n, l=l, matrix=coo)
     except ValueError as exc:
         raise ParseError(0, str(exc), path) from None
@@ -532,7 +544,7 @@ def write_dot(graph, path, side=None, labels=None, layer_names=None):
         names = named(labels, mat.shape[0])
     colors = [""] * len(names) if side is None else \
         [' [color="firebrick"]' if side[k] else ' [color="steelblue"]' for k in range(len(names))]
-    directed = (mat != mat.T).nnz != 0
+    directed = not _is_symmetric(mat)
     keyword, arrow = ("digraph", "->") if directed else ("graph", "--")
     parts = [f"{keyword} multinet {{\n"]
     parts += [f'  "{name}"{color};\n' for name, color in zip(names, colors)]

@@ -436,15 +436,6 @@ PAIR = "layer a undirected\nlayer b undirected\nedge a x y 1.0\nedge b x y 2.0\n
 EYE = [[1.0, 0.0], [0.0, 1.0]]
 
 
-def conversion_error(matrix):
-    """What converting one vertex's matrix alone raises."""
-    try:
-        np.asarray(matrix, dtype=np.float64)
-    except ValueError as exc:
-        return str(exc)
-    raise AssertionError("matrix converts")
-
-
 # name: (ego file text, exit code, error name, message with {path} for the file)
 EGO_FAULTS = {
     "non-square": ({"x": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "y": EYE},
@@ -455,18 +446,18 @@ EGO_FAULTS = {
                       1, "ValueError", "ego matrix entries must lie in [0, 1]"),
     "column sum": ({"x": EYE, "y": [[0.5, 0.0], [0.0, 1.0]]},
                    1, "ValueError", "ego matrix columns must sum to 1"),
-    "non-numeric": ({"x": [["a", 0.0], [0.0, 1.0]], "y": EYE},
-                    1, "ValueError", conversion_error([["a", 0.0], [0.0, 1.0]])),
-    "ragged": ({"x": EYE, "y": [[1.0, 0.0], [0.0]]},
-               1, "ValueError", conversion_error([[1.0, 0.0], [0.0]])),
+    "non-numeric": ({"x": [["a", 0.0], [0.0, 1.0]], "y": EYE}, 2, "ParseError",
+                    "{path}:0: ego matrix of 'x' must be finite JSON numbers"),
+    "ragged": ({"x": EYE, "y": [[1.0, 0.0], [0.0]]}, 2, "ParseError",
+               "{path}:0: ego matrix of 'y' must be finite JSON numbers"),
     "zero diagonal": ({"x": EYE, "y": [[0.0, 0.5], [1.0, 0.5]]},
                       1, "ZeroDiagonal", "ego matrix of vertex 1 has zero stay-probability "
                                          "in layer 0; composition undefined"),
     "unknown label": ({"x": EYE, "y": EYE, "z": EYE},
                       2, "ParseError", "{path}:0: unknown vertex label 'z'"),
     "missing label": ({"x": EYE}, 2, "ParseError", "{path}:0: missing ego matrices for ['y']"),
-    "NaN": ({"x": [[float("nan"), 0.5], [float("nan"), 0.5]], "y": EYE},
-            1, "ValueError", "ego matrix entries must lie in [0, 1]"),
+    "NaN": ({"x": [[float("nan"), 0.5], [float("nan"), 0.5]], "y": EYE}, 2, "ParseError",
+            "{path}:0: ego matrix of 'x' must be finite JSON numbers"),
     "non-object top level": (EYE, 2, "ParseError",
                              "{path}:0: top level must be a JSON object keyed by vertex label"),
 }
@@ -522,15 +513,15 @@ I3 = np.eye(3).tolist()
 COMPANION_FAULTS = {
     "ego matrix object": (["compose", "--mode", "ego", "--ego-file"],
                           {"a": {"k": 1}, "b": I3, "c": I3},
-                          "ego matrix of 'a' must hold numbers, not JSON objects"),
+                          "ego matrix of 'a' must be finite JSON numbers"),
     "pi vector object": (["compose", "--mode", "stationary", "--pi-file"], {"a": {"k": 1}},
-                         "pi of 'a' must hold numbers, not JSON objects"),
+                         "pi of 'a' must be a list of 3 finite JSON numbers"),
     "pi strings": (["compose", "--mode", "stationary", "--pi-file"], {"a": ["0.4", "0.3", "0.3"]},
-                   "pi of 'a' must hold numbers, not JSON strings or booleans"),
+                   "pi of 'a' must be a list of 3 finite JSON numbers"),
     "pi booleans": (["compose", "--mode", "stationary", "--pi-file"], {"a": [True, False, False]},
-                    "pi of 'a' must hold numbers, not JSON strings or booleans"),
+                    "pi of 'a' must be a list of 3 finite JSON numbers"),
     "pi NaN": (["compose", "--mode", "stationary", "--pi-file"], {"a": [float("nan"), 0.5, 0.5]},
-               "pi of 'a' must hold finite numbers"),
+               "pi of 'a' must be a list of 3 finite JSON numbers"),
     "bias top level list": (["transform", "--bias-file"], ["t1"],
                             "top level must be a JSON object keyed by layer name"),
     "bias layer list": (["transform", "--bias-file"], {"t1": ["a"]},
@@ -538,11 +529,11 @@ COMPANION_FAULTS = {
     "bias layer int": (["transform", "--bias-file"], {"t1": 5},
                        "layer 't1' must be a JSON object keyed by vertex label"),
     "bias value object": (["transform", "--bias-file"], {"t1": {"a": {"k": 1}}},
-                          "value of 'a' in layer 't1' must be a number"),
+                          "value of 'a' in layer 't1' must be a finite JSON number"),
     "bias value text": (["transform", "--bias-file"], {"t1": {"a": "abc"}},
-                        "value of 'a' in layer 't1' must be a number"),
+                        "value of 'a' in layer 't1' must be a finite JSON number"),
     "delay value list": (["compose", "--mode", "distance", "--delay-file"], {"t2": {"b": [2]}},
-                         "value of 'b' in layer 't2' must be a number"),
+                         "value of 'b' in layer 't2' must be a finite JSON number"),
 }
 
 
@@ -556,3 +547,63 @@ def test_json_companion_faults(case, tmp_path, temporal_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ParseError", "message": f"{bad}:0: {message}"}
+
+
+# Every side file through the one number rule: each fault swaps one number of
+# a valid file (or its top level) and must exit 2 with one ParseError naming
+# the file and the key. name: (argv with {file}, valid payload, path to the
+# swapped number, the key's wording in the message, a wrong top level)
+SIDE_FILES = {
+    "ego": (["compose", "--layers", "{layers}", "--mode", "ego", "--ego-file", "{file}"],
+            {"a": I3, "b": I3, "c": I3}, ("b", 1, 1), "ego matrix of 'b'", I3),
+    "pi": (["compose", "--layers", "{layers}", "--mode", "stationary", "--pi-file", "{file}"],
+           {"a": [0.3, 0.3, 0.4]}, ("a", 2), "pi of 'a'", [[0.3, 0.3, 0.4]]),
+    "bias": (["transform", "--layers", "{layers}", "--bias-file", "{file}"],
+             {"t1": {"a": 2.0, "c": 0.5}}, ("t1", "c"), "value of 'c' in layer 't1'", [2.0]),
+    "delay": (["compose", "--layers", "{layers}", "--mode", "multiplex", "--delay-file", "{file}"],
+              {"t2": {"b": 3}}, ("t2", "b"), "value of 'b' in layer 't2'", 3),
+    "distances": (["compose", "--layers", "{layers}", "--mode", "distance", "--coupling", "1",
+                   "--distances", "{file}"],
+                  [[0, 1, 2], [1, 0, 1], [2, 1, 0]], (0, 1), "distance matrix", {"a": 1}),
+    "class weights": (["ingest-dimacs", "--gr", "{gr}", "--categories", "{cats}",
+                       "--class-weights", "{file}"],
+                      {"A1": 3.5, "A4": 0.5}, ("A4",), "weight of 'A4'", [1, 2]),
+}
+NOT_NUMBERS = {"true": True, "string": "1", "null": None, "object": {}, "list": [1],
+               "NaN": float("nan"), "Infinity": float("inf"), "400 digits": 10 ** 399}
+
+
+@pytest.mark.parametrize("fault", [*NOT_NUMBERS, "top level"])
+@pytest.mark.parametrize("side", list(SIDE_FILES))
+def test_side_file_values_must_be_finite_numbers(side, fault, tmp_path, temporal_path, capsys):
+    argv, valid, key, where, top = SIDE_FILES[side]
+    (tmp_path / "roads.gr").write_text(GR)
+    (tmp_path / "roads.cat").write_text(CATS)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    places = {"layers": temporal_path, "gr": tmp_path / "roads.gr",
+              "cats": tmp_path / "roads.cat"}
+
+    def run(path):
+        return main([arg.format(file=path, **places) for arg in argv]
+                    + ["--out", str(tmp_path / "out")])
+
+    good.write_text(json.dumps(valid))
+    assert run(good) == 0
+    if fault == "top level":
+        payload = top
+    else:
+        payload = json.loads(good.read_text())
+        *outer, last = key
+        container = payload
+        for step in outer:
+            container = container[step]
+        container[last] = NOT_NUMBERS[fault]
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(bad) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ParseError" and err["message"].startswith(f"{bad}:0: ")
+    if fault != "top level":
+        assert err["message"].startswith(f"{bad}:0: {where} must be ")

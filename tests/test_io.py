@@ -1,9 +1,13 @@
 """File formats: layered edge lists, companion JSON, DIMACS, super matrices."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinet import (
     compose_ego,
@@ -20,6 +24,7 @@ from multinet import (
     write_pi_file,
     write_super,
 )
+from multinet.io import read_distances
 from multinet.errors import (
     DuplicateEdge,
     MissingCategory,
@@ -205,6 +210,27 @@ def test_read_dynamics_rejects_unknown_names(toy_path, tmp_path, payload, reason
     with pytest.raises(ParseError) as exc:
         read_dynamics(files["bias"], files["delay"], ds)
     assert exc.value.reason == reason
+
+
+# any JSON integer a float holds, any finite float, -0.0 included
+NUMBERS = st.one_of(st.integers(-10 ** 300, 10 ** 300),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(NUMBERS, min_size=3, max_size=3), min_size=4, max_size=4))
+def test_side_file_numbers_read_as_float64_conversion(rows):
+    # the readers give what np.asarray(..., float64) makes of the numbers
+    want = np.asarray(rows, dtype=np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "toy.layers"
+        path.write_text(TOY)
+        ds = read_layers(path)  # four vertices, three layers
+        path = Path(tmp) / "side.json"
+        path.write_text(json.dumps(rows))
+        assert read_distances(path).tobytes() == want.tobytes()
+        path.write_text(json.dumps(dict(zip(ds.labels, rows))))
+        assert read_pi_file(path, ds).tobytes() == want.tobytes()
 
 
 GR = """\

@@ -168,6 +168,14 @@ def test_mm_reader_rejects(case, tmp_path):
     assert exc.value.path == path
 
 
+def test_duplicate_named_at_its_earliest_repeat_in_file_order(tmp_path):
+    path = tmp_path / "bad.mtx"
+    path.write_text(mm_text(entries=["3 4 2.0", "1 2 1.5", "3 4 2.0", "1 2 1.5"]))
+    with pytest.raises(ParseError) as exc:
+        read_super(path)
+    assert exc.value.reason == "duplicate entry at 0-based flat (2, 3)"
+
+
 def test_mm_reader_reports_scipy_line_number(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text(mm_text(entries=[*ENTRIES[:2], "1 3 heavy", *ENTRIES[3:]]))
