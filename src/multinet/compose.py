@@ -45,6 +45,7 @@ from .graph import (
     LayerGraph,
     _canonical,
     _degree_scaling,
+    _index_dtype,
 )
 
 
@@ -102,7 +103,8 @@ def _check_egos(m, first=0):
 
 @dataclass(frozen=True)
 class SuperAdjacency:
-    """The composed ln x ln block matrix, layer-major flat indexing."""
+    """The composed ln x ln block matrix, layer-major flat indexing, as
+    canonical CSC: int32 indices while n * l and the entry count fit, else int64."""
 
     n: int
     l: int
@@ -111,7 +113,7 @@ class SuperAdjacency:
     def __post_init__(self):
         mat = _canonical(self.matrix, shape=(self.n * self.l, self.n * self.l))
         object.__setattr__(self, "matrix", mat)
-        coo = mat.tocoo()
+        coo = mat.tocoo(copy=False)  # shares the CSC arrays, expands only the columns
         bad = np.flatnonzero(~np.isfinite(coo.data))
         if bad.size:
             raise ValueError(f"non-finite weight at 0-based flat "
@@ -175,15 +177,17 @@ def _ego_matrices(egos: EgoMarkov, n, l):
 def _assemble(layers, vertex, src, dst, weight):
     """The one composition kernel: the layers as diagonal blocks plus one
     inter-layer edge (vertex, src) -> (vertex, dst) of the given weight per
-    entry of the flat coupling arrays, built as a single COO matrix."""
+    entry of the flat coupling arrays, concatenated once in the index dtype."""
     n, l = _check_layers(layers)
-    diag = sparse.block_diag([lay.matrix for lay in layers], format="coo")
-    full = sparse.coo_array(
-        (np.concatenate([diag.data, weight]),
-         (np.concatenate([diag.row, src * n + vertex]),
-          np.concatenate([diag.col, dst * n + vertex]))),
-        shape=(n * l, n * l),
-    )
+    coos = [lay.matrix.tocoo(copy=False) for lay in layers]
+    idx = _index_dtype(n * l, sum(coo.nnz for coo in coos) + len(weight))
+    full = _canonical(sparse.coo_array(  # the COO is freed before the checks run
+        (np.concatenate([coo.data for coo in coos] + [weight]),
+         (np.concatenate([coo.row.astype(idx) + k * n for k, coo in enumerate(coos)]
+                         + [src * n + vertex], dtype=idx),
+          np.concatenate([coo.col.astype(idx) + k * n for k, coo in enumerate(coos)]
+                         + [dst * n + vertex], dtype=idx))),
+        shape=(n * l, n * l)))
     return SuperAdjacency(n=n, l=l, matrix=full)
 
 
@@ -354,24 +358,16 @@ def verify_layer_consistency(s: SuperAdjacency, layers,
     n, l = _check_layers(layers)
     if (s.n, s.l) != (n, l):
         raise DimensionMismatch("super-adjacency shape does not match layers")
-    coo = s.matrix.tocoo()
-    own = coo.row // n == coo.col // n  # entries of the diagonal blocks
-    projected = _guarded_walk(sparse.coo_array(
-        (coo.data[own], (coo.row[own], coo.col[own])), shape=coo.shape))
-    # vertices absent from a layer have no walk on either side; their
-    # columns stay zero and compare clean, keeping this a pure diagnostic
-    reference = _guarded_walk(sparse.block_diag([lay.matrix for lay in layers]))
-    # stored layer by layer, so the first largest entry is in the earliest
-    # layer that has it
-    diff = sparse.coo_array(projected - reference)
-    dev = np.abs(diff.data)
-    devs = np.zeros(l)
-    np.maximum.at(devs, diff.row // n, dev)
-    worst = (0, 0, 0)
-    if diff.nnz:
-        k = int(np.argmax(dev))
-        worst = (int(diff.row[k] // n), int(diff.row[k] % n), int(diff.col[k] % n))
-    return LayerConsistencyReport(tol=tol, max_deviation_per_layer=devs, worst=worst)
+    devs, spots = np.zeros(l), [(0, 0)] * l
+    for i, lay in enumerate(layers):
+        # vertices absent from a layer have no walk on either side; their
+        # columns stay zero and compare clean, keeping this a pure diagnostic
+        diff = sparse.coo_array(_guarded_walk(s.block(i, i)) - _guarded_walk(lay.matrix))
+        if diff.nnz:
+            k = int(np.argmax(np.abs(diff.data)))
+            devs[i], spots[i] = abs(diff.data[k]), (int(diff.row[k]), int(diff.col[k]))
+    i = int(np.argmax(devs))  # the earliest layer with the largest deviation
+    return LayerConsistencyReport(tol=tol, max_deviation_per_layer=devs, worst=(i, *spots[i]))
 
 
 def verify_ego_consistency(s: SuperAdjacency, egos: EgoMarkov,
@@ -389,7 +385,7 @@ def verify_ego_consistency(s: SuperAdjacency, egos: EgoMarkov,
     if dead.size:
         raise IsolatedInstance(*split_flat(int(dead[0]), n))
     # inter[u, i, j] = weight (u,i)->(u,j), read from the off-diagonal blocks
-    coo = s.matrix.tocoo()
+    coo = s.matrix.tocoo(copy=False)
     off = (coo.row // n) != (coo.col // n)
     inter = np.zeros((n, l, l))
     inter[coo.row[off] % n, coo.row[off] // n, coo.col[off] // n] = coo.data[off]

@@ -29,12 +29,21 @@ STRUCTURAL_TOL = 1e-12
 ITERATIVE_TOL = 1e-10
 
 
+def _index_dtype(*extents):
+    """The one index-dtype rule: int32 while every extent fits, else int64."""
+    return np.int32 if max(extents) < 2**31 else np.int64
+
+
 def _canonical(mat, shape=None):
-    """Coerce to canonical compressed-column form with sorted indices."""
+    """Canonical CSC: float64, sorted, no duplicates or stored zeros, indices and
+    indptr in the _index_dtype of shape and entry count; canonical input is not copied."""
     out = sparse.csc_array(mat, shape=shape, dtype=np.float64)
     out.sum_duplicates()
     out.sort_indices()
     out.eliminate_zeros()
+    idx = _index_dtype(*out.shape, out.data.size)
+    out.indices = out.indices.astype(idx, copy=False)
+    out.indptr = out.indptr.astype(idx, copy=False)
     return out
 
 

@@ -43,7 +43,7 @@ from .errors import (
     ParseError,
     UnknownLayer,
 )
-from .graph import LayerGraph, _is_symmetric, components, first_repeat
+from .graph import LayerGraph, _canonical, _is_symmetric, components, first_repeat
 from .transform import DynamicsParams
 
 @dataclass(frozen=True)
@@ -176,7 +176,10 @@ def read_json(path):
         return dict(pairs)
 
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, object_pairs_hook=unique_keys)
+        try:
+            return json.load(handle, object_pairs_hook=unique_keys)
+        except RecursionError:
+            raise ParseError(0, "JSON nested too deeply", path) from None
 
 
 def _read_object(path, keys="vertex label"):
@@ -475,10 +478,10 @@ def _first_nul_line(handle):
 
 
 def _write_super_json(s, path):
-    coo = s.matrix.tocoo()
+    coo = s.matrix.tocoo(copy=False)
     (bi, u), (bj, v) = np.divmod(coo.row, s.n), np.divmod(coo.col, s.n)
     order = np.lexsort((v, u, bj, bi))
-    cuts = np.flatnonzero(np.diff((bi * s.l + bj)[order])) + 1
+    cuts = np.flatnonzero(np.diff(bi[order]) | np.diff(bj[order])) + 1
     diagonal, off = [[] for _ in range(s.l)], {}
     for k in filter(len, np.split(order, cuts)):  # one sorted run per block
         i, j, w = int(bi[k[0]]), int(bj[k[0]]), coo.data[k].tolist()
@@ -495,13 +498,13 @@ def _write_super_json(s, path):
 def _read_super_json(path):
     payload = read_json(path)
     try:
-        n, l = int(payload["n"]), int(payload["l"])
-        blocks = [((i, i), np.asarray(t, dtype=np.float64).reshape(len(t), 3))
+        n, l = (int(_numbers(payload[key], path, key, ())) for key in ("n", "l"))
+        blocks = [((i, i), _numbers(t, path, f"diagonal block {i}").reshape(len(t), 3))
                   for i, t in enumerate(payload["diagonal_blocks"])]
         if len(blocks) != l:
             raise ValueError(f"{len(blocks)} diagonal blocks for l = {l}")
         for key, pairs in payload.get("off_diagonal_blocks", {}).items():
-            entries = np.asarray(pairs, dtype=np.float64).reshape(len(pairs), 2)
+            entries = _numbers(pairs, path, f"off-diagonal block {key!r}").reshape(len(pairs), 2)
             blocks.append((tuple(map(int, key.split(","))), entries[:, [0, 0, 1]]))
         offset = np.repeat([ij for ij, _ in blocks], [len(t) for _, t in blocks], axis=0)
         table = np.concatenate([t for _, t in blocks] + [np.empty((0, 3))])
@@ -518,11 +521,13 @@ def _super_from_entries(path, n, l, rows, cols, vals):
     """SuperAdjacency from flat COO arrays; rejects what summing would hide."""
     try:
         coo = sparse.coo_array((vals, (rows, cols)), shape=(n * l, n * l))
-        repeat = first_repeat(coo.row.astype(np.int64) * (n * l) + coo.col)
+        mat = _canonical(coo)  # only a summed repeat or a dropped zero loses entries
+        repeat = None if mat.nnz == coo.nnz else first_repeat(
+            coo.row.astype(np.int64) * (n * l) + coo.col)
         if repeat is not None:
             raise ValueError(f"duplicate entry at 0-based flat "
                              f"({coo.row[repeat]}, {coo.col[repeat]})")
-        return SuperAdjacency(n=n, l=l, matrix=coo)
+        return SuperAdjacency(n=n, l=l, matrix=mat)
     except ValueError as exc:
         raise ParseError(0, str(exc), path) from None
 

@@ -485,6 +485,17 @@ def test_ego_file_faults(case, command, tmp_path, capsys):
     assert err == {"error": error, "message": message.format(path=bad)}
 
 
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    layers, deep = tmp_path / "pair.layers", tmp_path / "deep.json"
+    layers.write_text(PAIR)
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["compose", "--layers", str(layers), "--mode", "distance", "--coupling", "1",
+                 "--distances", str(deep), "--out", str(tmp_path / "super.mm")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ParseError", "message": f"{deep}:0: JSON nested too deeply"}
+
+
 def test_pi_file_non_object_top_level(tmp_path, temporal_path, capsys):
     pis = tmp_path / "pis.json"
     pis.write_text("[[0.5, 0.25, 0.25]]")

@@ -1,5 +1,7 @@
 """Super-adjacency composition: all four regimes plus the consistency checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -566,3 +568,28 @@ def test_distance_rejects_bad_inputs(rng):
         compose_distance(layers, np.array([[0.0, 1.0], [2.0, 0.0]]), 1.0)
     with pytest.raises(NonPositiveCoupling):
         compose_distance(layers, good, 0.0)
+
+
+def test_compose_ego_traced_peak():
+    """An n = 2,000, l = 10 ego composition (260,000 entries) allocates at most
+    18 MiB at its peak. Built once, in int32, it takes about 14 MiB; through
+    an int64 COO and a COO copy of the canonical matrix it took 29.2 MiB."""
+    rng = np.random.default_rng(2016)
+    n, l = 2000, 10
+    rows = np.repeat(np.arange(n), 4)
+    layers = []
+    for _ in range(l):
+        cols = rng.integers(0, n - 1, rows.size)
+        cols += cols >= rows  # no self-loops
+        adjacency = sparse.coo_array((rng.uniform(0.5, 1.5, rows.size), (rows, cols)),
+                                     shape=(n, n))
+        layers.append(LayerGraph(n, adjacency, directed=True))
+    egos = random_egos(rng, n, l)
+    tracemalloc.start()
+    try:
+        s = compose_ego(layers, egos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.matrix.nnz > 250_000
+    assert peak <= 18 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"

@@ -22,7 +22,7 @@ from multinet.errors import (
     NonPositiveScale,
     NotDetailedBalanced,
 )
-from multinet.graph import _canonical, _is_symmetric
+from multinet.graph import _canonical, _index_dtype, _is_symmetric
 
 from conftest import random_graph
 
@@ -277,3 +277,9 @@ def test_components_match_the_split_version(a, fmt):
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
+def test_index_dtype_is_int32_up_to_the_largest_int32():
+    assert _index_dtype(2**31 - 1, 0) == np.int32
+    assert _index_dtype(5, 2**31) == np.int64
+    assert _index_dtype(2**31, 5) == np.int64

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from multinet import (
+    LayerGraph,
     SuperAdjacency,
+    TransitionMatrix,
     compose_distance,
     compose_ego,
     read_super,
@@ -220,6 +222,10 @@ MALFORMED_JSON = {
     "layer out of range": json_with(off_diagonal_blocks={"0,2": [[0, 0.25]]}),
     "too few diagonal blocks": json_with(diagonal_blocks=[[[0, 1, 1.5], [1, 0, 1.5]]]),
     "short triple": json_with(diagonal_blocks=[[[0, 1]], []]),
+    "n as a string": json_with(n="2"),
+    "weight as a string": json_with(
+        diagonal_blocks=[[[0, 1, "1.5"], [1, 0, 1.5]], [[0, 1, 2.0], [1, 0, 2.0]]]),
+    "vertex index as a string": json_with(off_diagonal_blocks={"0,1": [["0", 0.25]]}),
     "missing l": {k: v for k, v in GOOD_JSON.items() if k != "l"},
     "not an object": [1, 2, 3],
 }
@@ -239,6 +245,16 @@ def test_json_reader_rejects(case, tmp_path):
     path.write_text(json.dumps(MALFORMED_JSON[case]))
     with pytest.raises(ParseError):
         read_super(path)
+
+
+def test_json_counts_and_weights_are_not_converted_from_strings_or_booleans(tmp_path, capsys):
+    path = tmp_path / "sj.json"
+    path.write_text(json.dumps({"n": "2", "l": True, "diagonal_blocks": [
+        [[0, 1, "1.5"], [1, 0, "1.5"]]], "off_diagonal_blocks": {}}))
+    assert main(["analyze", "--super", str(path), "--stationary"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ParseError",
+                   "message": f"{path}:0: n must be a finite JSON number"}
 
 
 @pytest.mark.parametrize("case", ["duplicate entry", "fewer entries than declared",
@@ -291,3 +307,46 @@ def test_cli_analyze_hostile_super_exits_2(case, tmp_path):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert json.loads(done.stderr) == {"error": "ParseError", "message": f"{path}:{where}"}
+
+
+# ---------------------------------------------------------------------------
+# flat indices whose products pass the int32 range
+
+# n * l = 70,000 instances, so row * (n * l) reaches 4.9e9: past 2**31, and
+# past 2**32, where an int32 key of a flat (row, col) pair would wrap and
+# collide; 0-based (0, 1) and (61356, 47297) are such a pair
+WIDE_N = 35_000
+
+
+def test_wide_composition_round_trips_with_int32_indices(tmp_path):
+    n = WIDE_N
+    edges = [(0, 1, 1.5), (n - 2, n - 1, EXTREME_WEIGHTS[4]), (n - 1, n - 1, 2.0)]
+    layers = [LayerGraph.from_edges(n, edges, directed=False),
+              LayerGraph.from_edges(n, edges[1:], directed=True)]
+    s = compose_distance(layers, [[0.0, 1.0], [1.0, 0.0]], 1.0 / 3.0)
+    assert s.matrix[2 * n - 1, 2 * n - 1] == 2.0 and s.matrix[2 * n - 1, n - 1] == 1.0 / 3.0
+    walk = TransitionMatrix(n, sparse.diags_array(np.ones(n)))
+    for mat in [s.matrix, walk.matrix, *(lay.matrix for lay in layers)]:
+        assert mat.indices.dtype == mat.indptr.dtype == np.int32
+    for name in ("wide.mtx", "wide.json"):
+        write_super(s, tmp_path / name)
+        again = read_super(tmp_path / name)
+        assert_bit_identical(again, s)
+        assert again.matrix.indices.dtype == again.matrix.indptr.dtype == np.int32
+
+
+@pytest.mark.parametrize("name", ["wide.mtx", "wide.json"])
+def test_duplicate_at_the_highest_flat_indices_is_named(name, tmp_path):
+    n, top = WIDE_N, 2 * WIDE_N - 1
+    path = tmp_path / name
+    if name.endswith(".json"):  # the same entries in the block layout
+        path.write_text(json.dumps({"n": n, "l": 2, "diagonal_blocks": [
+            [[0, 1, 1.5]], [[26356, 12297, 1.5], [n - 1, n - 1, 2.0], [n - 1, n - 1, 2.0]]]}))
+    else:
+        path.write_text(mm_text(comment=f"% multinet super-adjacency n={n} l=2",
+                                size=f"{top + 1} {top + 1}",
+                                entries=["1 2 1.5", "61357 47298 1.5",
+                                         f"{top + 1} {top + 1} 2.0", f"{top + 1} {top + 1} 2.0"]))
+    with pytest.raises(ParseError) as exc:
+        read_super(path)
+    assert exc.value.reason == f"duplicate entry at 0-based flat ({top}, {top})"
