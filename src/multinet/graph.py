@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order as _bfs
-from scipy.sparse.csgraph import connected_components as _cc
 
 from .errors import (
     DanglingVertex,
@@ -246,6 +244,8 @@ def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
     NotDetailedBalanced when a transition has no reverse or some flow
     pi_u P(u -> v) differs from pi_v P(v -> u) by more than `tol`.
     """
+    # imported here: csgraph brings in scipy.linalg, about 0.15 s of start-up
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
     mat, n = m.matrix, m.n
     # the pattern must be symmetric: first the counts, which cost no transpose
     if not np.array_equal(np.bincount(mat.indices, minlength=n), np.diff(mat.indptr)):
@@ -254,12 +254,12 @@ def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
     if not np.array_equal(rev.indices, mat.indices):
         raise NotDetailedBalanced("some transition has no reverse")
     src = np.repeat(np.arange(n), np.diff(mat.indptr))  # u of entry k; v is indices[k]
-    count, labels = _cc(mat, directed=False)
+    count, labels = connected_components(mat, directed=False)
     roots = np.unique(labels, return_index=True)[1]
     forest = sparse.csr_array(  # row u lists the successors of u; row n the roots
         (np.ones(mat.nnz + count), np.concatenate([mat.indices, roots]),
          np.append(mat.indptr, mat.nnz + count)), shape=(n + 1, n + 1))
-    _, up = _bfs(forest, n, directed=True, return_predecessors=True)
+    _, up = breadth_first_order(forest, n, directed=True, return_predecessors=True)
     up = np.append(up[:n], n).astype(np.int64)
     step = np.zeros(n + 1)  # log pi_v - log pi_up[v]
     child = np.flatnonzero(up[:n] < n)
@@ -289,7 +289,10 @@ def first_repeat(key):
 def components(matrix) -> list[np.ndarray]:
     """Weakly connected components of a sparse adjacency, largest first,
     equal sizes in label order; each a slice of one label-sorted array."""
-    count, labels = _cc(sparse.csr_array(matrix), directed=True, connection="weak")
+    # imported here: csgraph brings in scipy.linalg, about 0.15 s of start-up
+    from scipy.sparse.csgraph import connected_components
+    count, labels = connected_components(sparse.csr_array(matrix), directed=True,
+                                         connection="weak")
     sizes = np.bincount(labels, minlength=count)
     order, ends = np.argsort(labels, kind="stable"), np.cumsum(sizes)
     starts, ends = (ends - sizes).tolist(), ends.tolist()

@@ -32,7 +32,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 from scipy import sparse
 
 from .compose import EgoMarkov, SuperAdjacency, _check_egos
@@ -425,6 +424,7 @@ def read_super(path) -> SuperAdjacency:
 
 
 def _write_super_mm(s, path):
+    import scipy.io  # imported here: only Matrix Market files need it, 0.02 s of start-up
     # an open handle stops mmwrite from appending ".mtx" to the name
     with open(path, "wb") as handle:
         scipy.io.mmwrite(handle, s.matrix, field="real", symmetry="general",
@@ -433,6 +433,7 @@ def _write_super_mm(s, path):
 
 
 def _read_super_mm(path):
+    import scipy.io  # imported here: only Matrix Market files need it, 0.02 s of start-up
     with open(path, "rb") as handle:
         banner = "%%MatrixMarket matrix coordinate real general"
         if handle.readline().strip() != banner.encode():
@@ -495,10 +496,19 @@ def _write_super_json(s, path):
         handle.write(json.dumps(payload))
 
 
+def _count(value, path, key):
+    """A JSON number that is an integer in 1..2**31 - 1, as an int; else a
+    ParseError naming `key`. Two such counts keep n * l within int64."""
+    count = _numbers(value, path, key, ())
+    if not (count == np.floor(count) and 1 <= count < 2**31):
+        raise ParseError(0, f"{key} must be an integer from 1 to 2**31 - 1", path)
+    return int(count)
+
+
 def _read_super_json(path):
     payload = read_json(path)
     try:
-        n, l = (int(_numbers(payload[key], path, key, ())) for key in ("n", "l"))
+        n, l = (_count(payload[key], path, key) for key in ("n", "l"))
         blocks = [((i, i), _numbers(t, path, f"diagonal block {i}").reshape(len(t), 3))
                   for i, t in enumerate(payload["diagonal_blocks"])]
         if len(blocks) != l:

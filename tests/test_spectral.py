@@ -424,6 +424,29 @@ def test_bisect_partition_invariant_under_scaling(rng):
     assert abs(a.conductance - b.conductance) <= 1e-12
 
 
+@st.composite
+def weighted_connected_graphs(draw):
+    """A spanning path in random vertex order plus random extra edges, every
+    weight in [0.1, 10], so the power loop converges."""
+    n = draw(st.integers(3, 30))
+    weight = st.floats(0.1, 10.0)
+    path = draw(st.permutations(range(n)))
+    edges = {tuple(sorted(pair)): draw(weight) for pair in zip(path, path[1:])}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    for extra in draw(st.lists(pair, max_size=3 * n)):
+        edges.setdefault(tuple(sorted(extra)), draw(weight))
+    return LayerGraph.from_edges(n, [(u, v, w) for (u, v), w in edges.items()], directed=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_connected_graphs())
+def test_sweep_conductance_within_cheeger_bounds(g):
+    # Cheeger: lambda2 / 2 <= phi(G) <= phi(sweep cut) <= sqrt(2 lambda2)
+    lam2 = dense_fiedler_oracle(g)[0][1]
+    phi = bisect(g).conductance
+    assert lam2 / 2.0 - 1e-9 <= phi <= np.sqrt(2.0 * lam2) + 1e-9
+
+
 def test_conductance_barbell_bridge_split():
     g = barbell(5)
     side = np.zeros(10, dtype=bool)

@@ -1,0 +1,76 @@
+"""Start-up cost: each command loads only the scipy subpackages it runs.
+
+Every CLI command starts a fresh interpreter, so a module-level import of
+``scipy.sparse.csgraph`` (which brings in ``scipy.sparse.linalg`` and
+``scipy.linalg``) costs every command, used or not. The checks below run in
+their own interpreters and compare module names, not times.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+HEAVY = ["scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg", "scipy.io"]
+
+LAYERS = """\
+layer a undirected
+layer b directed
+edge a x y 1.0
+edge a y z 2.0
+edge b x y 1.0
+edge b y z 1.0
+edge b z x 1.0
+"""
+
+# transform, compose and verify, then analyze; after each stage one line
+# "stage <JSON>" lists the heavy modules loaded so far
+PIPELINE = """\
+import json, sys
+from multinet.cli import main
+
+HEAVY = {heavy!r}
+stages = [
+    ["transform", "--layers", "layers.txt", "--out", "moved.txt"],
+    ["compose", "--layers", "layers.txt", "--mode", "ego", "--ego-file", "egos.json",
+     "--out", "super.mtx"],
+    ["verify", "--super", "super.mtx", "--layers", "layers.txt", "--ego-file", "egos.json"],
+    ["analyze", "--super", "super.mtx", "--stationary", "--out", "report.json"],
+]
+for argv in stages:
+    code = main(argv)
+    print("stage", json.dumps([argv[0], code, [m for m in HEAVY if m in sys.modules]]))
+"""
+
+
+def run(code, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_cli_loads_no_heavy_scipy(tmp_path):
+    out = run(f"import sys, multinet.cli; print([m for m in {HEAVY!r} if m in sys.modules])",
+              tmp_path)
+    assert out.strip() == "[]"
+
+
+def test_transform_compose_verify_load_no_csgraph(tmp_path):
+    (tmp_path / "layers.txt").write_text(LAYERS)
+    ego = [[0.75, 0.5], [0.25, 0.5]]
+    (tmp_path / "egos.json").write_text(json.dumps({v: ego for v in "xyz"}))
+    lines = [line[6:] for line in run(PIPELINE.format(heavy=HEAVY), tmp_path).splitlines()
+             if line.startswith("stage ")]
+    stages = {stage: (code, loaded) for stage, code, loaded in map(json.loads, lines)}
+    # the Matrix Market writer and reader may load scipy.io, nothing heavier
+    assert stages["transform"] == (0, [])
+    for stage in ("compose", "verify"):
+        code, loaded = stages[stage]
+        assert code == 0 and set(loaded) <= {"scipy.io"}, stage
+    # analyze finds components with csgraph: the check sees a real import
+    code, loaded = stages["analyze"]
+    assert code == 0 and "scipy.sparse.csgraph" in loaded and "scipy.linalg" in loaded

@@ -223,6 +223,8 @@ MALFORMED_JSON = {
     "too few diagonal blocks": json_with(diagonal_blocks=[[[0, 1, 1.5], [1, 0, 1.5]]]),
     "short triple": json_with(diagonal_blocks=[[[0, 1]], []]),
     "n as a string": json_with(n="2"),
+    "fractional n": json_with(n=2.5),
+    "n beyond any index": json_with(n=1e300),
     "weight as a string": json_with(
         diagonal_blocks=[[[0, 1, "1.5"], [1, 0, 1.5]], [[0, 1, 2.0], [1, 0, 2.0]]]),
     "vertex index as a string": json_with(off_diagonal_blocks={"0,1": [["0", 0.25]]}),
@@ -255,6 +257,18 @@ def test_json_counts_and_weights_are_not_converted_from_strings_or_booleans(tmp_
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ParseError",
                    "message": f"{path}:0: n must be a finite JSON number"}
+
+
+@pytest.mark.parametrize("key, value", [("n", 2.5), ("n", 1e300), ("l", 0.5), ("l", 0)])
+def test_json_counts_must_be_positive_integers(key, value, tmp_path, capsys):
+    # n = 2.5 read as n = 2 and n = 1e300 overflowed the flat int64 index
+    path = tmp_path / "sj.json"
+    path.write_text(json.dumps({"n": 2, "l": 1, "diagonal_blocks": [
+        [[0, 1, 1.5], [1, 0, 1.5]]], "off_diagonal_blocks": {}, key: value}))
+    assert main(["analyze", "--super", str(path), "--stationary"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ParseError", "message":
+                   f"{path}:0: {key} must be an integer from 1 to 2**31 - 1"}
 
 
 @pytest.mark.parametrize("case", ["duplicate entry", "fewer entries than declared",
