@@ -244,8 +244,6 @@ def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
     NotDetailedBalanced when a transition has no reverse or some flow
     pi_u P(u -> v) differs from pi_v P(v -> u) by more than `tol`.
     """
-    # imported here: csgraph brings in scipy.linalg, about 0.15 s of start-up
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
     mat, n = m.matrix, m.n
     # the pattern must be symmetric: first the counts, which cost no transpose
     if not np.array_equal(np.bincount(mat.indices, minlength=n), np.diff(mat.indptr)):
@@ -253,6 +251,9 @@ def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
     rev = sparse.csc_array(mat.T)  # entry k: P(v -> u) where mat's entry k is P(u -> v)
     if not np.array_equal(rev.indices, mat.indices):
         raise NotDetailedBalanced("some transition has no reverse")
+    # imported after the pattern checks: csgraph brings in scipy.linalg, about
+    # 0.15 s of start-up, which a chain without reverse transitions never needs
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
     src = np.repeat(np.arange(n), np.diff(mat.indptr))  # u of entry k; v is indices[k]
     count, labels = connected_components(mat, directed=False)
     roots = np.unique(labels, return_index=True)[1]

@@ -10,6 +10,8 @@ Layered edge-list format (line oriented, ``#`` comments allowed)::
 
 Vertex labels are shared across layers; ids follow first appearance. A
 malformed file raises at its earliest faulty line, a repeated edge included.
+Its reader keeps each edge in flat typed buffers, about 40 bytes per edge
+while parsing, and checks for a repeated edge once, over all layers.
 Companion JSON files hold ego matrices or stationary layer distributions
 keyed by vertex label, bias/delay values keyed by layer then vertex label,
 layer distances, or road-class weights; each value a finite JSON number, or
@@ -29,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +70,14 @@ class LayeredDataset:
 
 def read_layers(path) -> LayeredDataset:
     """Parse the layered edge-list format; the earliest faulty line is reported.
-    One pass checks each line; ids, repeated edges and matrices come from arrays."""
+    One pass checks each line and appends each edge's ids, layer, weight and
+    line number to flat typed buffers, about 40 bytes per edge; one check
+    over all layers finds a repeated edge, and each layer's matrix is built
+    from views of those buffers."""
     declared = {}  # layer name -> (index, directed flag), in declaration order
-    seq, lone = [], []  # label occurrences in file order; where vertex lines put theirs
-    layer, weight, where = [], [], []  # per edge: layer index, weight, line number
+    ids = {}  # label -> id, in order of first appearance
+    ends, layer, where = array("q"), array("q"), array("q")  # per edge: u, v; layer; line
+    weight = array("d")
     fault = None  # raised after the lines before it are checked for a repeated edge
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -94,15 +101,15 @@ def read_layers(path) -> LayeredDataset:
                     if not 0.0 < w < np.inf:
                         raise ParseError(lineno, "edge weight must be a positive finite number",
                                          path)
+                    ends.append(ids.setdefault(tokens[2], len(ids)))
+                    ends.append(ids.setdefault(tokens[3], len(ids)))
                     layer.append(declared[name][0])
-                    seq += tokens[2:4]
                     weight.append(w)
                     where.append(lineno)
                 elif kind == "vertex":
                     if len(tokens) != 2:
                         raise ParseError(lineno, "expected: vertex <label>", path)
-                    lone.append(len(seq))
-                    seq.append(tokens[1])
+                    ids.setdefault(tokens[1], len(ids))
                 elif kind == "layer":
                     if len(tokens) != 3 or tokens[2] not in ("directed", "undirected"):
                         raise ParseError(lineno, "expected: layer <name> directed|undirected", path)
@@ -114,26 +121,26 @@ def read_layers(path) -> LayeredDataset:
     except (ParseError, UnknownLayer, UnicodeDecodeError) as exc:
         fault = exc
 
-    labels = list(dict.fromkeys(seq))
-    ids = dict(zip(labels, range(len(labels))))
-    ends = np.delete(np.fromiter(map(ids.__getitem__, seq), np.int64, len(seq)),
-                     lone).reshape(-1, 2)
-    index = np.array(layer, dtype=np.int64)
-    directed = np.array([flag for _, flag in declared.values()], dtype=bool)[index]
-    src, dst = np.where(directed[:, None], ends, np.sort(ends, axis=1)).T
-    repeat = first_repeat(np.ravel_multi_index((index, src, dst),
-                                               (len(declared), len(ids), len(ids))))
+    labels, n, flags = list(ids), len(ids), [flag for _, flag in declared.values()]
+    pairs, index = np.frombuffer(ends, np.int64).reshape(-1, 2), np.frombuffer(layer, np.int64)
+    keys = np.where(np.array(flags, dtype=bool)[index, None], pairs, np.sort(pairs, axis=1))
+    repeat = first_repeat(np.ravel_multi_index((index, *keys.T), (len(flags), n, n)))
     if repeat is not None:
-        u, v = (labels[k] for k in ends[repeat])
+        u, v = (labels[k] for k in pairs[repeat])
         raise DuplicateEdge(f"{path}:{where[repeat]}: edge {u}-{v} "
                             f"in layer {list(declared)[layer[repeat]]!r} given twice")
     if fault is not None:
         raise fault
-    order = np.argsort(index, kind="stable")
-    groups = np.split(np.column_stack((ends, weight))[order],
-                      np.searchsorted(index[order], np.arange(1, len(declared))))
-    layers = [LayerGraph.from_edges(len(labels), edges, directed=flag)
-              for edges, (_, flag) in zip(groups, declared.values())]
+    weights, order = np.frombuffer(weight), np.argsort(index, kind="stable")
+    cuts = np.searchsorted(index, np.arange(len(flags) + 1), sorter=order).tolist()
+    layers = []
+    for k, flag in enumerate(flags):
+        pick = order[cuts[k]:cuts[k + 1]]
+        (u, v), w = pairs[pick].T, weights[pick]
+        if not flag:  # an undirected layer mirrors its off-diagonal edges
+            off = u != v
+            u, v, w = (np.concatenate(part) for part in ((u, v[off]), (v, u[off]), (w, w[off])))
+        layers.append(LayerGraph(n, sparse.coo_array((w, (u, v)), shape=(n, n)), flag))
     return LayeredDataset(layer_names=list(declared), layers=layers, labels=labels)
 
 

@@ -25,23 +25,28 @@ edge b y z 1.0
 edge b z x 1.0
 """
 
-# transform, compose and verify, then analyze; after each stage one line
-# "stage <JSON>" lists the heavy modules loaded so far
+# transform, compose and verify, then analyze the directed composition and one
+# undirected layer; after each stage one line "stage <JSON>" names the stage and
+# lists the heavy modules loaded so far
 PIPELINE = """\
 import json, sys
 from multinet.cli import main
 
 HEAVY = {heavy!r}
-stages = [
-    ["transform", "--layers", "layers.txt", "--out", "moved.txt"],
-    ["compose", "--layers", "layers.txt", "--mode", "ego", "--ego-file", "egos.json",
-     "--out", "super.mtx"],
-    ["verify", "--super", "super.mtx", "--layers", "layers.txt", "--ego-file", "egos.json"],
-    ["analyze", "--super", "super.mtx", "--stationary", "--out", "report.json"],
-]
-for argv in stages:
+stages = {{
+    "transform": ["transform", "--layers", "layers.txt", "--out", "moved.txt"],
+    "compose": ["compose", "--layers", "layers.txt", "--mode", "ego", "--ego-file", "egos.json",
+                "--out", "super.mtx"],
+    "verify": ["verify", "--super", "super.mtx", "--layers", "layers.txt",
+               "--ego-file", "egos.json"],
+    "analyze directed": ["analyze", "--super", "super.mtx", "--stationary",
+                         "--out", "report.json"],
+    "analyze undirected": ["analyze", "--layers", "layers.txt", "--layer", "a",
+                           "--stationary", "--out", "layer.json"],
+}}
+for stage, argv in stages.items():
     code = main(argv)
-    print("stage", json.dumps([argv[0], code, [m for m in HEAVY if m in sys.modules]]))
+    print("stage", json.dumps([stage, code, [m for m in HEAVY if m in sys.modules]]))
 """
 
 
@@ -71,6 +76,10 @@ def test_transform_compose_verify_load_no_csgraph(tmp_path):
     for stage in ("compose", "verify"):
         code, loaded = stages[stage]
         assert code == 0 and set(loaded) <= {"scipy.io"}, stage
-    # analyze finds components with csgraph: the check sees a real import
-    code, loaded = stages["analyze"]
+    # a directed chain fails the reverse-pattern check before csgraph loads
+    code, loaded = stages["analyze directed"]
+    assert code == 0 and set(loaded) <= {"scipy.io"}
+    # an undirected layer's walk is detailed-balanced: its exact start needs
+    # csgraph, so the check sees a real import
+    code, loaded = stages["analyze undirected"]
     assert code == 0 and "scipy.sparse.csgraph" in loaded and "scipy.linalg" in loaded
