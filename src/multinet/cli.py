@@ -69,22 +69,20 @@ def _build_parser():
                     "unified random-walk process.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the layers and their stage-1 dynamics, shared by transform and compose
+    dynamics = argparse.ArgumentParser(add_help=False)
+    dynamics.add_argument("--layers", required=True)
+    dynamics.add_argument("--bias-file")
+    dynamics.add_argument("--delay-file")
+    dynamics.add_argument("--degree-delay", type=float, metavar="KAPPA",
+                          help="use tau = 1 + KAPPA * degree in every layer")
 
-    p = sub.add_parser("transform", help="apply bias/delay dynamics to each layer")
-    p.add_argument("--layers", required=True)
-    p.add_argument("--bias-file")
-    p.add_argument("--delay-file")
-    p.add_argument("--degree-delay", type=float, metavar="KAPPA",
-                   help="use tau = 1 + KAPPA * degree in every layer")
+    p = sub.add_parser("transform", parents=[dynamics],
+                       help="apply bias/delay dynamics to each layer")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_transform)
 
-    p = sub.add_parser("compose", help="assemble the composed network")
-    p.add_argument("--layers", required=True)
-    p.add_argument("--bias-file")
-    p.add_argument("--delay-file")
-    p.add_argument("--degree-delay", type=float, metavar="KAPPA",
-                   help="use tau = 1 + KAPPA * degree in every layer")
+    p = sub.add_parser("compose", parents=[dynamics], help="assemble the composed network")
     p.add_argument("--mode", required=True,
                    choices=["multiplex", "ego", "stationary", "distance"])
     p.add_argument("--ego-file")
@@ -134,8 +132,7 @@ def _build_parser():
     p.add_argument("--categories", required=True)
     p.add_argument("--highway-classes", default="A1,A2,A3")
     p.add_argument("--class-weights", help="JSON file mapping road class to weight")
-    p.add_argument("--scale-layer", action="append", default=[],
-                   metavar="NAME=FACTOR",
+    p.add_argument("--scale-layer", action="append", default=[], metavar="NAME=FACTOR",
                    help="rescale one layer's weights after ingestion")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_ingest)
@@ -229,63 +226,47 @@ def _cmd_verify(args):
 def _cmd_analyze(args):
     if bool(args.super_path) == bool(args.layers):
         raise ValueError("analyze needs exactly one of --super or --layers")
-    labels = None
-    layer_names = None
+    labels = layer_names = None
     if args.super_path:
         graph = mio.read_super(args.super_path)
+        full = graph.as_graph()
     else:
         ds = mio.read_layers(args.layers)
-        labels = ds.labels
-        layer_names = ds.layer_names
-        if args.layer:
-            graph = ds.layer(args.layer)
-        elif len(ds.layers) == 1:
-            graph = ds.layers[0]
-        else:
+        labels, layer_names = ds.labels, ds.layer_names
+        if not args.layer and len(ds.layers) != 1:
             raise ValueError("layered input has several layers; pick one with "
                              "--layer or compose first")
+        graph = full = ds.layer(args.layer or ds.layer_names[0])
+        if args.layer_load:
+            raise ValueError("--layer-load needs a super-adjacency (--super)")
     seed = int(os.environ.get("MULTINET_SEED") or args.seed)
 
-    full = graph.as_graph() if hasattr(graph, "as_graph") else graph
-    walk_graph = full
-    restrict = None  # flat indices kept when --largest-component applies
+    report = {"seed": seed}
+    kept, walk = np.arange(full.n), full  # walk: the graph on the kept instances
     if args.largest_component:
         comps = components(full.matrix)
         if len(comps) > 1:
-            restrict = comps[0]
-            walk_graph = LayerGraph(
-                len(restrict),
-                full.matrix[restrict, :][:, restrict],
-                directed=full.directed,
-            )
-
-    report = {"seed": seed}
-    if restrict is not None:
-        report["restricted_to_component"] = restrict.tolist()
-    bisection = None
-    side_full = None
+            kept = comps[0]
+            walk = LayerGraph(len(kept), full.matrix[kept, :][:, kept], directed=full.directed)
+            report["restricted_to_component"] = kept.tolist()
+    side = None
     if args.bisect or args.dot:
-        bisection = bisect(walk_graph, seed=seed)
-        side_full = np.zeros(full.n, dtype=bool)
-        kept = restrict if restrict is not None else np.arange(full.n)
-        side_full[kept[bisection.side]] = True
+        bisection = bisect(walk, seed=seed)
+        side = np.zeros(full.n, dtype=bool)
+        side[kept[bisection.side]] = True
         report["bisection"] = {
-            "side": np.flatnonzero(side_full).tolist(),
+            "side": np.flatnonzero(side).tolist(),
             "conductance": bisection.conductance,
             "conductance_one_sided": bisection.conductance_one_sided,
             "eigenvalue": bisection.eigenvalue,
             "residual": bisection.residual,
         }
     if args.layer_load:
-        if not hasattr(graph, "l"):
-            raise ValueError("--layer-load needs a super-adjacency (--super)")
         report["layer_load"] = layer_load(graph).loads.tolist()
     if args.stationary:
-        pi = stationary(urw_transition(walk_graph))
-        report["stationary"] = pi.pi.tolist()
+        report["stationary"] = stationary(urw_transition(walk)).pi.tolist()
     if args.dot:
-        mio.write_dot(graph, args.dot, side=side_full,
-                      labels=labels, layer_names=layer_names)
+        mio.write_dot(graph, args.dot, side=side, labels=labels, layer_names=layer_names)
     _write_report(report, args.out)
     return 0
 
@@ -312,9 +293,7 @@ def _cmd_ingest(args):
     layers = list(ds.layers)
     for spec in args.scale_layer:
         name, _, factor = spec.partition("=")
-        if name not in ds.layer_names:
-            raise ValueError(f"unknown layer {name!r} in --scale-layer")
-        k = ds.layer_names.index(name)
+        k = ds.index(name)
         layers[k] = layers[k].scaled(float(factor))
     mio.write_layers(replace(ds, layers=layers), args.out)
     return 0

@@ -36,8 +36,7 @@ def _canonical(mat, shape=None):
     """Canonical CSC: float64, sorted, no duplicates or stored zeros, indices and
     indptr in the _index_dtype of shape and entry count; canonical input is not copied."""
     out = sparse.csc_array(mat, shape=shape, dtype=np.float64)
-    out.sum_duplicates()
-    out.sort_indices()
+    out.sum_duplicates()  # sorts the indices too
     out.eliminate_zeros()
     idx = _index_dtype(*out.shape, out.data.size)
     out.indices = out.indices.astype(idx, copy=False)

@@ -23,7 +23,8 @@ Market, for writing and reading alike. Both formats round-trip
 weights bit-identically. Entry order and float spelling are not part of
 either format. Both readers reject indices out of range, non-numeric or
 non-finite weights and duplicate entries; the Matrix-Market reader also
-rejects a missing or foreign banner and an entry count other than declared.
+rejects a missing or foreign banner, an entry count other than declared and
+a line past the header comments with more than three tokens.
 """
 
 from __future__ import annotations
@@ -60,8 +61,14 @@ class LayeredDataset:
     def n(self):
         return len(self.labels)
 
+    def index(self, name):
+        """Position of layer `name`; a ValueError names an unknown one and the others."""
+        if name not in self.layer_names:
+            raise ValueError(f"unknown layer {name!r}; the layers are {list(self.layer_names)}")
+        return self.layer_names.index(name)
+
     def layer(self, name):
-        return self.layers[self.layer_names.index(name)]
+        return self.layers[self.index(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +334,7 @@ DEFAULT_HIGHWAY_CLASSES = ("A1", "A2", "A3")
 
 def read_dimacs_gr(gr_path, category_path,
                    highway_classes=DEFAULT_HIGHWAY_CLASSES,
-                   class_weights=None,
-                   layer_names=("local", "highway")) -> LayeredDataset:
+                   class_weights=None) -> LayeredDataset:
     """Split a DIMACS ``.gr`` road graph into local/highway layers.
 
     The companion category file holds ``<u> <v> <class>`` lines; edges in
@@ -339,8 +345,7 @@ def read_dimacs_gr(gr_path, category_path,
     outside the largest connected component of the union graph is dropped.
     """
     categories = _read_categories(category_path)
-    arcs = {}
-    declared = None
+    arcs, header = {}, False
     with open(gr_path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -348,9 +353,9 @@ def read_dimacs_gr(gr_path, category_path,
                 continue
             tokens = line.split()
             if tokens[0] == "p":
-                if len(tokens) != 4 or tokens[1] != "sp":
+                if not re.fullmatch("p sp [0-9]+ [0-9]+", " ".join(tokens)):
                     raise ParseError(lineno, "expected: p sp <n> <m>", gr_path)
-                declared = (int(tokens[2]), int(tokens[3]))
+                header = True
             elif tokens[0] == "a":
                 if len(tokens) != 4:
                     raise ParseError(lineno, "expected: a <u> <v> <w>", gr_path)
@@ -365,7 +370,7 @@ def read_dimacs_gr(gr_path, category_path,
                 arcs[key] = w
             else:
                 raise ParseError(lineno, f"unknown line type {tokens[0]!r}", gr_path)
-    if declared is None:
+    if not header:
         raise ParseError(0, "missing 'p sp' header", gr_path)
 
     keys = sorted(arcs)
@@ -388,7 +393,7 @@ def read_dimacs_gr(gr_path, category_path,
     inside = (table[:, :2] >= 0).all(axis=1)
     layers = [LayerGraph.from_edges(kept.size, table[inside & (on_highway == on)], directed=False)
               for on in (False, True)]
-    return LayeredDataset(layer_names=list(layer_names), layers=layers,
+    return LayeredDataset(layer_names=["local", "highway"], layers=layers,
                           labels=[str(label) for label in vertices[kept]])
 
 
@@ -445,14 +450,14 @@ def _read_super_mm(path):
         banner = "%%MatrixMarket matrix coordinate real general"
         if handle.readline().strip() != banner.encode():
             raise ParseError(1, f"expected the banner {banner!r}", path)
-        header = b"".join(itertools.takewhile(lambda line: line.startswith(b"%"), handle))
+        header = b"".join(itertools.takewhile(  # comments and blank lines
+            lambda line: line.startswith(b"%") or line.isspace(), handle))
         found = [re.search(rb"\b%s=(\d+)\b" % key, header) for key in (b"n", b"l")]
         if not all(found):
             raise ParseError(2, "header comment must record n= and l=", path)
         n, l = (int(match[1]) for match in found)
-        nul = _first_nul_line(handle)
-        if nul is not None:  # scipy's reader crashes on a NUL byte
-            raise ParseError(nul, "NUL byte", path)
+        size_line = header.count(b"\n") + 2
+        tokens = _scan(handle, path)  # scipy's reader crashes on a NUL byte
         handle.seek(0)
         try:
             coo = sparse.coo_array(scipy.io.mmread(handle))
@@ -460,17 +465,26 @@ def _read_super_mm(path):
             where = re.match(r"Line (\d+): (.*)", str(exc))
             line, reason = (int(where[1]), where[2]) if where else (0, str(exc))
             raise ParseError(line, reason, path) from None
+        # scipy's reader ignores tokens past the third on a line: banner 5, size line 3
+        if tokens != 5 + len(_TOKEN.findall(header)) + 3 + 3 * coo.nnz:
+            handle.seek(0)
+            line = next((k for k, text in enumerate(handle, start=1)
+                         if k >= size_line and len(_TOKEN.findall(text)) > 3), 0)
+            raise ParseError(line, "more than 3 tokens on a line", path)
     if coo.shape != (n * l, n * l):
-        raise ParseError(header.count(b"\n") + 2,
-                         f"matrix size {coo.shape} is not n*l = {n * l} square", path)
+        raise ParseError(size_line, f"matrix size {coo.shape} is not n*l = {n * l} square", path)
     return _super_from_entries(path, n, l, coo.row, coo.col, coo.data)
 
 
-def _first_nul_line(handle):
-    """Line number of the first NUL byte in a binary file, or None. Reads
-    from the start into one 1 MB buffer and counts lines only after a find."""
+_TOKEN = re.compile(rb"[^\0-\x20]+")  # bytes up to 32 (space) separate tokens
+
+
+def _scan(handle, path):
+    """The token count of a binary file (see _TOKEN), read from the start
+    into one 1 MB buffer; a NUL byte is a ParseError naming its line,
+    counted only after a find."""
     handle.seek(0)
-    buf, offset = bytearray(1 << 20), 0
+    buf, offset, tokens, gap = bytearray(1 << 20), 0, 0, True
     while size := handle.readinto(buf):
         at = buf.find(b"\0", 0, size)
         if at >= 0:
@@ -480,9 +494,11 @@ def _first_nul_line(handle):
                 size = handle.readinto(memoryview(buf)[:min(head, len(buf))])
                 line += buf.count(b"\n", 0, size)
                 head -= size
-            return line
-        offset += size
-    return None
+            raise ParseError(line, "NUL byte", path)
+        solid = np.frombuffer(buf, np.uint8, size) > 32  # a token starts after a gap
+        tokens += int(np.count_nonzero(solid[1:] > solid[:-1]) + (gap and solid[0]))
+        gap, offset = not solid[-1], offset + size
+    return tokens
 
 
 def _write_super_json(s, path):

@@ -353,6 +353,45 @@ def test_ingest_dimacs_cli(tmp_path, capsys):
     assert set(np.unique(ds.layer("highway").matrix.data)) == {2.0 * 3.14}
 
 
+@pytest.mark.parametrize("header, flags, code, error, message", [
+    ("p sp 6 5", ["--scale-layer", "nope=2"], 1, "ValueError",
+     "unknown layer 'nope'; the layers are ['local', 'highway']"),
+    ("p sp x y", [], 2, "ParseError", "{gr}:2: expected: p sp <n> <m>"),
+], ids=["unknown scale layer", "header counts not integers"])
+def test_ingest_dimacs_faults(header, flags, code, error, message, tmp_path, capsys):
+    gr, cats = tmp_path / "roads.gr", tmp_path / "roads.cat"
+    gr.write_text(GR.replace("p sp 6 5", header))
+    cats.write_text(CATS)
+    assert main(["ingest-dimacs", "--gr", str(gr), "--categories", str(cats), *flags,
+                 "--out", str(tmp_path / "out.layers")]) == code
+    assert json.loads(capsys.readouterr().err) == {"error": error,
+                                                   "message": message.format(gr=gr)}
+
+
+# analyze's usage errors: exit 1 and the message, before any analysis runs
+ANALYZE_USAGE = {
+    "neither input": ([], "analyze needs exactly one of --super or --layers"),
+    "both inputs": (["--super", "{super}", "--layers", "{layers}"],
+                    "analyze needs exactly one of --super or --layers"),
+    "several layers, none picked": (["--layers", "{layers}"],
+                                    "layered input has several layers; pick one with "
+                                    "--layer or compose first"),
+    "unknown layer": (["--layers", "{layers}", "--layer", "nope"],
+                      "unknown layer 'nope'; the layers are ['phone', 'email', 'facebook']"),
+    "layer load on a layer": (["--layers", "{layers}", "--layer", "phone", "--layer-load"],
+                              "--layer-load needs a super-adjacency (--super)"),
+}
+
+
+@pytest.mark.parametrize("case", list(ANALYZE_USAGE))
+def test_analyze_usage_errors(case, tmp_path, toy_path, capsys, monkeypatch):
+    argv, message = ANALYZE_USAGE[case]
+    monkeypatch.setattr(cli, "bisect", lambda *args, **kwargs: pytest.fail("bisect ran"))
+    paths = {"super": str(tmp_path / "absent.mtx"), "layers": str(toy_path)}
+    assert main(["analyze", *(arg.format(**paths) for arg in argv), "--bisect"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.layers"
     bad.write_text("edge nowhere a b 1.0\n")

@@ -307,6 +307,41 @@ def test_dimacs_custom_weights(tmp_path):
     assert set(np.unique(ds.layer("local").matrix.data)) == {0.5}
 
 
+# every ParseError of the DIMACS readers: (file, its text, line, reason)
+DIMACS_FAULTS = {
+    "header of three tokens": ("gr", GR.replace("p sp 6 5", "p sp 6"), 2,
+                               "expected: p sp <n> <m>"),
+    "header not sp": ("gr", GR.replace("p sp", "p max"), 2, "expected: p sp <n> <m>"),
+    "header counts not integers": ("gr", GR.replace("p sp 6 5", "p sp x y"), 2,
+                                   "expected: p sp <n> <m>"),
+    "header count negative": ("gr", GR.replace("p sp 6 5", "p sp 6 -5"), 2,
+                              "expected: p sp <n> <m>"),
+    "missing header": ("gr", GR.replace("p sp 6 5\n", ""), 0, "missing 'p sp' header"),
+    "arc of three tokens": ("gr", GR.replace("a 2 3 5", "a 2 3"), 4,
+                            "expected: a <u> <v> <w>"),
+    "arc vertex not an integer": ("gr", GR.replace("a 2 3 5", "a 2 x 5"), 4, "bad arc line"),
+    "arc weight not a number": ("gr", GR.replace("a 2 3 5", "a 2 3 w"), 4, "bad arc line"),
+    "conflicting duplicate arc": ("gr", GR + "a 3 2 9\n", 8, "conflicting duplicate arc 3-2"),
+    "unknown line type": ("gr", GR + "e 1 2\n", 8, "unknown line type 'e'"),
+    "category of two tokens": ("cat", CATS.replace("2 3 A4", "2 3"), 2,
+                               "expected: <u> <v> <class>"),
+    "category vertex not an integer": ("cat", CATS.replace("2 3 A4", "2 x A4"), 2,
+                                       "bad vertex id"),
+}
+
+
+@pytest.mark.parametrize("case", list(DIMACS_FAULTS))
+def test_dimacs_parse_errors_name_the_line(case, tmp_path):
+    which, text, line, reason = DIMACS_FAULTS[case]
+    paths = {"gr": tmp_path / "roads.gr", "cat": tmp_path / "roads.cat"}
+    paths["gr"].write_text(GR)
+    paths["cat"].write_text(CATS)
+    paths[which].write_text(text)
+    with pytest.raises(ParseError) as exc:
+        read_dimacs_gr(paths["gr"], paths["cat"])
+    assert (exc.value.path, exc.value.line, exc.value.reason) == (paths[which], line, reason)
+
+
 def _random_super(rng, n=5, l=3):
     from conftest import random_graph
 

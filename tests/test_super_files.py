@@ -158,6 +158,8 @@ MALFORMED_MM = {
     "duplicate entry": dict(entries=[*ENTRIES, "1 2 1.5"]),
     "coupling between different vertices": dict(entries=["1 4 1.0"]),
     "negative weight": dict(entries=["1 2 -1.0"]),
+    "extra token on an entry": dict(entries=[ENTRIES[0], "2 1 1.0 5E-1", *ENTRIES[2:]]),
+    "extra token on the last entry": dict(entries=[*ENTRIES[:5], "4 3 2.0 %"]),
 }
 
 
@@ -185,6 +187,24 @@ def test_mm_reader_reports_scipy_line_number(tmp_path):
         read_super(path)
     assert exc.value.line == 6
     assert str(exc.value).startswith(f"{path}:6: ")
+
+
+def test_mm_reader_names_the_line_with_an_extra_token(tmp_path):
+    # scipy's reader keeps the first three tokens of a line and ignores the rest
+    path = tmp_path / "bad.mtx"
+    path.write_text(mm_text(entries=[ENTRIES[0], "2 1 1.0 5E-1", *ENTRIES[2:]]))
+    with pytest.raises(ParseError) as exc:
+        read_super(path)
+    assert (exc.value.line, exc.value.reason) == (5, "more than 3 tokens on a line")
+    # a control byte separates tokens too; blank lines hold none
+    path.write_text(mm_text(entries=[*ENTRIES[:3], "3 1 0.25\x015", "", *ENTRIES[4:], ""],
+                            count=6))
+    with pytest.raises(ParseError) as exc:
+        read_super(path)
+    assert exc.value.line == 7
+    path.write_text(mm_text(comment=COMMENT + "\n\n% a comment after a blank line",
+                            entries=[*ENTRIES[:3], "", *ENTRIES[3:], "", ""], count=6))
+    assert read_super(path).matrix.nnz == 6
 
 
 def test_mm_reader_reports_banner_and_size_lines(tmp_path):
@@ -272,7 +292,7 @@ def test_json_counts_must_be_positive_integers(key, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["duplicate entry", "fewer entries than declared",
-                                  "symmetric banner"])
+                                  "symmetric banner", "extra token on an entry"])
 def test_cli_analyze_bad_super_exits_2(case, tmp_path, capsys):
     path = tmp_path / "bad.mtx"
     path.write_text(mm_text(**MALFORMED_MM[case]))
