@@ -32,12 +32,11 @@ from .errors import (
     ParseError,
     UnknownLayer,
 )
-from .graph import LayerGraph, components, stationary, urw_transition
+from .graph import ITERATIVE_TOL, LayerGraph, components, stationary, urw_transition
 from .spectral import bisect, layer_load
 from .transform import degree_proportional_delay, transform_layer
 
-_IO_ERRORS = (ParseError, DuplicateEdge, UnknownLayer, MissingCategory,
-              OSError, json.JSONDecodeError, UnicodeDecodeError)
+_IO_ERRORS = (ParseError, DuplicateEdge, UnknownLayer, MissingCategory, OSError)
 
 
 def main(argv=None) -> int:
@@ -108,7 +107,7 @@ def _build_parser():
                         "composition made with dynamics flags, the output of "
                         "`transform` run with the same flags")
     p.add_argument("--ego-file", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=ITERATIVE_TOL)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("analyze", help="spectral and load analysis")
@@ -170,7 +169,7 @@ def compose(args, ds, layers):
         if not args.ego_file:
             raise ValueError("--mode ego requires --ego-file")
         return compose_ego(layers, mio.read_ego_file(args.ego_file, ds),
-                           require_undirected=args.require_undirected or args.force_symmetrize,
+                           require_undirected=args.require_undirected,
                            force_symmetrize=args.force_symmetrize)
     if args.mode == "stationary":
         if not args.pi_file:

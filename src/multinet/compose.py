@@ -159,9 +159,7 @@ def _check_layers(layers):
     n = layers[0].n
     for k, lay in enumerate(layers):
         if lay.n != n:
-            raise DimensionMismatch(
-                f"layer {k} has {lay.n} vertices, expected {n}"
-            )
+            raise DimensionMismatch(f"layer {k} has {lay.n} vertices, expected {n}")
     return n, len(layers)
 
 
@@ -206,11 +204,8 @@ def _block_couplings(x):
 def compose_multiplex(layers) -> LayerGraph:
     """Entrywise sum of the transformed layers (no inter-layer structure)."""
     n, _ = _check_layers(layers)
-    total = layers[0].matrix
-    for lay in layers[1:]:
-        total = total + lay.matrix
-    directed = any(lay.directed for lay in layers)
-    return LayerGraph(n, total, directed=directed)
+    total = sum((lay.matrix for lay in layers[1:]), layers[0].matrix)
+    return LayerGraph(n, total, directed=any(lay.directed for lay in layers))
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +268,13 @@ def compose_ego(layers, egos: EgoMarkov, require_undirected=False,
     The result's random walk projects onto each layer's walk and onto each
     vertex's ego matrix (see the two verify_* checks). By default asymmetric
     ego blocks are accepted (directed regime); with require_undirected the
-    inputs are screened first and rejected when any block is asymmetric,
-    unless force_symmetrize averages them.
+    inputs are screened first and rejected when any block is asymmetric.
+    force_symmetrize implies require_undirected and averages such blocks
+    instead of rejecting them.
     """
     n, l = _check_layers(layers)
     x = _ego_blocks(_ego_matrices(egos, n, l), degree_table(layers))
-    if require_undirected:
+    if require_undirected or force_symmetrize:
         report = _feasibility_report(x, ITERATIVE_TOL)
         if not report.feasible:
             if not force_symmetrize:
@@ -396,10 +392,8 @@ def verify_ego_consistency(s: SuperAdjacency, egos: EgoMarkov,
     idx = np.arange(l)
     marginal[:, idx, idx] = (total_out - inter.sum(axis=2)) / total_out
     devs = np.abs(marginal - m).max(axis=(1, 2), initial=0.0)
-    worst_vertex = int(np.argmax(devs)) if n else 0
-    return EgoConsistencyReport(
-        tol=tol, max_deviation_per_vertex=devs, worst_vertex=worst_vertex
-    )
+    return EgoConsistencyReport(tol=tol, max_deviation_per_vertex=devs,
+                                worst_vertex=int(np.argmax(devs)) if n else 0)
 
 
 def check_undirected_feasibility(egos: EgoMarkov, degrees,
@@ -633,11 +627,7 @@ def compose_distance(layers, dist, c, kernel="reciprocal",
         raise NonPositiveCoupling(f"coupling must be positive, got {c}")
     if kernel not in _DISTANCE_KERNELS:
         raise ValueError(f"kernel must be one of {_DISTANCE_KERNELS}")
-    if adjacent_only:
-        src = np.arange(l - 1)
-        dst = src + 1
-    else:
-        src, dst = np.triu_indices(l, 1)
+    src, dst = (np.arange(l - 1), np.arange(1, l)) if adjacent_only else np.triu_indices(l, 1)
     d = dist[src, dst]
     bad = np.flatnonzero(d <= 0.0)
     if bad.size:

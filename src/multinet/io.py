@@ -15,7 +15,8 @@ while parsing, and checks for a repeated edge once, over all layers.
 Companion JSON files hold ego matrices or stationary layer distributions
 keyed by vertex label, bias/delay values keyed by layer then vertex label,
 layer distances, or road-class weights; each value a finite JSON number, or
-a ParseError names the file and the key. Super-adjacencies serialize to
+a ParseError names the file and the key, as it does a text file that is not
+UTF-8 or JSON that does not parse. Super-adjacencies serialize to
 Matrix-Market coordinate files (header comment records n, l, and the
 layer-major index convention) or to a JSON block layout, picked by the
 file name alone: a name ending in ``.json`` is JSON, any other name Matrix
@@ -33,6 +34,7 @@ import itertools
 import json
 import re
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +73,16 @@ class LayeredDataset:
         return self.layers[self.index(name)]
 
 
+@contextmanager
+def _utf8(path):
+    """`path` as UTF-8 text; a decode fault in the block is a ParseError at line 0."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise ParseError(0, f"not UTF-8 text ({exc.reason})", path) from None
+
+
 # ---------------------------------------------------------------------------
 # layered edge-list format
 
@@ -87,7 +99,7 @@ def read_layers(path) -> LayeredDataset:
     weight = array("d")
     fault = None  # raised after the lines before it are checked for a repeated edge
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with _utf8(path) as handle:
             for lineno, raw in enumerate(handle, start=1):
                 if "#" in raw:
                     raw = raw.split("#", 1)[0]
@@ -125,7 +137,7 @@ def read_layers(path) -> LayeredDataset:
                     declared[tokens[1]] = (len(declared), tokens[2] == "directed")
                 else:
                     raise ParseError(lineno, f"unknown directive {kind!r}", path)
-    except (ParseError, UnknownLayer, UnicodeDecodeError) as exc:
+    except (ParseError, UnknownLayer) as exc:
         fault = exc
 
     labels, n, flags = list(ids), len(ids), [flag for _, flag in declared.values()]
@@ -179,7 +191,7 @@ def _edge_triples(matrix, directed):
 
 
 def read_json(path):
-    """Parse a UTF-8 JSON file; a key repeated in one object raises ParseError."""
+    """A UTF-8 JSON file's value; a repeated key, bad syntax or non-UTF-8 bytes are a ParseError."""
     def unique_keys(pairs):
         seen = set()
         for key, _ in pairs:
@@ -188,9 +200,11 @@ def read_json(path):
             seen.add(key)
         return dict(pairs)
 
-    with open(path, "r", encoding="utf-8") as handle:
+    with _utf8(path) as handle:
         try:
             return json.load(handle, object_pairs_hook=unique_keys)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.lineno, f"{exc.msg} (column {exc.colno})", path) from None
         except RecursionError:
             raise ParseError(0, "JSON nested too deeply", path) from None
 
@@ -346,7 +360,7 @@ def read_dimacs_gr(gr_path, category_path,
     """
     categories = _read_categories(category_path)
     arcs, header = {}, False
-    with open(gr_path, "r", encoding="utf-8") as handle:
+    with _utf8(gr_path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("c"):
@@ -399,7 +413,7 @@ def read_dimacs_gr(gr_path, category_path,
 
 def _read_categories(path):
     categories = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with _utf8(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line or line.startswith("c"):

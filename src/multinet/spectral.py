@@ -25,8 +25,8 @@ normalises. Deflating once per block is safe: per step the null direction
 deflated start is already exact) by at most a factor 4, so the rounding a
 block leaves in it grows to at most 4^16 ~ 4e9 times eps, about 1e-6
 relative, and the next deflation removes it (at 32 steps the bound would
-be about 4e3). Dense arrays are used below a size cutoff and sparse matvecs
-above it; no external eigenpackage is involved.
+be about 4e3). N is a sparse matrix at every size; no external eigenpackage
+is involved.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .compose import SuperAdjacency
 from .errors import Disconnected, EmptyGraph, EmptySide, NoConvergence
 from .graph import LayerGraph, _is_symmetric, components
 
-_DENSE_CUTOFF = 512
 _CHECK_EVERY = 16  # power steps per residual check and deflation; see above
 
 
@@ -113,12 +112,8 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
     comps = components(w)
     if len(comps) > 1:
         raise Disconnected(comps)
-    inv_sqrt = 1.0 / np.sqrt(d)
-    if n <= _DENSE_CUTOFF:
-        normalized = inv_sqrt[:, np.newaxis] * w.toarray() * inv_sqrt[np.newaxis, :]
-    else:
-        scale = sparse.diags_array(inv_sqrt)
-        normalized = sparse.csr_array(scale @ w @ scale)
+    scale = sparse.diags_array(1.0 / np.sqrt(d))
+    normalized = sparse.csr_array(scale @ w @ scale)
     null = np.sqrt(d)
     null /= np.linalg.norm(null)
 

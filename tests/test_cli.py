@@ -287,6 +287,17 @@ def test_force_symmetrize_alone_symmetrizes(tmp_path):
     assert (mat != mat.T).nnz == 0
 
 
+def test_compose_ego_force_symmetrize_alone_symmetrizes():
+    edge = LayerGraph.from_edges(2, [(0, 1, 1.0)], directed=False)
+    egos = EgoMarkov(np.array([[[0.8, 0.3], [0.2, 0.7]]] * 2))
+    plain = compose_ego([edge, edge], egos).matrix
+    assert (plain != plain.T).nnz == 4  # asymmetric without the flag
+    alone = compose_ego([edge, edge], egos, force_symmetrize=True).matrix
+    assert (alone != alone.T).nnz == 0
+    both = compose_ego([edge, edge], egos, require_undirected=True, force_symmetrize=True)
+    assert np.array_equal(alone.toarray(), both.matrix.toarray())
+
+
 def test_compose_json_name_round_trips_through_analyze(tmp_path, temporal_path, capsys):
     out = tmp_path / "s.json"
     assert main(["compose", "--layers", str(temporal_path), "--mode", "distance",
@@ -440,7 +451,51 @@ def test_exit_code_non_utf8_input(tmp_path, capsys, flag, name):
     bad.write_bytes(b"\xff\xfe\x00layer t1 undirected\n")
     assert main(["analyze", flag, str(bad), "--stationary"]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "UnicodeDecodeError"
+    assert err["error"] == "ParseError" and err["message"].startswith(f"{bad}:0: ")
+
+
+# a decode fault in any reader: exit 2 and one ParseError naming the file and
+# the decoder's line, 0 where it gives none; no stdlib ValueError leaks (exit 1)
+NOT_UTF8 = b"\xff\xfe not utf-8\n"
+READER_FAULTS = {
+    "pi file, trailing comma": (
+        "pi.json", b'{"alice": [0.5, 0.5, 0.0],}',
+        ["compose", "--layers", "{toy}", "--mode", "stationary", "--pi-file", "{bad}"],
+        "{bad}:1: Expecting property name enclosed in double quotes (column 27)"),
+    "JSON super-adjacency, trailing comma": (
+        "super.json", b'{"n": 2,\n "l": 1,\n}',
+        ["analyze", "--super", "{bad}", "--stationary"],
+        "{bad}:3: Expecting property name enclosed in double quotes (column 1)"),
+    "JSON super-adjacency, not UTF-8": (
+        "super.json", NOT_UTF8, ["analyze", "--super", "{bad}", "--stationary"],
+        "{bad}:0: not UTF-8 text (invalid start byte)"),
+    "bias file, not UTF-8": (
+        "bias.json", NOT_UTF8, ["transform", "--layers", "{toy}", "--bias-file", "{bad}"],
+        "{bad}:0: not UTF-8 text (invalid start byte)"),
+    "layered file, not UTF-8": (
+        "bad.layers", NOT_UTF8, ["analyze", "--layers", "{bad}", "--stationary"],
+        "{bad}:0: not UTF-8 text (invalid start byte)"),
+    "DIMACS graph, not UTF-8": (
+        "roads.gr", NOT_UTF8, ["ingest-dimacs", "--gr", "{bad}", "--categories", "{cats}"],
+        "{bad}:0: not UTF-8 text (invalid start byte)"),
+    "DIMACS categories, not UTF-8": (
+        "roads.cat", NOT_UTF8, ["ingest-dimacs", "--gr", "{gr}", "--categories", "{bad}"],
+        "{bad}:0: not UTF-8 text (invalid start byte)"),
+}
+
+
+@pytest.mark.parametrize("case", list(READER_FAULTS))
+def test_reader_faults_name_their_file(case, tmp_path, toy_path, capsys):
+    name, content, argv, message = READER_FAULTS[case]
+    paths = {"bad": tmp_path / name, "toy": toy_path,
+             "gr": tmp_path / "good.gr", "cats": tmp_path / "good.cat"}
+    paths["bad"].write_bytes(content)
+    paths["gr"].write_text(GR)
+    paths["cats"].write_text(CATS)
+    out = ["--out", str(tmp_path / "out")] if argv[0] != "analyze" else []
+    assert main([arg.format(**paths) for arg in argv] + out) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ParseError",
+                                                   "message": message.format(**paths)}
 
 
 def test_compose_distances_rejects_duplicate_key(tmp_path, temporal_path, capsys):

@@ -96,7 +96,7 @@ def oracle_assemble(layers, blocks):
 def oracle_compose_ego(layers, egos, require_undirected, force_symmetrize):
     deg = degree_table(layers)
     blocks = [oracle_ego_block(u, egos.m[u], deg[u]) for u in range(len(deg))]
-    if require_undirected:
+    if require_undirected or force_symmetrize:
         asym = np.array([np.max(np.abs(x - x.T), initial=0.0) for x in blocks])
         if asym.max(initial=0.0) > 1e-10:
             if not force_symmetrize:

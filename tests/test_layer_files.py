@@ -305,6 +305,22 @@ def test_earliest_faulty_line_is_reported(tmp_path, text, error, line):
     assert str(exc.value) == str(oracle.value)
 
 
+# past the first chunk the reader decodes, so the lines before it are parsed
+PADDING = b"# padding\n" * 1000
+
+
+def test_bytes_not_utf8_are_a_deferred_parse_error(tmp_path):
+    path = tmp_path / "faulty.layers"
+    path.write_bytes(b"layer a undirected\nedge a x y 1\n" + PADDING + b"\xff\n")
+    with pytest.raises(ParseError) as exc:
+        read_layers(path)
+    assert str(exc.value) == f"{path}:0: not UTF-8 text (invalid start byte)"
+    # a repeated edge on an earlier parsed line still wins
+    path.write_bytes(b"layer a undirected\nedge a x y 1\nedge a y x 2\n" + PADDING + b"\xff\n")
+    with pytest.raises(DuplicateEdge, match=":3: "):
+        read_layers(path)
+
+
 # ---------------------------------------------------------------------------
 # each layer against LayerGraph.from_edges, and the reader's memory
 

@@ -108,8 +108,9 @@ def loop_fiedler_oracle(g, tol=1e-8, max_iter=100_000, seed=42):
 
     Before every step it checks the residual; after every step it deflates
     against the null vector and normalises. Returns the vector, or raises
-    NoConvergence as the loop did. The same matrices as fiedler_vector's,
-    dense up to 512 vertices, keep the two close to rounding.
+    NoConvergence as the loop did. Its own arithmetic, a dense matrix up to
+    512 vertices and a sparse one above, keeps it an independent reference
+    for fiedler_vector's sparse one.
     """
     mat = g.matrix
     if (mat != mat.T).nnz != 0:
@@ -223,13 +224,15 @@ def test_fiedler_rejects_disconnected():
 
 @st.composite
 def connected_graphs(draw):
-    """A connected weighted graph for the dense path (3 to 40 vertices) or the
-    sparse one (two planted communities, 520 to 900 vertices)."""
+    """A connected weighted graph: small and random (3 to 40 vertices), or two
+    planted communities of 100 to 500 vertices, where the oracle's matrix is
+    dense, or of 520 to 900, where it is sparse."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    band = draw(st.sampled_from(["small", "mid", "large"]))
+    if band == "small":
         n = draw(st.integers(3, 40))
         return random_connected_graph(rng, n, p=draw(st.sampled_from([0.2, 0.5, 0.9])))
-    n = draw(st.integers(520, 900))
+    n = draw(st.integers(100, 500) if band == "mid" else st.integers(520, 900))
     first = np.arange(n) < rng.integers(n // 3, 2 * n // 3)
     p = np.where(first[:, np.newaxis] == first, 24.0 / n, 1.0 / n)
     unit = draw(st.booleans())
@@ -271,7 +274,7 @@ def test_fiedler_matches_the_per_step_loop(g, seed):
 
 
 @pytest.mark.parametrize("max_iter", [0, 1, 15, 16, 17, 100])
-@pytest.mark.parametrize("shape", [(30, 30), (1, 4)])  # sparse path, dense path
+@pytest.mark.parametrize("shape", [(30, 30), (1, 4)])  # sparse and dense oracle
 def test_fiedler_stops_after_exactly_max_iter_steps(shape, max_iter):
     g = grid(*shape)
     try:
