@@ -1,8 +1,8 @@
 """Command-line pipeline: transform, compose, verify, analyze, ingest-dimacs.
 
-Exit codes: 0 success, 1 validation or infeasibility, 2 I/O or parse
-problem, 3 solver non-convergence. Failures also emit one structured JSON
-object on stderr.
+Exit codes: 0 success, 1 validation or infeasibility, 2 a file fault (a
+ParseError, its subclasses included) or an OS error, 3 solver
+non-convergence. Failures also emit one structured JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -24,19 +24,10 @@ from .compose import (
     verify_ego_consistency,
     verify_layer_consistency,
 )
-from .errors import (
-    DuplicateEdge,
-    MissingCategory,
-    MultinetError,
-    NoConvergence,
-    ParseError,
-    UnknownLayer,
-)
+from .errors import MultinetError, NoConvergence, ParseError
 from .graph import ITERATIVE_TOL, LayerGraph, components, stationary, urw_transition
 from .spectral import bisect, layer_load
 from .transform import degree_proportional_delay, transform_layer
-
-_IO_ERRORS = (ParseError, DuplicateEdge, UnknownLayer, MissingCategory, OSError)
 
 
 def main(argv=None) -> int:
@@ -45,20 +36,14 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except NoConvergence as exc:
-        _emit_error(exc)
-        return 3
-    except _IO_ERRORS as exc:
-        _emit_error(exc)
-        return 2
+        error, code = exc, 3
+    except (ParseError, OSError) as exc:
+        error, code = exc, 2
     except (MultinetError, ValueError) as exc:
-        _emit_error(exc)
-        return 1
-
-
-def _emit_error(exc):
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    json.dump(payload, sys.stderr)
+        error, code = exc, 1
+    json.dump({"error": type(error).__name__, "message": str(error)}, sys.stderr)
     sys.stderr.write("\n")
+    return code
 
 
 def _build_parser():

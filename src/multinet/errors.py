@@ -151,21 +151,23 @@ class EmptyGraph(MultinetError):
 
 
 class ParseError(MultinetError):
+    """A fault in an input file at `line`, 0 where no one line holds it."""
+
     def __init__(self, line, reason, path=None):
         self.line = line
         self.reason = reason
         self.path = path
-        where = f"{path}:{line}" if path else f"line {line}"
+        where = f"{self.path}:{self.line}" if self.path else f"line {self.line}"
         super().__init__(f"{where}: {reason}")
 
 
-class DuplicateEdge(MultinetError):
+class DuplicateEdge(ParseError):
     pass
 
 
-class UnknownLayer(MultinetError):
+class UnknownLayer(ParseError):
     pass
 
 
-class MissingCategory(MultinetError):
+class MissingCategory(ParseError):
     pass

@@ -8,6 +8,10 @@ Layered edge-list format (line oriented, ``#`` comments allowed)::
     edge phone alice bob 2.0
     edge email alice carol 1.0
 
+Every file fault is a ParseError ``<path>:<line>: <reason>``, line 0 where
+no one line holds it; DuplicateEdge, UnknownLayer and MissingCategory are
+its subclasses. A byte that is not UTF-8 is a fault on its own line.
+
 Vertex labels are shared across layers; ids follow first appearance. A
 malformed file raises at its earliest faulty line, a repeated edge included.
 Its reader keeps each edge in flat typed buffers, about 40 bytes per edge
@@ -34,20 +38,13 @@ import itertools
 import json
 import re
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from .compose import EgoMarkov, SuperAdjacency, _check_egos
-from .errors import (
-    DimensionMismatch,
-    DuplicateEdge,
-    MissingCategory,
-    ParseError,
-    UnknownLayer,
-)
+from .errors import DimensionMismatch, DuplicateEdge, MissingCategory, ParseError, UnknownLayer
 from .graph import LayerGraph, _canonical, _is_symmetric, components, first_repeat
 from .transform import DynamicsParams
 
@@ -73,14 +70,16 @@ class LayeredDataset:
         return self.layers[self.index(name)]
 
 
-@contextmanager
-def _utf8(path):
-    """`path` as UTF-8 text; a decode fault in the block is a ParseError at line 0."""
+def _check_utf8(text, path, line=1):
+    """A ParseError naming the line of the first byte that is not UTF-8 in
+    `text`, which starts on `line` and was read with errors="surrogateescape"
+    (each such byte a lone surrogate), and giving the decoder's reason."""
+    data = text.encode("utf-8", "surrogateescape")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            yield handle
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(0, f"not UTF-8 text ({exc.reason})", path) from None
+        raise ParseError(line + data.count(b"\n", 0, exc.start),
+                         f"not UTF-8 text ({exc.reason})", path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +98,10 @@ def read_layers(path) -> LayeredDataset:
     weight = array("d")
     fault = None  # raised after the lines before it are checked for a repeated edge
     try:
-        with _utf8(path) as handle:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, raw in enumerate(handle, start=1):
+                if not raw.isascii():
+                    _check_utf8(raw, path, lineno)
                 if "#" in raw:
                     raw = raw.split("#", 1)[0]
                 tokens = raw.split()
@@ -112,7 +113,7 @@ def read_layers(path) -> LayeredDataset:
                         raise ParseError(lineno, "expected: edge <layer> <u> <v> <weight>", path)
                     name = tokens[1]
                     if name not in declared:
-                        raise UnknownLayer(f"{path}:{lineno}: edge in undeclared layer {name!r}")
+                        raise UnknownLayer(lineno, f"edge in undeclared layer {name!r}", path)
                     try:
                         w = float(tokens[4])
                     except ValueError:
@@ -137,7 +138,7 @@ def read_layers(path) -> LayeredDataset:
                     declared[tokens[1]] = (len(declared), tokens[2] == "directed")
                 else:
                     raise ParseError(lineno, f"unknown directive {kind!r}", path)
-    except (ParseError, UnknownLayer) as exc:
+    except ParseError as exc:
         fault = exc
 
     labels, n, flags = list(ids), len(ids), [flag for _, flag in declared.values()]
@@ -146,8 +147,8 @@ def read_layers(path) -> LayeredDataset:
     repeat = first_repeat(np.ravel_multi_index((index, *keys.T), (len(flags), n, n)))
     if repeat is not None:
         u, v = (labels[k] for k in pairs[repeat])
-        raise DuplicateEdge(f"{path}:{where[repeat]}: edge {u}-{v} "
-                            f"in layer {list(declared)[layer[repeat]]!r} given twice")
+        raise DuplicateEdge(where[repeat], f"edge {u}-{v} in layer "
+                            f"{list(declared)[layer[repeat]]!r} given twice", path)
     if fault is not None:
         raise fault
     weights, order = np.frombuffer(weight), np.argsort(index, kind="stable")
@@ -200,13 +201,16 @@ def read_json(path):
             seen.add(key)
         return dict(pairs)
 
-    with _utf8(path) as handle:
-        try:
-            return json.load(handle, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.lineno, f"{exc.msg} (column {exc.colno})", path) from None
-        except RecursionError:
-            raise ParseError(0, "JSON nested too deeply", path) from None
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        text = handle.read()
+    if not text.isascii():
+        _check_utf8(text, path)
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, f"{exc.msg} (column {exc.colno})", path) from None
+    except RecursionError:
+        raise ParseError(0, "JSON nested too deeply", path) from None
 
 
 def _read_object(path, keys="vertex label"):
@@ -360,8 +364,10 @@ def read_dimacs_gr(gr_path, category_path,
     """
     categories = _read_categories(category_path)
     arcs, header = {}, False
-    with _utf8(gr_path) as handle:
+    with open(gr_path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            if not raw.isascii():
+                _check_utf8(raw, gr_path, lineno)
             line = raw.strip()
             if not line or line.startswith("c"):
                 continue
@@ -390,7 +396,8 @@ def read_dimacs_gr(gr_path, category_path,
     keys = sorted(arcs)
     missing = next((key for key in keys if key not in categories), None)
     if missing is not None:
-        raise MissingCategory(f"no road class for edge {missing[0]}-{missing[1]}")
+        raise MissingCategory(0, f"no road class for edge {missing[0]}-{missing[1]}",
+                              category_path)
     road_class = [categories[key] for key in keys]
     weights, highway = dict(class_weights or {}), set(highway_classes)
     on_highway = np.array([c in highway for c in road_class], dtype=bool)
@@ -413,8 +420,10 @@ def read_dimacs_gr(gr_path, category_path,
 
 def _read_categories(path):
     categories = {}
-    with _utf8(path) as handle:
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            if not raw.isascii():
+                _check_utf8(raw, path, lineno)
             line = raw.split("#", 1)[0].strip()
             if not line or line.startswith("c"):
                 continue

@@ -25,6 +25,7 @@ from multinet import (
     verify_layer_consistency,
 )
 from multinet.cli import main
+from multinet.errors import NoConvergence
 
 from test_io import CATS, GR, TOY
 
@@ -403,6 +404,33 @@ def test_analyze_usage_errors(case, tmp_path, toy_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
 
 
+# compose's usage errors: a mode without its side file or coupling exits 1
+COMPOSE_USAGE = {
+    "ego without a file": ("ego", "--mode ego requires --ego-file"),
+    "stationary without a file": ("stationary", "--mode stationary requires --pi-file"),
+    "distance without a coupling": ("distance", "--mode distance requires --coupling"),
+}
+
+
+@pytest.mark.parametrize("case", list(COMPOSE_USAGE))
+def test_compose_usage_errors(case, tmp_path, toy_path, capsys):
+    mode, message = COMPOSE_USAGE[case]
+    out = tmp_path / "super.mm"
+    assert main(["compose", "--layers", str(toy_path), "--mode", mode, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
+def test_exit_code_no_convergence(toy_path, capsys, monkeypatch):
+    def unconverged(*args, **kwargs):
+        raise NoConvergence(1e-3, 7)
+
+    monkeypatch.setattr(cli, "bisect", unconverged)
+    assert main(["analyze", "--layers", str(toy_path), "--layer", "phone", "--bisect"]) == 3
+    assert capsys.readouterr().err == ('{"error": "NoConvergence", '
+                                       '"message": "residual 1.000e-03 after 7 iterations"}\n')
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.layers"
     bad.write_text("edge nowhere a b 1.0\n")
@@ -451,42 +479,56 @@ def test_exit_code_non_utf8_input(tmp_path, capsys, flag, name):
     bad.write_bytes(b"\xff\xfe\x00layer t1 undirected\n")
     assert main(["analyze", flag, str(bad), "--stationary"]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ParseError" and err["message"].startswith(f"{bad}:0: ")
+    assert err["error"] == "ParseError" and err["message"].startswith(f"{bad}:1: ")
 
 
-# a decode fault in any reader: exit 2 and one ParseError naming the file and
-# the decoder's line, 0 where it gives none; no stdlib ValueError leaks (exit 1)
+# a file fault in any reader: exit 2 and one ParseError, or a subclass under
+# its own name, naming the file and the line (0 where no one line holds the
+# fault), a decode fault the line of its first byte that is not UTF-8; no
+# stdlib ValueError leaks (exit 1). name: (file name, content, argv with
+# {bad} for the file, error name, message)
 NOT_UTF8 = b"\xff\xfe not utf-8\n"
 READER_FAULTS = {
     "pi file, trailing comma": (
         "pi.json", b'{"alice": [0.5, 0.5, 0.0],}',
         ["compose", "--layers", "{toy}", "--mode", "stationary", "--pi-file", "{bad}"],
-        "{bad}:1: Expecting property name enclosed in double quotes (column 27)"),
+        "ParseError", "{bad}:1: Expecting property name enclosed in double quotes (column 27)"),
     "JSON super-adjacency, trailing comma": (
         "super.json", b'{"n": 2,\n "l": 1,\n}',
         ["analyze", "--super", "{bad}", "--stationary"],
-        "{bad}:3: Expecting property name enclosed in double quotes (column 1)"),
+        "ParseError", "{bad}:3: Expecting property name enclosed in double quotes (column 1)"),
     "JSON super-adjacency, not UTF-8": (
         "super.json", NOT_UTF8, ["analyze", "--super", "{bad}", "--stationary"],
-        "{bad}:0: not UTF-8 text (invalid start byte)"),
+        "ParseError", "{bad}:1: not UTF-8 text (invalid start byte)"),
     "bias file, not UTF-8": (
         "bias.json", NOT_UTF8, ["transform", "--layers", "{toy}", "--bias-file", "{bad}"],
-        "{bad}:0: not UTF-8 text (invalid start byte)"),
+        "ParseError", "{bad}:1: not UTF-8 text (invalid start byte)"),
     "layered file, not UTF-8": (
         "bad.layers", NOT_UTF8, ["analyze", "--layers", "{bad}", "--stationary"],
-        "{bad}:0: not UTF-8 text (invalid start byte)"),
+        "ParseError", "{bad}:1: not UTF-8 text (invalid start byte)"),
     "DIMACS graph, not UTF-8": (
         "roads.gr", NOT_UTF8, ["ingest-dimacs", "--gr", "{bad}", "--categories", "{cats}"],
-        "{bad}:0: not UTF-8 text (invalid start byte)"),
+        "ParseError", "{bad}:1: not UTF-8 text (invalid start byte)"),
     "DIMACS categories, not UTF-8": (
         "roads.cat", NOT_UTF8, ["ingest-dimacs", "--gr", "{gr}", "--categories", "{bad}"],
-        "{bad}:0: not UTF-8 text (invalid start byte)"),
+        "ParseError", "{bad}:1: not UTF-8 text (invalid start byte)"),
+    "layered file, duplicate edge": (
+        "bad.layers", b"layer a undirected\nedge a x y 1\nedge a y x 2\n",
+        ["analyze", "--layers", "{bad}", "--stationary"],
+        "DuplicateEdge", "{bad}:3: edge y-x in layer 'a' given twice"),
+    "layered file, undeclared layer": (
+        "bad.layers", b"layer a undirected\nedge b x y 1\n",
+        ["analyze", "--layers", "{bad}", "--stationary"],
+        "UnknownLayer", "{bad}:2: edge in undeclared layer 'b'"),
+    "DIMACS categories, missing road class": (
+        "roads.cat", b"1 2 A1\n", ["ingest-dimacs", "--gr", "{gr}", "--categories", "{bad}"],
+        "MissingCategory", "{bad}:0: no road class for edge 2-3"),
 }
 
 
 @pytest.mark.parametrize("case", list(READER_FAULTS))
 def test_reader_faults_name_their_file(case, tmp_path, toy_path, capsys):
-    name, content, argv, message = READER_FAULTS[case]
+    name, content, argv, error, message = READER_FAULTS[case]
     paths = {"bad": tmp_path / name, "toy": toy_path,
              "gr": tmp_path / "good.gr", "cats": tmp_path / "good.cat"}
     paths["bad"].write_bytes(content)
@@ -494,7 +536,7 @@ def test_reader_faults_name_their_file(case, tmp_path, toy_path, capsys):
     paths["cats"].write_text(CATS)
     out = ["--out", str(tmp_path / "out")] if argv[0] != "analyze" else []
     assert main([arg.format(**paths) for arg in argv] + out) == 2
-    assert json.loads(capsys.readouterr().err) == {"error": "ParseError",
+    assert json.loads(capsys.readouterr().err) == {"error": error,
                                                    "message": message.format(**paths)}
 
 

@@ -63,7 +63,7 @@ def read_layers_by_line(path):
                     raise ParseError(lineno, "expected: edge <layer> <u> <v> <weight>", path)
                 name = tokens[1]
                 if name not in layer_decl:
-                    raise UnknownLayer(f"{path}:{lineno}: edge in undeclared layer {name!r}")
+                    raise UnknownLayer(lineno, f"edge in undeclared layer {name!r}", path)
                 try:
                     weight = float(tokens[4])
                 except ValueError:
@@ -74,8 +74,8 @@ def read_layers_by_line(path):
                 v = vertex_id(tokens[3])
                 key = (name, u, v) if layer_decl[name] or u <= v else (name, v, u)
                 if key in seen:
-                    raise DuplicateEdge(f"{path}:{lineno}: edge {tokens[2]}-{tokens[3]} "
-                                        f"in layer {name!r} given twice")
+                    raise DuplicateEdge(lineno, f"edge {tokens[2]}-{tokens[3]} "
+                                                f"in layer {name!r} given twice", path)
                 seen.add(key)
                 edges[name].append((u, v, weight))
             else:
@@ -238,7 +238,7 @@ MUTATIONS = (structural_error, bad_weight, token_count, unknown_directive, undec
 def outcome(reader, path):
     try:
         return reader(path)
-    except (ParseError, UnknownLayer, DuplicateEdge) as exc:
+    except ParseError as exc:
         return exc
 
 
@@ -297,28 +297,31 @@ def test_malformed_datasets_fail_like_the_oracle(data):
 def test_earliest_faulty_line_is_reported(tmp_path, text, error, line):
     path = tmp_path / "faulty.layers"
     path.write_text(text)
-    with pytest.raises(error) as exc:
+    with pytest.raises(ParseError) as exc:
         read_layers(path)
+    assert type(exc.value) is error  # pytest.raises accepts a subclass too
+    assert (exc.value.path, exc.value.line) == (path, line)
     assert f"{path}:{line}:" in str(exc.value)
     with pytest.raises(error) as oracle:
         read_layers_by_line(path)
     assert str(exc.value) == str(oracle.value)
 
 
-# past the first chunk the reader decodes, so the lines before it are parsed
-PADDING = b"# padding\n" * 1000
-
-
 def test_bytes_not_utf8_are_a_deferred_parse_error(tmp_path):
     path = tmp_path / "faulty.layers"
-    path.write_bytes(b"layer a undirected\nedge a x y 1\n" + PADDING + b"\xff\n")
-    with pytest.raises(ParseError) as exc:
-        read_layers(path)
-    assert str(exc.value) == f"{path}:0: not UTF-8 text (invalid start byte)"
-    # a repeated edge on an earlier parsed line still wins
-    path.write_bytes(b"layer a undirected\nedge a x y 1\nedge a y x 2\n" + PADDING + b"\xff\n")
-    with pytest.raises(DuplicateEdge, match=":3: "):
-        read_layers(path)
+    # the bad byte within, then past, the first block of about 8 KB the decoder reads
+    for padding in (0, 1000):
+        pad = b"# padding\n" * padding
+        path.write_bytes(b"layer a undirected\nedge a x y 1\n" + pad + b"\xff\n")
+        with pytest.raises(ParseError) as exc:
+            read_layers(path)
+        assert type(exc.value) is ParseError
+        assert str(exc.value) == f"{path}:{3 + padding}: not UTF-8 text (invalid start byte)"
+        # a repeated edge on an earlier line wins, wherever a block boundary falls
+        path.write_bytes(b"layer a undirected\nedge a x y 1\nedge a y x 2\n" + pad + b"\xff\n")
+        with pytest.raises(DuplicateEdge) as exc:
+            read_layers(path)
+        assert str(exc.value) == f"{path}:3: edge y-x in layer 'a' given twice"
 
 
 # ---------------------------------------------------------------------------
