@@ -89,10 +89,7 @@ class LayerGraph:
         repeat = first_repeat(np.ravel_multi_index(tuple(key.T), (n, n)))
         if repeat is not None:
             raise ValueError(f"edge {tuple(key[repeat].tolist())} specified twice")
-        if not directed:
-            off = ends[:, 0] != ends[:, 1]
-            ends, vals = np.concatenate((ends, ends[off, ::-1])), np.concatenate((vals, vals[off]))
-        return cls(n, sparse.coo_array((vals, tuple(ends.T)), shape=(n, n)), directed)
+        return _layer_graphs(n, ends, vals, np.zeros(len(vals), np.int64), [directed])[0]
 
     @classmethod
     def from_dense(cls, array, directed=True):
@@ -110,6 +107,23 @@ class LayerGraph:
         if factor <= 0:
             raise NonPositiveScale(f"scale factor must be positive, got {factor}")
         return LayerGraph(self.n, self.matrix * factor, self.directed)
+
+
+def _layer_graphs(n, pairs, weights, index, flags):
+    """One LayerGraph per directed flag in `flags`, of the edges pairs[k] of
+    weight weights[k] in layer index[k]; an undirected layer mirrors its
+    off-diagonal edges."""
+    order = np.argsort(index, kind="stable")
+    cuts = np.searchsorted(index, np.arange(len(flags) + 1), sorter=order).tolist()
+    layers = []
+    for k, flag in enumerate(flags):
+        pick = order[cuts[k]:cuts[k + 1]]
+        (u, v), w = pairs[pick].T, weights[pick]
+        if not flag:
+            off = u != v
+            u, v, w = (np.concatenate(part) for part in ((u, v[off]), (v, u[off]), (w, w[off])))
+        layers.append(LayerGraph(n, sparse.coo_array((w, (u, v)), shape=(n, n)), flag))
+    return layers
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,24 @@ Every file fault is a ParseError ``<path>:<line>: <reason>``, line 0 where
 no one line holds it; DuplicateEdge, UnknownLayer and MissingCategory are
 its subclasses. A byte that is not UTF-8 is a fault on its own line.
 
-Vertex labels are shared across layers; ids follow first appearance. A
-malformed file raises at its earliest faulty line, a repeated edge included.
-Its reader keeps each edge in flat typed buffers, about 40 bytes per edge
-while parsing, and checks for a repeated edge once, over all layers.
-Companion JSON files hold ego matrices or stationary layer distributions
-keyed by vertex label, bias/delay values keyed by layer then vertex label,
-layer distances, or road-class weights; each value a finite JSON number, or
-a ParseError names the file and the key, as it does a text file that is not
-UTF-8 or JSON that does not parse. Super-adjacencies serialize to
-Matrix-Market coordinate files (header comment records n, l, and the
-layer-major index convention) or to a JSON block layout, picked by the
-file name alone: a name ending in ``.json`` is JSON, any other name Matrix
-Market, for writing and reading alike. Both formats round-trip
-weights bit-identically. Entry order and float spelling are not part of
-either format. Both readers reject indices out of range, non-numeric or
-non-finite weights and duplicate entries; the Matrix-Market reader also
+Vertex labels are shared across layers; ids follow first appearance. The
+layered and the DIMACS readers scan a file once into flat typed buffers, at
+most 40 bytes per edge, then find repeated edges (and DIMACS ids out of
+range) with array operations and raise at the earliest faulty line. A DIMACS
+``.gr`` file has one ``p sp <n> <m>`` header (counts below 2**31), arc ends
+in 1..n and finite lengths; an arc, or a category line, given again merges
+when its length, or class, is the same and is a fault otherwise. Companion
+JSON files hold ego matrices or stationary layer distributions keyed by
+vertex label, bias/delay values keyed by layer then vertex label, layer
+distances, or positive road-class weights; each value a finite JSON number,
+or a ParseError names the file and the key, as it does JSON that does not
+parse. Super-adjacencies serialize to Matrix-Market coordinate files (header
+comment records n, l, and the layer-major index convention) or to a JSON
+block layout, picked by the file name alone: a name ending in ``.json`` is
+JSON, any other name Matrix Market, for writing and reading. Both formats
+round-trip weights bit-identically; entry order and float spelling are not
+part of either format. Both readers reject indices out of range, non-numeric
+or non-finite weights and duplicate entries; the Matrix-Market reader also
 rejects a missing or foreign banner, an entry count other than declared and
 a line past the header comments with more than three tokens.
 """
@@ -45,7 +47,7 @@ from scipy import sparse
 
 from .compose import EgoMarkov, SuperAdjacency, _check_egos
 from .errors import DimensionMismatch, DuplicateEdge, MissingCategory, ParseError, UnknownLayer
-from .graph import LayerGraph, _canonical, _is_symmetric, components, first_repeat
+from .graph import _canonical, _is_symmetric, _layer_graphs, components, first_repeat
 from .transform import DynamicsParams
 
 @dataclass(frozen=True)
@@ -151,17 +153,8 @@ def read_layers(path) -> LayeredDataset:
                             f"{list(declared)[layer[repeat]]!r} given twice", path)
     if fault is not None:
         raise fault
-    weights, order = np.frombuffer(weight), np.argsort(index, kind="stable")
-    cuts = np.searchsorted(index, np.arange(len(flags) + 1), sorter=order).tolist()
-    layers = []
-    for k, flag in enumerate(flags):
-        pick = order[cuts[k]:cuts[k + 1]]
-        (u, v), w = pairs[pick].T, weights[pick]
-        if not flag:  # an undirected layer mirrors its off-diagonal edges
-            off = u != v
-            u, v, w = (np.concatenate(part) for part in ((u, v[off]), (v, u[off]), (w, w[off])))
-        layers.append(LayerGraph(n, sparse.coo_array((w, (u, v)), shape=(n, n)), flag))
-    return LayeredDataset(layer_names=list(declared), layers=layers, labels=labels)
+    return LayeredDataset(layer_names=list(declared), labels=labels,
+                          layers=_layer_graphs(n, pairs, np.frombuffer(weight), index, flags))
 
 
 def write_layers(ds: LayeredDataset, path):
@@ -338,104 +331,111 @@ def read_distances(path) -> np.ndarray:
 
 
 def read_class_weights(path) -> dict:
-    """Road class -> affinity weight, for read_dimacs_gr."""
+    """Road class -> positive affinity weight, for read_dimacs_gr."""
     payload = _read_object(path, "road class")
-    return dict(zip(payload, _values(payload, path, lambda c: f"weight of {c!r}").tolist()))
+    weights = _values(payload, path, lambda c: f"weight of {c!r}")
+    for name, weight in zip(payload, weights):
+        if weight <= 0:
+            raise ParseError(0, f"weight of {name!r} must be positive", path)
+    return dict(zip(payload, weights.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # DIMACS road networks
 
 
-DEFAULT_HIGHWAY_CLASSES = ("A1", "A2", "A3")
-
-
-def read_dimacs_gr(gr_path, category_path,
-                   highway_classes=DEFAULT_HIGHWAY_CLASSES,
+def read_dimacs_gr(gr_path, category_path, highway_classes=("A1", "A2", "A3"),
                    class_weights=None) -> LayeredDataset:
     """Split a DIMACS ``.gr`` road graph into local/highway layers.
 
     The companion category file holds ``<u> <v> <class>`` lines; edges in
     `highway_classes` form the highway layer, everything else the local
-    layer. Affinity weights come from `class_weights` (default 2.0 for
-    highway classes, 1.0 otherwise), not from the travel-time column.
-    Reverse duplicate arcs merge into one undirected edge; everything
-    outside the largest connected component of the union graph is dropped.
+    layer, weighted by `class_weights` (default 2.0 for highway classes,
+    1.0 otherwise; each positive and finite, or a ValueError names it), not
+    by the travel-time column. Everything outside the largest connected
+    component of the union graph is dropped.
     """
-    categories = _read_categories(category_path)
-    arcs, header = {}, False
-    with open(gr_path, encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.isascii():
-                _check_utf8(raw, gr_path, lineno)
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            tokens = line.split()
-            if tokens[0] == "p":
-                if not re.fullmatch("p sp [0-9]+ [0-9]+", " ".join(tokens)):
-                    raise ParseError(lineno, "expected: p sp <n> <m>", gr_path)
-                header = True
-            elif tokens[0] == "a":
-                if len(tokens) != 4:
-                    raise ParseError(lineno, "expected: a <u> <v> <w>", gr_path)
-                try:
-                    u, v = int(tokens[1]), int(tokens[2])
-                    w = float(tokens[3])
-                except ValueError:
-                    raise ParseError(lineno, "bad arc line", gr_path) from None
-                key = (min(u, v), max(u, v))
-                if key in arcs and arcs[key] != w:
-                    raise ParseError(lineno, f"conflicting duplicate arc {u}-{v}", gr_path)
-                arcs[key] = w
-            else:
-                raise ParseError(lineno, f"unknown line type {tokens[0]!r}", gr_path)
-    if not header:
-        raise ParseError(0, "missing 'p sp' header", gr_path)
-
-    keys = sorted(arcs)
-    missing = next((key for key in keys if key not in categories), None)
-    if missing is not None:
-        raise MissingCategory(0, f"no road class for edge {missing[0]}-{missing[1]}",
-                              category_path)
-    road_class = [categories[key] for key in keys]
     weights, highway = dict(class_weights or {}), set(highway_classes)
-    on_highway = np.array([c in highway for c in road_class], dtype=bool)
-    weight = [float(weights.get(c, 2.0 if c in highway else 1.0)) for c in road_class]
-    vertices, ends = np.unique(np.array(keys, dtype=np.int64).reshape(-1), return_inverse=True)
-    ends = ends.reshape(-1, 2)
+    for name, weight in weights.items():
+        if not 0.0 < weight < np.inf:
+            raise ValueError(f"weight of road class {name!r} must be a positive finite number")
+    cat_keys, _, cat_code, names = _read_dimacs(category_path, arcs=False)
+    keys, pairs, _, _ = _read_dimacs(gr_path, arcs=True)
+    if not (found := np.isin(keys, cat_keys)).all():
+        u, v = divmod(int(keys[np.argmin(found)]), 2**31)
+        raise MissingCategory(0, f"no road class for edge {u}-{v}", category_path)
+    code = cat_code[np.searchsorted(cat_keys, keys)].astype(np.int64)
+    on_highway = np.array([c in highway for c in names], dtype=np.int64)[code]
+    weight = np.array([weights.get(c, 2.0 if c in highway else 1.0) for c in names], float)[code]
 
     # restrict everything to the largest component of the union graph
+    vertices, ends = np.unique(pairs, return_inverse=True)
+    ends = ends.reshape(-1, 2)
     union = sparse.coo_array((np.ones(len(keys)), tuple(ends.T)), shape=(vertices.size,) * 2)
     kept = components(union)[0] if vertices.size else np.empty(0, dtype=np.int64)
-    final = np.full(vertices.size, -1)
-    final[kept] = np.arange(kept.size)
-    table = np.column_stack((final[ends], weight))
-    inside = (table[:, :2] >= 0).all(axis=1)
-    layers = [LayerGraph.from_edges(kept.size, table[inside & (on_highway == on)], directed=False)
-              for on in (False, True)]
+    inside = np.isin(ends[:, 0], kept)  # kept is sorted: searchsorted gives new ids
+    layers = _layer_graphs(kept.size, np.searchsorted(kept, ends[inside]), weight[inside],
+                           on_highway[inside], (False, False))
     return LayeredDataset(layer_names=["local", "highway"], layers=layers,
                           labels=[str(label) for label in vertices[kept]])
 
 
-def _read_categories(path):
-    categories = {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if not raw.isascii():
-                _check_utf8(raw, path, lineno)
-            line = raw.split("#", 1)[0].strip()
-            if not line or line.startswith("c"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 3:
-                raise ParseError(lineno, "expected: <u> <v> <class>", path)
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ParseError(lineno, "bad vertex id", path) from None
-            categories[(min(u, v), max(u, v))] = tokens[2]
-    return categories
+def _read_dimacs(path, arcs):
+    """One pass over an arc file (``p sp <n> <m>`` and ``a <u> <v> <length>``
+    lines) or, if not `arcs`, a category file (``<u> <v> <class>`` lines,
+    ``#`` comments too) into flat typed buffers, ids outside 1..2**31 - 1
+    stored as 0. Returns the sorted keys min * 2**31 + max of its edges,
+    each key's first (u, v) and value (a class code) and the class names."""
+    n, ends, value, where, names, fault = None, array("q"), array("d"), array("q"), {}, None
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                if not raw.isascii():
+                    _check_utf8(raw, path, lineno)
+                tokens = (raw if arcs else raw.split("#", 1)[0]).split()
+                if not tokens or tokens[0].startswith("c"):
+                    continue
+                if arcs and tokens[0] != "a":
+                    if tokens[0] != "p":
+                        raise ParseError(lineno, f"unknown line type {tokens[0]!r}", path)
+                    if n is not None:
+                        raise ParseError(lineno, "second 'p sp' header", path)
+                    if not re.fullmatch("p sp [0-9]+ [0-9]+", " ".join(tokens)):
+                        raise ParseError(lineno, "expected: p sp <n> <m>", path)
+                    if max(int(tokens[2]), int(tokens[3])) >= 2**31:
+                        raise ParseError(lineno, "p sp counts must be below 2**31", path)
+                    n = int(tokens[2])
+                    continue
+                if len(tokens) != 3 + arcs:
+                    raise ParseError(lineno, "expected: a <u> <v> <w>" if arcs
+                                     else "expected: <u> <v> <class>", path)
+                u, v, x = tokens[1:] if arcs else tokens
+                try:
+                    u, v = int(u), int(v)
+                    x = float(x) if arcs else names.setdefault(x, len(names))
+                except ValueError:
+                    raise ParseError(lineno, "bad arc line" if arcs else "bad vertex id",
+                                     path) from None
+                if not -np.inf < x < np.inf:
+                    raise ParseError(lineno, "arc length must be finite", path)
+                ends.extend((u if 0 < u < 2**31 else 0, v if 0 < v < 2**31 else 0))
+                value.append(x)
+                where.append(lineno)
+    except ParseError as exc:
+        fault = exc
+    pairs, values = np.frombuffer(ends, np.int64).reshape(-1, 2), np.frombuffer(value)
+    low, high, top = pairs.min(axis=1), pairs.max(axis=1), 2**31 - 1 if n is None else n
+    keys, first, inverse = np.unique(low * 2**31 + high, return_index=True, return_inverse=True)
+    outside = (low < 1) | (high > top)
+    if (bad := outside | (values != values[first[inverse]])).any():
+        k = int(np.argmax(bad))
+        u, v = pairs[k].tolist()
+        what = "duplicate arc" if arcs else "road class for edge"
+        raise ParseError(where[k], f"vertex id outside 1..{top}" if outside[k]
+                         else f"conflicting {what} {u}-{v}", path)
+    if fault is not None or (arcs and n is None):
+        raise fault or ParseError(0, "missing 'p sp' header", path)
+    return keys, pairs[first], values[first], list(names)
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,31 @@ def test_ingest_dimacs_faults(header, flags, code, error, message, tmp_path, cap
                                                    "message": message.format(gr=gr)}
 
 
+def test_ingest_dimacs_id_past_int64(tmp_path, capsys):
+    gr, cats = tmp_path / "roads.gr", tmp_path / "roads.cat"
+    gr.write_text(GR + "a 6 99999999999999999999 5\n")
+    cats.write_text(CATS)
+    assert main(["ingest-dimacs", "--gr", str(gr), "--categories", str(cats),
+                 "--out", str(tmp_path / "out.layers")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ParseError",
+                                    "message": f"{gr}:8: vertex id outside 1..6"}
+    assert not (tmp_path / "out.layers").exists()
+
+
+@pytest.mark.parametrize("weight", [0, -1])
+def test_ingest_class_weights_must_be_positive(weight, tmp_path, capsys):
+    gr, cats, weights = tmp_path / "roads.gr", tmp_path / "roads.cat", tmp_path / "w.json"
+    gr.write_text(GR)
+    cats.write_text(CATS)
+    weights.write_text(json.dumps({"A1": 3.0, "A4": weight}))
+    assert main(["ingest-dimacs", "--gr", str(gr), "--categories", str(cats),
+                 "--class-weights", str(weights), "--out", str(tmp_path / "out.layers")]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ParseError", "message": f"{weights}:0: weight of 'A4' must be positive"}
+
+
 # analyze's usage errors: exit 1 and the message, before any analysis runs
 ANALYZE_USAGE = {
     "neither input": ([], "analyze needs exactly one of --super or --layers"),

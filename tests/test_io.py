@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multinet import (
+    LayerGraph,
+    components,
     compose_ego,
     degree_table,
     read_dimacs_gr,
@@ -327,6 +329,34 @@ DIMACS_FAULTS = {
                                "expected: <u> <v> <class>"),
     "category vertex not an integer": ("cat", CATS.replace("2 3 A4", "2 x A4"), 2,
                                        "bad vertex id"),
+    "second header": ("gr", GR.replace("p sp 6 5\n", "p sp 6 5\np sp 6 5\n"), 3,
+                      "second 'p sp' header"),
+    "header count past 2**31 - 1": ("gr", GR.replace("p sp 6 5", "p sp 6 2147483648"), 2,
+                                    "p sp counts must be below 2**31"),
+    "arc vertex zero": ("gr", GR.replace("a 2 3 5", "a 2 0 5"), 4, "vertex id outside 1..6"),
+    "arc vertex negative": ("gr", GR.replace("a 2 3 5", "a -1 3 5"), 4,
+                            "vertex id outside 1..6"),
+    "arc vertex past n": ("gr", GR.replace("a 2 3 5", "a 2 99 5"), 4, "vertex id outside 1..6"),
+    "arc vertex past int64": ("gr", GR + "a 6 99999999999999999999 5\n", 8,
+                              "vertex id outside 1..6"),
+    "arc vertex past n, header after the arcs": (
+        "gr", "a 1 2 4\na 2 7 5\np sp 6 2\n", 2, "vertex id outside 1..6"),
+    "arc vertex past n before a malformed line": (
+        "gr", GR.replace("a 2 3 5", "a 2 99 5") + "e 1 2\n", 4, "vertex id outside 1..6"),
+    "arc length nan": ("gr", GR.replace("a 1 2 4", "a 1 2 nan") + "a 2 1 nan\n", 3,
+                       "arc length must be finite"),
+    "arc length infinite": ("gr", GR.replace("a 2 3 5", "a 2 3 -inf"), 4,
+                            "arc length must be finite"),
+    "conflicting arc before a malformed line": ("gr", GR + "a 3 2 9\ne 1 2\n", 8,
+                                                "conflicting duplicate arc 3-2"),
+    "category repeat with another class": ("cat", CATS + "3 2 A1\n", 6,
+                                           "conflicting road class for edge 3-2"),
+    "category repeat before a malformed line": ("cat", CATS + "3 2 A1\n1 2\n", 6,
+                                                "conflicting road class for edge 3-2"),
+    "category vertex zero": ("cat", CATS.replace("2 3 A4", "0 3 A4"), 2,
+                             "vertex id outside 1..2147483647"),
+    "category vertex past int64": ("cat", CATS + "1 99999999999999999999 A1\n", 6,
+                                   "vertex id outside 1..2147483647"),
 }
 
 
@@ -340,6 +370,66 @@ def test_dimacs_parse_errors_name_the_line(case, tmp_path):
     with pytest.raises(ParseError) as exc:
         read_dimacs_gr(paths["gr"], paths["cat"])
     assert (exc.value.path, exc.value.line, exc.value.reason) == (paths[which], line, reason)
+
+
+@pytest.mark.parametrize("weight", [0, -1, float("nan"), float("inf")])
+def test_dimacs_class_weights_must_be_positive_and_finite(weight, tmp_path):
+    gr, cats = tmp_path / "roads.gr", tmp_path / "roads.cat"
+    gr.write_text(GR)
+    cats.write_text(CATS)
+    with pytest.raises(ValueError, match="weight of road class 'A4' must be a positive"):
+        read_dimacs_gr(gr, cats, class_weights={"A1": 3.0, "A4": weight})
+
+
+def _random_road(rng):
+    """A random small road network as the generator's own arrays -- the
+    1-based ends (m, 2) and classes of m distinct undirected edges, some
+    self-loops, often several components -- and its .gr and category text
+    in shuffled line order: each edge as one to four arcs of one length,
+    either way round, the header anywhere, ``c`` comments, and category
+    lines in either orientation, some repeated, one for an edge the graph
+    lacks."""
+    n = int(rng.integers(2, 12))
+    pairs = np.sort(rng.integers(1, n + 1, (int(rng.integers(1, 16)), 2)), axis=1)
+    ends = np.unique(pairs, axis=0)
+    length = rng.integers(1, 50, len(ends))
+    road_class = rng.choice(["A1", "A2", "A3", "A4", "A5"], len(ends))
+    arcs = [(u, v, w) for (a, b), w in zip(ends.tolist(), length.tolist())
+            for u, v in [(a, b), (b, a), (a, b), (b, a)][rng.integers(0, 2):rng.integers(2, 5)]]
+    arcs = [f"p sp {n} {len(arcs)}"] + [f"a {u} {v} {w}" for u, v, w in arcs] + ["c a comment"] * 3
+    cats = [f"{u} {v} {c}" if rng.random() < 0.5 else f"{v} {u} {c}  # again"
+            for (u, v), c in zip(ends.tolist(), road_class) for _ in range(rng.integers(1, 3))]
+    cats += [f"{n + 1} {n + 2} A1", "c not an edge line"]
+    shuffled = [list(rng.permutation(lines)) for lines in (arcs, cats)]
+    return ends, road_class, *("".join(f"{line}\n" for line in text) for text in shuffled)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dimacs_equals_layers_from_the_generator(seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    ends, road_class, gr_text, cat_text = _random_road(rng)
+    highway = {c for c in ["A1", "A2", "A3", "A4"] if rng.random() < 0.5}
+    weights = {"A2": 0.25, "A5": 4.0} if seed % 2 else None
+    gr, cats = tmp_path / "roads.gr", tmp_path / "roads.cat"
+    gr.write_text(gr_text)
+    cats.write_text(cat_text)
+    ds = read_dimacs_gr(gr, cats, highway_classes=highway, class_weights=weights)
+
+    vertices = np.unique(ends)
+    local = np.searchsorted(vertices, ends)
+    union = LayerGraph.from_edges(len(vertices), [(u, v, 1.0) for u, v in local.tolist()],
+                                  directed=False)
+    kept = components(union.matrix)[0]
+    new_id = dict(zip(kept.tolist(), range(len(kept))))
+    assert ds.labels == [str(vertices[k]) for k in kept]
+    for graph, on_highway in zip(ds.layers, (False, True), strict=True):
+        edges = [(new_id[u], new_id[v], (weights or {}).get(c, 2.0 if c in highway else 1.0))
+                 for (u, v), c in zip(local.tolist(), road_class)
+                 if u in new_id and (c in highway) == on_highway]
+        want = LayerGraph.from_edges(len(kept), edges, directed=False)
+        for field in ("indptr", "indices", "data"):
+            got, expected = getattr(graph.matrix, field), getattr(want.matrix, field)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), field
 
 
 def _random_super(rng, n=5, l=3):
