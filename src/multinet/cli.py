@@ -203,7 +203,7 @@ def _cmd_verify(args):
             "worst_vertex": ego_report.worst_vertex,
         },
     }
-    _write_report(payload)
+    mio.write_json(payload)
     return 0 if layer_report.passed and ego_report.passed else 1
 
 
@@ -251,22 +251,8 @@ def _cmd_analyze(args):
         report["stationary"] = stationary(urw_transition(walk)).pi.tolist()
     if args.dot:
         mio.write_dot(graph, args.dot, side=side, labels=labels, layer_names=layer_names)
-    _write_report(report, args.out)
+    mio.write_json(report, args.out)
     return 0
-
-
-def _write_report(report, path=None):
-    """Write a JSON report to `path`, or to stdout when None: one top-level
-    key per line, each value compact JSON from json's C encoder (any indent
-    would switch it to the pure-Python one)."""
-    lines = ",\n".join(f"{json.dumps(key)}: {json.dumps(value)}"
-                        for key, value in report.items())
-    text = "{\n" + lines + "\n}\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _cmd_ingest(args):

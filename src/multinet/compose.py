@@ -172,29 +172,34 @@ def _ego_matrices(egos: EgoMarkov, n, l):
     return egos.m
 
 
-def _assemble(layers, vertex, src, dst, weight):
-    """The one composition kernel: the layers as diagonal blocks plus one
-    inter-layer edge (vertex, src) -> (vertex, dst) of the given weight per
-    entry of the flat coupling arrays, concatenated once in the index dtype."""
+def _assemble(layers, coupling):
+    """The one composition kernel, with no sort: the layers' CSCs side by side
+    as diagonal blocks (data concatenated, indices + k * n, indptr run on), a
+    temporary freed before the checks, plus `coupling`, the canonical
+    inter-layer CSC, which shares no position with them: the sum is exact."""
     n, l = _check_layers(layers)
-    coos = [lay.matrix.tocoo(copy=False) for lay in layers]
-    idx = _index_dtype(n * l, sum(coo.nnz for coo in coos) + len(weight))
-    full = _canonical(sparse.coo_array(  # the COO is freed before the checks run
-        (np.concatenate([coo.data for coo in coos] + [weight]),
-         (np.concatenate([coo.row.astype(idx) + k * n for k, coo in enumerate(coos)]
-                         + [src * n + vertex], dtype=idx),
-          np.concatenate([coo.col.astype(idx) + k * n for k, coo in enumerate(coos)]
-                         + [dst * n + vertex], dtype=idx))),
-        shape=(n * l, n * l)))
-    return SuperAdjacency(n=n, l=l, matrix=full)
+    mats = [lay.matrix for lay in layers]
+    idx = _index_dtype(n * l, sum(mat.nnz for mat in mats) + coupling.nnz)
+    counts = np.concatenate([np.diff(mat.indptr) for mat in mats])
+    return SuperAdjacency(n=n, l=l, matrix=coupling + sparse.csc_array(
+        (np.concatenate([mat.data for mat in mats]),
+         np.concatenate([mat.indices.astype(idx) + k * n for k, mat in enumerate(mats)]),
+         np.concatenate([[0], np.cumsum(counts)], dtype=idx)), shape=(n * l, n * l)))
 
 
 def _block_couplings(x):
-    """Flat coupling arrays of an (n, l, l) stack of ego blocks, where
-    ``x[u, j, i]`` weighs (u, i) -> (u, j); the diagonal is ignored."""
-    mask = (x != 0.0) & ~np.eye(x.shape[1], dtype=bool)
-    vertex, dst, src = np.nonzero(mask)
-    return vertex, src, dst, x[mask]
+    """The coupling CSC of an (n, l, l) stack of ego blocks, where
+    ``x[u, j, i]`` weighs (u, i) -> (u, j), the diagonal ignored. Read as
+    ``y[j, u, i]``, the stack lists the entries of column j * n + u with
+    ascending rows i * n + u: CSC order already, with no sort."""
+    n, l = x.shape[:2]
+    y = x.transpose(1, 0, 2)
+    keep = (y != 0.0) & ~np.eye(l, dtype=bool)[:, None, :]
+    idx = _index_dtype(n * l, keep.size)
+    rows = np.arange(l, dtype=idx) * n + np.arange(n, dtype=idx)[:, None]  # [u, i] = i * n + u
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=2))], dtype=idx)
+    return sparse.csc_array((y[keep], np.broadcast_to(rows, y.shape)[keep], indptr),
+                            shape=(n * l, n * l))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +285,7 @@ def compose_ego(layers, egos: EgoMarkov, require_undirected=False,
             if not force_symmetrize:
                 raise InfeasibleComposition(report)
             x = (x + x.transpose(0, 2, 1)) * 0.5
-    return _assemble(layers, *_block_couplings(x))
+    return _assemble(layers, _block_couplings(x))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +603,7 @@ def compose_stationary(layers, pis) -> SuperAdjacency:
     x, failures = _stationary_blocks(pis, degree_table(layers))
     if failures:
         raise StationaryCompositionError(failures)
-    return _assemble(layers, *_block_couplings(x))
+    return _assemble(layers, _block_couplings(x))
 
 
 # ---------------------------------------------------------------------------
@@ -638,4 +643,5 @@ def compose_distance(layers, dist, c, kernel="reciprocal",
     src, dst, w = np.r_[src, dst], np.r_[dst, src], np.r_[w, w]
     present = degree_table(layers) > 0.0  # (n, l)
     vertex, pair = np.nonzero(present[:, src] & present[:, dst])
-    return _assemble(layers, vertex, src[pair], dst[pair], w[pair])
+    coupling = (w[pair], (src[pair] * n + vertex, dst[pair] * n + vertex))
+    return _assemble(layers, _canonical(sparse.coo_array(coupling, shape=(n * l, n * l))))

@@ -14,31 +14,33 @@ its subclasses. A byte that is not UTF-8 is a fault on its own line.
 
 Vertex labels are shared across layers; ids follow first appearance. The
 layered and the DIMACS readers scan a file once into flat typed buffers, at
-most 40 bytes per edge, then find repeated edges (and DIMACS ids out of
-range) with array operations and raise at the earliest faulty line. A DIMACS
-``.gr`` file has one ``p sp <n> <m>`` header (counts below 2**31), arc ends
-in 1..n and finite lengths; an arc, or a category line, given again merges
-when its length, or class, is the same and is a fault otherwise. Companion
-JSON files hold ego matrices or stationary layer distributions keyed by
-vertex label, bias/delay values keyed by layer then vertex label, layer
-distances, or positive road-class weights; each value a finite JSON number,
-or a ParseError names the file and the key, as it does JSON that does not
-parse. Super-adjacencies serialize to Matrix-Market coordinate files (header
-comment records n, l, and the layer-major index convention) or to a JSON
-block layout, picked by the file name alone: a name ending in ``.json`` is
-JSON, any other name Matrix Market, for writing and reading. Both formats
-round-trip weights bit-identically; entry order and float spelling are not
-part of either format. Both readers reject indices out of range, non-numeric
-or non-finite weights and duplicate entries; the Matrix-Market reader also
-rejects a missing or foreign banner, an entry count other than declared and
-a line past the header comments with more than three tokens.
+most 40 bytes per edge, then find repeated edges (and DIMACS ids out of range)
+with array operations and raise at the earliest faulty line. A DIMACS ``.gr``
+file has one ``p sp <n> <m>`` header (counts below 2**31), arc ends in 1..n
+and finite lengths; an arc, or a category line, given again merges when its
+length, or class, is the same and is a fault otherwise. Companion JSON files
+hold ego matrices or stationary layer distributions keyed by vertex label,
+bias/delay values keyed by layer then vertex label, layer distances, or
+positive road-class weights; each value a finite JSON number, or a ParseError
+names the file and the key, as it does JSON that does not parse. The ego file
+is decoded one batch of matrices at a time. Super-adjacencies serialize to
+Matrix-Market coordinate files (a header comment records n, l and the
+layer-major indexing) or to a JSON block layout, picked by the file name
+alone: a name ending in ``.json`` is JSON, any other name Matrix Market, for
+writing and reading. Both formats round-trip weights bit-identically; entry
+order and float spelling are not part of either format. Both reject indices
+out of range, non-numeric or non-finite weights and duplicate entries; the
+Matrix-Market reader also rejects a missing or foreign banner, a wrong entry
+count and a line past the header comments with more than three tokens.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import re
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -184,8 +186,10 @@ def _edge_triples(matrix, directed):
 # companion JSON payloads
 
 
-def read_json(path):
-    """A UTF-8 JSON file's value; a repeated key, bad syntax or non-UTF-8 bytes are a ParseError."""
+def read_json(path, convert=None):
+    """A UTF-8 JSON file's value; a repeated key, bad syntax or non-UTF-8 bytes
+    are a ParseError. With `convert`, each value of a top-level object passes
+    through it as soon as it is scanned, before the next one is read."""
     def unique_keys(pairs):
         seen = set()
         for key, _ in pairs:
@@ -194,20 +198,32 @@ def read_json(path):
             seen.add(key)
         return dict(pairs)
 
+    def scan(text, end):
+        value, end = decoder.scan_once(text, end)
+        return convert(value), end
+
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         text = handle.read()
     if not text.isascii():
         _check_utf8(text, path)
+    space = json.decoder.WHITESPACE.match
+    decoder, start = json.JSONDecoder(object_pairs_hook=unique_keys), space(text).end()
     try:
-        return json.loads(text, object_pairs_hook=unique_keys)
+        if convert is None or not text.startswith("{", start):
+            return json.loads(text, object_pairs_hook=unique_keys)
+        # the stdlib's own object parser, then decode's "Extra data" rule
+        value, end = json.decoder.JSONObject((text, start + 1), True, scan, None, unique_keys)
+        if (end := space(text, end).end()) != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+        return value
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"{exc.msg} (column {exc.colno})", path) from None
     except RecursionError:
         raise ParseError(0, "JSON nested too deeply", path) from None
 
 
-def _read_object(path, keys="vertex label"):
-    payload = read_json(path)
+def _read_object(path, keys="vertex label", convert=None):
+    payload = read_json(path, convert)
     if not isinstance(payload, dict):
         raise ParseError(0, f"top level must be a JSON object keyed by {keys}", path)
     return payload
@@ -251,32 +267,65 @@ def _ids(labels, ds, path):
         raise ParseError(0, f"unknown vertex label {exc.args[0]!r}", path) from None
 
 
+_EGO_BATCH = 256  # matrices decoded together by read_ego_file
+
+
 def read_ego_file(path, ds: LayeredDataset) -> EgoMarkov:
     """Ego matrices keyed by vertex label, layer order as in the dataset, as
-    one (n, l, l) stack in vertex-id order. A label fault (unknown, then
-    missing) comes first; of several faulty matrices, the lowest vertex's."""
-    payload = _read_object(path)
-    l, order = len(ds.layer_names), _ids(payload, ds, path)
+    one (n, l, l) stack in vertex-id order, decoded _EGO_BATCH matrices at a
+    time: a batch of l x l finite numbers fills the next rows of the stack, in
+    file order, and its lists are emptied at once. A label fault (unknown,
+    then missing) comes first; of several faulty matrices, the lowest
+    vertex's."""
+    l, batch, done, stack, accepted = len(ds.layer_names), [], 0, None, np.zeros(ds.n, bool)
+
+    def take(matrix=None):
+        """Queue `matrix`; convert a full batch, or with None the last one."""
+        nonlocal done, stack
+        if stack is None:  # allocated once the file's bytes are freed
+            stack = np.empty((ds.n, l, l))
+        if matrix is not None:
+            batch.append(matrix)
+            if len(batch) < _EGO_BATCH:
+                return matrix
+        stop = done + len(batch)
+        if stop <= ds.n and (values := _numbers(batch, shape=(len(batch), l, l))) is not None:
+            stack[done:stop], accepted[done:stop] = values, True
+            for m_u in batch:
+                m_u.clear()
+        done = stop
+        batch.clear()
+        return matrix
+
+    payload = _read_object(path, convert=take)
+    take()
+    order = _ids(payload, ds, path)
     if len(payload) != ds.n:
         missing = set(ds.labels) - payload.keys()
         raise ParseError(0, f"missing ego matrices for {sorted(missing)}", path)
-    values = _numbers(list(payload.values()) or np.empty((0, l, l)), shape=(ds.n, l, l))
-    if values is None:
-        for u, label in enumerate(ds.labels):  # raises what its matrix alone would
-            m_u = _numbers(payload[label], path, f"ego matrix of {label!r}")
+    if not accepted.all():
+        matrices = list(payload.values())
+        for u, k in enumerate(np.argsort(order).tolist()):  # raises what its matrix alone would
+            where = f"ego matrix of {ds.labels[u]!r}"
+            m_u = stack[k] if accepted[k] else _numbers(matrices[k], path, where)
             _check_egos(m_u[None], first=u)
             if m_u.shape != (l, l):
                 k = len(m_u)
                 raise DimensionMismatch(f"ego of vertex {u} is {k}x{k}, expected {l}x{l}")
-    m = np.empty_like(values)
-    m[order] = values
-    return EgoMarkov(m)
+    return EgoMarkov(stack[np.argsort(order)])
 
 
 def write_ego_file(egos: EgoMarkov, ds: LayeredDataset, path):
-    payload = dict(zip(ds.labels, egos.m.tolist()))
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
+    write_json(dict(zip(ds.labels, egos.m.tolist())), path)
+
+
+def write_json(payload, path=None):
+    """Write a JSON object to `path`, or to stdout when None: one top-level
+    key per line, each value compact JSON from json's C encoder (any indent
+    would switch it to the pure-Python one)."""
+    lines = ",\n".join(f"{json.dumps(key)}: {json.dumps(value)}" for key, value in payload.items())
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as out:
+        out.write("{\n" + lines + "\n}\n")
 
 
 def read_pi_file(path, ds: LayeredDataset) -> np.ndarray:
@@ -294,9 +343,8 @@ def read_pi_file(path, ds: LayeredDataset) -> np.ndarray:
 
 def write_pi_file(pis, ds: LayeredDataset, path):
     pis = np.asarray(pis, dtype=np.float64)
-    payload = dict(itertools.compress(zip(ds.labels, pis.tolist()), ~np.isnan(pis).all(axis=1)))
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
+    write_json(dict(itertools.compress(zip(ds.labels, pis.tolist()), ~np.isnan(pis).all(axis=1))),
+               path)
 
 
 def read_dynamics(bias_path, delay_path, ds: LayeredDataset) -> dict:

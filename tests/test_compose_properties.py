@@ -10,6 +10,7 @@ stationary regime's oracle is the earlier per-vertex fit kept in
 ``FIT_TOL`` relative to the residual mass, and its l <= 2 blocks bit for bit.
 """
 
+import contextlib
 from types import SimpleNamespace
 from unittest import mock
 
@@ -30,6 +31,10 @@ from multinet import (
     verify_ego_consistency,
     verify_layer_consistency,
 )
+from multinet import compose as compose_module
+from multinet import graph as graph_module
+from multinet.compose import _assemble, _block_couplings, _stationary_blocks
+from multinet.graph import _canonical
 from multinet.errors import (
     Degenerate,
     DimensionMismatch,
@@ -510,3 +515,73 @@ def test_ego_stack_reports_like_per_vertex_check(n, l, seed, faults):
     else:
         assert want is None
         assert got.m.tobytes() == m.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the sort-free kernel against the COO build
+
+
+def coo_assemble(layers, vertex, src, dst, weight):
+    """The reference build: every layer entry and one coupling entry
+    (vertex, src) -> (vertex, dst) per weight in one COO, made canonical."""
+    n, l = layers[0].n, len(layers)
+    coos = [lay.matrix.tocoo() for lay in layers]
+    rows = [coo.row.astype(np.int64) + k * n for k, coo in enumerate(coos)] + [src * n + vertex]
+    cols = [coo.col.astype(np.int64) + k * n for k, coo in enumerate(coos)] + [dst * n + vertex]
+    data = [coo.data for coo in coos] + [weight]
+    return _canonical(sparse.coo_array(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n * l,) * 2))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Layers, some empty, with isolated vertices; one coupling's flat arrays,
+    and a call that builds the super-adjacency of the same inputs through the
+    library."""
+    n, l = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["ego", "stationary", "distance adjacent", "distance all"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    for _ in range(l):
+        density = rng.choice([0.0, 0.2, 0.6])
+        a = np.where(rng.random((n, n)) < density, rng.uniform(0.5, 2.0, (n, n)), 0.0)
+        directed = kind != "stationary" and rng.random() < 0.5
+        layers.append(LayerGraph.from_dense(a if directed else np.triu(a) + np.triu(a, 1).T,
+                                            directed=directed))
+    deg = degree_table(layers)
+    if kind.startswith("distance"):
+        src, dst = (np.arange(l - 1), np.arange(1, l)) if kind.endswith("adjacent") \
+            else np.triu_indices(l, 1)
+        dist = np.zeros((l, l))
+        dist[src, dst] = dist[dst, src] = rng.uniform(0.5, 2.0, len(src))
+        w = 1.0 / dist[src, dst]  # the reciprocal kernel at coupling 1
+        src, dst, w = np.r_[src, dst], np.r_[dst, src], np.r_[w, w]
+        vertex, pair = np.nonzero((deg[:, src] > 0.0) & (deg[:, dst] > 0.0))
+        arrays = vertex, src[pair], dst[pair], w[pair]
+        return layers, arrays, lambda: compose_distance(layers, dist, 1.0, adjacent_only=(
+            kind.endswith("adjacent")))
+    if kind == "ego":
+        x = np.where(rng.random((n, l, l)) < 0.4, 0.0, rng.uniform(0.1, 3.0, (n, l, l)))
+    else:  # the blocks of stationary distributions, some rows all NaN (uncoupled)
+        pis = rng.dirichlet(np.ones(l), n)
+        pis[rng.random(n) < 0.3] = np.nan
+        x, _ = _stationary_blocks(pis, deg)
+    vertex, dst, src = np.nonzero((x != 0.0) & ~np.eye(l, dtype=bool))
+    return layers, (vertex, src, dst, x[vertex, dst, src]), lambda: _assemble(
+        layers, _block_couplings(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs(), st.booleans())
+def test_sort_free_kernel_matches_the_coo_build(drawn, wide):
+    # the same canonical arrays and index dtype, int32 or (patched) int64
+    layers, arrays, build = drawn
+    with mock.patch.object(graph_module, "_index_dtype", lambda *extents: np.int64) if wide \
+            else contextlib.nullcontext(), \
+            mock.patch.object(compose_module, "_index_dtype", graph_module._index_dtype):
+        got, want = build().matrix, coo_assemble(layers, *arrays)
+    assert got.indices.dtype == got.indptr.dtype == want.indices.dtype == want.indptr.dtype
+    assert got.indices.dtype == (np.int64 if wide else np.int32)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()

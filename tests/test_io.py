@@ -1,13 +1,16 @@
 """File formats: layered edge lists, companion JSON, DIMACS, super matrices."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from multinet import (
     LayerGraph,
@@ -26,8 +29,11 @@ from multinet import (
     write_pi_file,
     write_super,
 )
-from multinet.io import read_distances
+from multinet import io as mio
+from multinet.compose import EgoMarkov, _check_egos
+from multinet.io import LayeredDataset, _check_utf8, _ids, _numbers, read_distances
 from multinet.errors import (
+    DimensionMismatch,
     DuplicateEdge,
     MissingCategory,
     ParseError,
@@ -530,3 +536,134 @@ def test_super_json_rejects_duplicate_block_key(tmp_path):
                     '[[0, 1, 2.0], [1, 0, 2.0]]], "off_diagonal_blocks": '
                     '{"0,1": [[0, 0.25]], "0,1": [[1, 0.75]]}}')
     assert_rejects_duplicate_key(read_super, path, "0,1")
+
+
+# ---------------------------------------------------------------------------
+# the batched ego decode against the earlier whole-file route
+
+
+def oracle_read_ego_file(path, ds):
+    """The earlier reader: json.loads of the whole file into nested lists,
+    one _numbers call over every matrix, then the per-label fault loop."""
+    def unique_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(0, f"duplicate JSON object key {key!r}", path)
+            seen.add(key)
+        return dict(pairs)
+
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    if not text.isascii():
+        _check_utf8(text, path)
+    try:
+        payload = json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, f"{exc.msg} (column {exc.colno})", path) from None
+    if not isinstance(payload, dict):
+        raise ParseError(0, "top level must be a JSON object keyed by vertex label", path)
+    l, order = len(ds.layer_names), _ids(payload, ds, path)
+    if len(payload) != ds.n:
+        missing = set(ds.labels) - payload.keys()
+        raise ParseError(0, f"missing ego matrices for {sorted(missing)}", path)
+    values = _numbers(list(payload.values()) or np.empty((0, l, l)), shape=(ds.n, l, l))
+    if values is None:
+        for u, label in enumerate(ds.labels):
+            m_u = _numbers(payload[label], path, f"ego matrix of {label!r}")
+            _check_egos(m_u[None], first=u)
+            if m_u.shape != (l, l):
+                k = len(m_u)
+                raise DimensionMismatch(f"ego of vertex {u} is {k}x{k}, expected {l}x{l}")
+    m = np.empty_like(values)
+    m[order] = values
+    return EgoMarkov(m)
+
+
+def outcome(read, path, ds):
+    """The stack's bytes, or the fault's type, message and line."""
+    try:
+        return read(path, ds).m.tobytes()
+    except Exception as exc:  # noqa: BLE001 -- any fault must match the oracle's
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def ego_dataset(n, l):
+    """n vertices v0, v1, ... and l edgeless layers: all an ego file is read against."""
+    edgeless = LayerGraph(n, sparse.csc_array((n, n)), directed=False)
+    return LayeredDataset([f"layer{k}" for k in range(l)], [edgeless] * l,
+                          [f"v{u}" for u in range(n)])
+
+
+# whole tokens that replace a number of the file, and bytes spliced in anywhere
+TOKENS = ["NaN", "Infinity", "1e999", "-1e999", "true", "null", "{}", "[]", '"0.5"', "1" * 400,
+          "0", "-0.0", "0.75", "2", "[0.5]"]
+SPLICES = [b"nan", b"1e999", b"true", b"{}", b"\0", b",", b"\xff", b"]", b"\n"]
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+@st.composite
+def ego_files(draw):
+    """A small ego file's bytes: matrices in a random order, perhaps a label
+    repeated, unknown or missing, then numbers replaced and bytes mutated."""
+    n, l = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    m = random_egos(np.random.default_rng(draw(st.integers(0, 2**16))), n, l).m
+    entries = [(f"v{u}", json.dumps(m[u].tolist())) for u in draw(st.permutations(range(n)))]
+    k = draw(st.integers(0, n - 1))
+    label = draw(st.sampled_from(["", "", "", "repeated", "unknown", "missing", "renamed"]))
+    if label in ("repeated", "unknown"):
+        entries.append(entries[k] if label == "repeated" else (f"w{k}", entries[k][1]))
+    elif label:
+        entries[k:k + 1] = [] if label == "missing" else [(f"w{k}", entries[k][1])]
+    data = ("{" + ",\n ".join(f'"{key}": {value}' for key, value in entries) + "}\n").encode()
+    for _ in range(draw(st.integers(0, 3))):
+        spans = list(NUMBER.finditer(data))
+        span = spans[draw(st.integers(0, len(spans) - 1))] if spans else None
+        if span:
+            data = data[:span.start()] + draw(st.sampled_from(TOKENS)).encode() + data[span.end():]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        kind = draw(st.sampled_from(["splice", "truncate", "flip", "trailing comma"]))
+        at = draw(st.integers(0, len(data)))
+        if kind == "splice":
+            data = data[:at] + draw(st.sampled_from(SPLICES)) + data[at:]
+        elif kind == "truncate":
+            data = data[:at]
+        elif kind == "flip" and at < len(data):
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        elif kind == "trailing comma" and (close := data.rfind(b"}")) >= 0:
+            data = data[:close] + b"," + data[close:]
+    return n, l, data
+
+
+@settings(max_examples=400, deadline=None)
+@given(ego_files(), st.sampled_from([1, 2, 3, 256]))
+def test_ego_decode_matches_the_whole_file_route(case, batch):
+    # the same stack, or the same fault with the same line and column
+    n, l, data = case
+    ds = ego_dataset(n, l)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(mio, "_EGO_BATCH", batch):
+        path = Path(tmp) / "egos.json"
+        path.write_bytes(data)
+        assert outcome(read_ego_file, path, ds) == outcome(oracle_read_ego_file, path, ds)
+
+
+def test_ego_fault_after_a_full_batch_of_good_matrices(tmp_path):
+    # v1..v256 fill the first batch, which is accepted and emptied; the
+    # second holds the faulty v257 and then v0, the lowest id, whose matrix is good
+    ds = ego_dataset(300, 2)
+    m = random_egos(np.random.default_rng(3), ds.n, 2).m.tolist()
+    path = tmp_path / "egos.json"
+
+    def read_with(fault, at=257):
+        m[at][1][0] = fault
+        path.write_text("{" + ", ".join(f'"v{u}": {json.dumps(m[u])}'
+                                        for u in [*range(1, 258), 0, *range(258, 300)]) + "}")
+        got = outcome(read_ego_file, path, ds)
+        assert got == outcome(oracle_read_ego_file, path, ds)
+        return got
+
+    assert read_with(float("nan")) == (
+        ParseError, f"{path}:0: ego matrix of 'v257' must be finite JSON numbers", 0)
+    assert read_with(0.0) == (ValueError, "ego matrix columns must sum to 1", None)
+    # a lower vertex of the accepted batch whose columns do not sum to 1 comes first
+    m[257][1][0] = float("nan")
+    assert read_with(0.0, at=5) == (ValueError, "ego matrix columns must sum to 1", None)
