@@ -16,22 +16,23 @@ Vertex labels are shared across layers; ids follow first appearance. The
 layered and the DIMACS readers scan a file once into flat typed buffers, at
 most 40 bytes per edge, then find repeated edges (and DIMACS ids out of range)
 with array operations and raise at the earliest faulty line. A DIMACS ``.gr``
-file has one ``p sp <n> <m>`` header (counts below 2**31), arc ends in 1..n
-and finite lengths; an arc, or a category line, given again merges when its
-length, or class, is the same and is a fault otherwise. Companion JSON files
-hold ego matrices or stationary layer distributions keyed by vertex label,
-bias/delay values keyed by layer then vertex label, layer distances, or
-positive road-class weights; each value a finite JSON number, or a ParseError
-names the file and the key, as it does JSON that does not parse. The ego file
-is decoded one batch of matrices at a time. Super-adjacencies serialize to
-Matrix-Market coordinate files (a header comment records n, l and the
-layer-major indexing) or to a JSON block layout, picked by the file name
-alone: a name ending in ``.json`` is JSON, any other name Matrix Market, for
-writing and reading. Both formats round-trip weights bit-identically; entry
-order and float spelling are not part of either format. Both reject indices
-out of range, non-numeric or non-finite weights and duplicate entries; the
-Matrix-Market reader also rejects a missing or foreign banner, a wrong entry
-count and a line past the header comments with more than three tokens.
+file has one ``p sp <n> <m>`` header (counts below 2**31), m arc lines, arc
+ends in 1..n and finite lengths; an arc, or a category line, given again
+merges when its length, or class, is the same and is a fault otherwise.
+Companion JSON files hold ego matrices or stationary layer distributions
+keyed by vertex label, bias/delay values keyed by layer then vertex label,
+layer distances, or positive road-class weights; each value a finite JSON
+number, or a ParseError names the file and the key, as it does JSON that
+does not parse. Each ego matrix becomes a float64 array as soon as it is
+decoded. Super-adjacencies serialize to Matrix-Market coordinate files (a
+header comment records n, l and the layer-major indexing) or to a JSON
+block layout, picked by the file name alone: a name ending in ``.json`` is
+JSON, any other name Matrix Market, for writing and reading. Both formats
+round-trip weights bit-identically; entry order and float spelling are not
+part of either format. Both reject indices out of range, non-numeric or
+non-finite weights and duplicate entries; the Matrix-Market reader also
+rejects a missing or foreign banner, a wrong entry count and a line past the
+header comments with more than three tokens.
 """
 
 from __future__ import annotations
@@ -267,52 +268,32 @@ def _ids(labels, ds, path):
         raise ParseError(0, f"unknown vertex label {exc.args[0]!r}", path) from None
 
 
-_EGO_BATCH = 256  # matrices decoded together by read_ego_file
-
-
 def read_ego_file(path, ds: LayeredDataset) -> EgoMarkov:
     """Ego matrices keyed by vertex label, layer order as in the dataset, as
-    one (n, l, l) stack in vertex-id order, decoded _EGO_BATCH matrices at a
-    time: a batch of l x l finite numbers fills the next rows of the stack, in
-    file order, and its lists are emptied at once. A label fault (unknown,
-    then missing) comes first; of several faulty matrices, the lowest
-    vertex's."""
-    l, batch, done, stack, accepted = len(ds.layer_names), [], 0, None, np.zeros(ds.n, bool)
+    one (n, l, l) stack in vertex-id order. Each matrix of l x l finite
+    numbers becomes a float64 array as soon as it is decoded, so the file is
+    never held as nested lists. A label fault (unknown, then missing) comes
+    first; of several faulty matrices, the lowest vertex's."""
+    l = len(ds.layer_names)
 
-    def take(matrix=None):
-        """Queue `matrix`; convert a full batch, or with None the last one."""
-        nonlocal done, stack
-        if stack is None:  # allocated once the file's bytes are freed
-            stack = np.empty((ds.n, l, l))
-        if matrix is not None:
-            batch.append(matrix)
-            if len(batch) < _EGO_BATCH:
-                return matrix
-        stop = done + len(batch)
-        if stop <= ds.n and (values := _numbers(batch, shape=(len(batch), l, l))) is not None:
-            stack[done:stop], accepted[done:stop] = values, True
-            for m_u in batch:
-                m_u.clear()
-        done = stop
-        batch.clear()
-        return matrix
+    def convert(matrix):
+        values = _numbers(matrix, shape=(l, l))
+        return matrix if values is None else values
 
-    payload = _read_object(path, convert=take)
-    take()
-    order = _ids(payload, ds, path)
+    payload = _read_object(path, convert=convert)
+    _ids(payload, ds, path)
     if len(payload) != ds.n:
         missing = set(ds.labels) - payload.keys()
         raise ParseError(0, f"missing ego matrices for {sorted(missing)}", path)
-    if not accepted.all():
-        matrices = list(payload.values())
-        for u, k in enumerate(np.argsort(order).tolist()):  # raises what its matrix alone would
-            where = f"ego matrix of {ds.labels[u]!r}"
-            m_u = stack[k] if accepted[k] else _numbers(matrices[k], path, where)
+    if not all(isinstance(m_u, np.ndarray) for m_u in payload.values()):
+        for u, label in enumerate(ds.labels):  # raises what its matrix alone would
+            m_u = _numbers(payload[label], path, f"ego matrix of {label!r}")
             _check_egos(m_u[None], first=u)
             if m_u.shape != (l, l):
                 k = len(m_u)
                 raise DimensionMismatch(f"ego of vertex {u} is {k}x{k}, expected {l}x{l}")
-    return EgoMarkov(stack[np.argsort(order)])
+    return EgoMarkov(np.stack([payload[label] for label in ds.labels]) if ds.n
+                     else np.empty((0, l, l)))
 
 
 def write_ego_file(egos: EgoMarkov, ds: LayeredDataset, path):
@@ -335,9 +316,8 @@ def read_pi_file(path, ds: LayeredDataset) -> np.ndarray:
     a listed vertex needs l finite JSON numbers.
     """
     payload = _read_object(path)
-    pis = np.full((ds.n, len(ds.layer_names)), np.nan)
-    pis[_ids(payload, ds, path)] = _values(
-        payload, path, lambda label: f"pi of {label!r}", pis.shape[1:])
+    pis, ids = np.full((ds.n, len(ds.layer_names)), np.nan), _ids(payload, ds, path)
+    pis[ids] = _values(payload, path, lambda label: f"pi of {label!r}", pis.shape[1:])
     return pis
 
 
@@ -362,8 +342,8 @@ def read_dynamics(bias_path, delay_path, ds: LayeredDataset) -> dict:
             if not isinstance(entry, dict):
                 raise ParseError(0, f"layer {name!r} must be a JSON object keyed by vertex label",
                                  path)
-            vectors[name] = np.ones(ds.n)
-            vectors[name][_ids(entry, ds, path)] = _values(
+            vectors[name], ids = np.ones(ds.n), _ids(entry, ds, path)
+            vectors[name][ids] = _values(
                 entry, path, lambda label: f"value of {label!r} in layer {name!r}")
         return vectors
 
@@ -432,9 +412,10 @@ def _read_dimacs(path, arcs):
     """One pass over an arc file (``p sp <n> <m>`` and ``a <u> <v> <length>``
     lines) or, if not `arcs`, a category file (``<u> <v> <class>`` lines,
     ``#`` comments too) into flat typed buffers, ids outside 1..2**31 - 1
-    stored as 0. Returns the sorted keys min * 2**31 + max of its edges,
-    each key's first (u, v) and value (a class code) and the class names."""
-    n, ends, value, where, names, fault = None, array("q"), array("d"), array("q"), {}, None
+    stored as 0; the header's m must count the arc lines. Returns the sorted
+    keys min * 2**31 + max of its edges, each key's first (u, v) and value (a
+    class code) and the class names."""
+    n, m, ends, value, where, names, fault = None, 0, array("q"), array("d"), array("q"), {}, None
     try:
         with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -452,7 +433,7 @@ def _read_dimacs(path, arcs):
                         raise ParseError(lineno, "expected: p sp <n> <m>", path)
                     if max(int(tokens[2]), int(tokens[3])) >= 2**31:
                         raise ParseError(lineno, "p sp counts must be below 2**31", path)
-                    n = int(tokens[2])
+                    n, m = int(tokens[2]), int(tokens[3])
                     continue
                 if len(tokens) != 3 + arcs:
                     raise ParseError(lineno, "expected: a <u> <v> <w>" if arcs
@@ -483,6 +464,8 @@ def _read_dimacs(path, arcs):
                          else f"conflicting {what} {u}-{v}", path)
     if fault is not None or (arcs and n is None):
         raise fault or ParseError(0, "missing 'p sp' header", path)
+    if arcs and m != len(where):
+        raise ParseError(0, f"header declares {m} arcs, the file has {len(where)}", path)
     return keys, pairs[first], values[first], list(names)
 
 

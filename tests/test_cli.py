@@ -706,6 +706,17 @@ COMPANION_FAULTS = {
                         "value of 'a' in layer 't1' must be a finite JSON number"),
     "delay value list": (["compose", "--mode", "distance", "--delay-file"], {"t2": {"b": [2]}},
                          "value of 'b' in layer 't2' must be a finite JSON number"),
+    # an unknown label is reported before a faulty value of a later key
+    "ego unknown label first": (["compose", "--mode", "ego", "--ego-file"],
+                                {"zz": I3, "a": [["bad"] * 3] * 3, "b": I3, "c": I3},
+                                "unknown vertex label 'zz'"),
+    "pi unknown label first": (["compose", "--mode", "stationary", "--pi-file"],
+                               {"zz": [0.5, 0.25, 0.25], "a": ["bad", 0.5, 0.5]},
+                               "unknown vertex label 'zz'"),
+    "bias unknown label first": (["transform", "--bias-file"], {"t1": {"zz": 2.0, "a": "bad"}},
+                                 "unknown vertex label 'zz'"),
+    "delay unknown label first": (["compose", "--mode", "distance", "--delay-file"],
+                                  {"t2": {"zz": 2.0, "b": [2]}}, "unknown vertex label 'zz'"),
 }
 
 

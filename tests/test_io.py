@@ -4,7 +4,6 @@ import json
 import re
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +28,6 @@ from multinet import (
     write_pi_file,
     write_super,
 )
-from multinet import io as mio
 from multinet.compose import EgoMarkov, _check_egos
 from multinet.io import LayeredDataset, _check_utf8, _ids, _numbers, read_distances
 from multinet.errors import (
@@ -363,6 +361,13 @@ DIMACS_FAULTS = {
                              "vertex id outside 1..2147483647"),
     "category vertex past int64": ("cat", CATS + "1 99999999999999999999 A1\n", 6,
                                    "vertex id outside 1..2147483647"),
+    "header declares too many arcs": ("gr", GR.replace("p sp 6 5", "p sp 6 99"), 0,
+                                      "header declares 99 arcs, the file has 5"),
+    "header declares too few arcs": ("gr", GR.replace("p sp 6 5", "p sp 6 4"), 0,
+                                     "header declares 4 arcs, the file has 5"),
+    "arc count wrong after a malformed arc": (
+        "gr", GR.replace("p sp 6 5", "p sp 6 99").replace("a 2 3 5", "a 2 3"), 4,
+        "expected: a <u> <v> <w>"),
 }
 
 
@@ -539,7 +544,7 @@ def test_super_json_rejects_duplicate_block_key(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the batched ego decode against the earlier whole-file route
+# the matrix-by-matrix ego decode against the earlier whole-file route
 
 
 def oracle_read_ego_file(path, ds):
@@ -635,20 +640,20 @@ def ego_files(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(ego_files(), st.sampled_from([1, 2, 3, 256]))
-def test_ego_decode_matches_the_whole_file_route(case, batch):
+@given(ego_files())
+def test_ego_decode_matches_the_whole_file_route(case):
     # the same stack, or the same fault with the same line and column
     n, l, data = case
     ds = ego_dataset(n, l)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(mio, "_EGO_BATCH", batch):
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "egos.json"
         path.write_bytes(data)
         assert outcome(read_ego_file, path, ds) == outcome(oracle_read_ego_file, path, ds)
 
 
 def test_ego_fault_after_a_full_batch_of_good_matrices(tmp_path):
-    # v1..v256 fill the first batch, which is accepted and emptied; the
-    # second holds the faulty v257 and then v0, the lowest id, whose matrix is good
+    # 256 good matrices v1..v256 come first in the file, then the faulty v257
+    # and then v0, the lowest id, whose matrix is good
     ds = ego_dataset(300, 2)
     m = random_egos(np.random.default_rng(3), ds.n, 2).m.tolist()
     path = tmp_path / "egos.json"
@@ -664,6 +669,15 @@ def test_ego_fault_after_a_full_batch_of_good_matrices(tmp_path):
     assert read_with(float("nan")) == (
         ParseError, f"{path}:0: ego matrix of 'v257' must be finite JSON numbers", 0)
     assert read_with(0.0) == (ValueError, "ego matrix columns must sum to 1", None)
-    # a lower vertex of the accepted batch whose columns do not sum to 1 comes first
+    # a lower vertex whose matrix was converted but whose columns do not sum
+    # to 1 comes first
     m[257][1][0] = float("nan")
     assert read_with(0.0, at=5) == (ValueError, "ego matrix columns must sum to 1", None)
+
+
+def test_ego_file_of_an_empty_dataset(tmp_path):
+    # no vertices and the file {}: an empty (0, l, l) stack, as the oracle gives
+    ds, path = ego_dataset(0, 3), tmp_path / "egos.json"
+    path.write_text("{}")
+    assert read_ego_file(path, ds).m.shape == (0, 3, 3)
+    assert outcome(read_ego_file, path, ds) == outcome(oracle_read_ego_file, path, ds)
