@@ -1,15 +1,14 @@
 """Command-line pipeline: transform, compose, verify, analyze, ingest-dimacs.
 
 Exit codes: 0 success, 1 validation or infeasibility, 2 a file fault (a
-ParseError, its subclasses included) or an OS error, 3 solver
-non-convergence. Failures also emit one structured JSON object on stderr.
+ParseError, its subclasses included), an OS error or exhausted memory, 3
+solver non-convergence. Failures also emit one structured JSON object on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -37,7 +36,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except NoConvergence as exc:
         error, code = exc, 3
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, MemoryError) as exc:
         error, code = exc, 2
     except (MultinetError, ValueError) as exc:
         error, code = exc, 1
@@ -223,9 +222,8 @@ def _cmd_analyze(args):
         graph = full = ds.layer(args.layer or ds.layer_names[0])
         if args.layer_load:
             raise ValueError("--layer-load needs a super-adjacency (--super)")
-    seed = int(os.environ.get("MULTINET_SEED") or args.seed)
 
-    report = {"seed": seed}
+    report = {"seed": args.seed}
     kept, walk = np.arange(full.n), full  # walk: the graph on the kept instances
     if args.largest_component:
         comps = components(full.matrix)
@@ -235,7 +233,7 @@ def _cmd_analyze(args):
             report["restricted_to_component"] = kept.tolist()
     side = None
     if args.bisect or args.dot:
-        bisection = bisect(walk, seed=seed)
+        bisection = bisect(walk, seed=args.seed)
         side = np.zeros(full.n, dtype=bool)
         side[kept[bisection.side]] = True
         report["bisection"] = {

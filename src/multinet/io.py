@@ -31,8 +31,10 @@ JSON, any other name Matrix Market, for writing and reading. Both formats
 round-trip weights bit-identically; entry order and float spelling are not
 part of either format. Both reject indices out of range, non-numeric or
 non-finite weights and duplicate entries; the Matrix-Market reader also
-rejects a missing or foreign banner, a wrong entry count and a line past the
-header comments with more than three tokens.
+rejects a missing or foreign banner, a NUL byte, a line past the header
+comments with more than three tokens, and a size line whose size is not
+n*l or whose entry count the file's tokens do not match, both checked
+before scipy's reader, given the file's name, allocates for the entries.
 """
 
 from __future__ import annotations
@@ -512,21 +514,28 @@ def _read_super_mm(path):
         n, l = (int(match[1]) for match in found)
         size_line = header.count(b"\n") + 2
         tokens = _scan(handle, path)  # scipy's reader crashes on a NUL byte
-        handle.seek(0)
+        # scipy gets the name, never this handle: one closed under its reader
+        # thread as an error unwinds aborts the interpreter
         try:
-            coo = sparse.coo_array(scipy.io.mmread(handle))
+            rows, cols, entries = scipy.io.mminfo(str(path))[:3]  # the header alone
+            if not rows == cols == n * l:
+                raise ParseError(size_line, f"matrix size {(rows, cols)} is not n*l = {n * l} "
+                                            "square", path)
+            # scipy's reader ignores tokens past the third on a line: banner 5, size line 3
+            body = tokens - 5 - len(_TOKEN.findall(header)) - 3
+            if body != 3 * entries:
+                handle.seek(0)
+                line = next((k for k, text in enumerate(handle, start=1)
+                             if k >= size_line and len(_TOKEN.findall(text)) > 3), None)
+                if line:
+                    raise ParseError(line, "more than 3 tokens on a line", path)
+                raise ParseError(size_line, f"size line declares {entries} entries; the "
+                                            f"lines after it hold {body} tokens", path)
+            coo = sparse.coo_array(scipy.io.mmread(str(path)))  # sized by checked entries
         except (ValueError, OverflowError) as exc:
             where = re.match(r"Line (\d+): (.*)", str(exc))
             line, reason = (int(where[1]), where[2]) if where else (0, str(exc))
             raise ParseError(line, reason, path) from None
-        # scipy's reader ignores tokens past the third on a line: banner 5, size line 3
-        if tokens != 5 + len(_TOKEN.findall(header)) + 3 + 3 * coo.nnz:
-            handle.seek(0)
-            line = next((k for k, text in enumerate(handle, start=1)
-                         if k >= size_line and len(_TOKEN.findall(text)) > 3), 0)
-            raise ParseError(line, "more than 3 tokens on a line", path)
-    if coo.shape != (n * l, n * l):
-        raise ParseError(size_line, f"matrix size {coo.shape} is not n*l = {n * l} square", path)
     return _super_from_entries(path, n, l, coo.row, coo.col, coo.data)
 
 
@@ -567,10 +576,8 @@ def _write_super_json(s, path):
             diagonal[i] = list(zip(u[k].tolist(), v[k].tolist(), w))
         else:
             off[f"{i},{j}"] = list(zip(u[k].tolist(), w))
-    payload = {"n": s.n, "l": s.l, "diagonal_blocks": diagonal,
-               "off_diagonal_blocks": off}
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload))
+    write_json({"n": s.n, "l": s.l, "diagonal_blocks": diagonal,
+                "off_diagonal_blocks": off}, path)
 
 
 def _count(value, path, key):

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -71,18 +70,9 @@ class LayerLoad:
             raise ValueError("layer loads must be non-negative and sum to 1")
 
 
-class _Weights(NamedTuple):
-    """Symmetric CSR weight matrix for spectral work, with its row sums."""
-
-    matrix: sparse.csr_array
-    degrees: np.ndarray
-
-
-def _spectral_weights(g) -> _Weights:
-    """Symmetric weights of a graph, symmetrizing if needed; weights built
-    here before pass through, so bisect builds and warns once."""
-    if isinstance(g, _Weights):
-        return g
+def _spectral_weights(g):
+    """Symmetric CSR weights of a LayerGraph or SuperAdjacency and their row
+    sums; a directed graph is symmetrized as (W + W^T)/2, with a warning."""
     if not isinstance(g, (SuperAdjacency, LayerGraph)):
         raise TypeError("expected a LayerGraph or SuperAdjacency")
     mat = g.matrix
@@ -90,7 +80,7 @@ def _spectral_weights(g) -> _Weights:
         warnings.warn("directed graph symmetrized as (W + W^T)/2 for spectral analysis")
         mat = (mat + mat.T) * 0.5
     w = sparse.csr_array(mat)
-    return _Weights(w, np.asarray(w.sum(axis=1)).ravel())
+    return w, np.asarray(w.sum(axis=1)).ravel()
 
 
 def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
@@ -189,13 +179,14 @@ def bisect(g, tol: float = 1e-8, max_iter: int = 100_000,
            seed: int = 42) -> Bisection:
     """Sweep cut along the Fiedler ordering (ascending values, index ties),
     with the eigenvalue and residual of the Fiedler vector."""
-    weights = _spectral_weights(g)
-    x = fiedler_vector(weights, tol=tol, max_iter=max_iter, seed=seed)
+    w, d = _spectral_weights(g)
+    sym = LayerGraph(len(d), w, directed=False)  # symmetric now: no second warning
+    x = fiedler_vector(sym, tol=tol, max_iter=max_iter, seed=seed)
     order = np.argsort(x, kind="stable")
-    inv_sqrt = 1.0 / np.sqrt(weights.degrees)
-    nx = inv_sqrt * (weights.matrix @ (inv_sqrt * x))  # N x, one more product
+    inv_sqrt = 1.0 / np.sqrt(d)
+    nx = inv_sqrt * (w @ (inv_sqrt * x))  # N x, one more product
     rayleigh = float(x @ nx)
-    return replace(sweep_cut(weights, order), eigenvalue=1.0 - rayleigh,
+    return replace(sweep_cut(sym, order), eigenvalue=1.0 - rayleigh,
                    residual=float(np.linalg.norm(nx - rayleigh * x)))
 
 

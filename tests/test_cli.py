@@ -336,6 +336,21 @@ def test_analyze_stationary_and_dot(tmp_path, temporal_path, capsys):
     assert 'color=' in dot.read_text()
 
 
+def test_analyze_super_dot_names_instances_and_colors_both_sides(tmp_path, temporal_path,
+                                                                  capsys):
+    # with --super there are no labels: instance u of layer k is "u@k"
+    out, dot = tmp_path / "super.mm", tmp_path / "out.dot"
+    assert main(["compose", "--layers", str(temporal_path), "--mode", "distance",
+                 "--coupling", "0.5", "--out", str(out)]) == 0
+    assert main(["analyze", "--super", str(out), "--bisect", "--dot", str(dot)]) == 0
+    side = set(json.loads(capsys.readouterr().out)["bisection"]["side"])
+    nodes = [line for line in dot.read_text().splitlines() if line.endswith("];")
+             and "--" not in line]
+    assert nodes == [f'  "{u}@{k}" [color="{"firebrick" if 3 * k + u in side else "steelblue"}"];'
+                     for k in range(3) for u in range(3)]
+    assert 0 < len(side) < 9
+
+
 def test_analyze_passes_max_iter_to_both_solvers(temporal_path, capsys, monkeypatch):
     received = {}
 
@@ -487,12 +502,11 @@ def test_exit_code_infeasible_stationary(tmp_path, temporal_path, capsys):
     assert code == 1
 
 
-def test_seed_env_override(tmp_path, temporal_path, capsys, monkeypatch):
-    monkeypatch.setenv("MULTINET_SEED", "123")
+def test_seed_flag_reaches_the_report(tmp_path, temporal_path, capsys):
     out = tmp_path / "super.mm"
     main(["compose", "--layers", str(temporal_path), "--mode", "distance",
           "--coupling", "0.5", "--out", str(out)])
-    assert main(["analyze", "--super", str(out), "--layer-load"]) == 0
+    assert main(["analyze", "--super", str(out), "--layer-load", "--seed", "123"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["seed"] == 123
 

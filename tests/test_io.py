@@ -527,6 +527,25 @@ def test_pi_file_rejects_duplicate_key(toy_path, tmp_path):
     assert_rejects_duplicate_key(lambda p: read_pi_file(p, ds), path, "alice")
 
 
+@pytest.mark.parametrize("trailing", ["x", "\n\n  {}", " ,", "}", '\n"alice"'])
+def test_extra_data_is_one_fault_on_both_json_routes(toy_path, tmp_path, trailing):
+    # the ego file streams its matrices, the pi file goes through json.loads;
+    # the same bytes after the object are the same "Extra data" fault
+    ds = read_layers(toy_path)
+    eye = json.dumps(np.eye(3).tolist())
+    faults = []
+    for name, read, row in [("egos.json", read_ego_file, eye),
+                            ("pis.json", read_pi_file, "[0.5, 0.25, 0.25]")]:
+        path = tmp_path / name  # values padded to one width: the trailing bytes share a column
+        entries = ",".join(f'"{label}": {row:>{len(eye)}}' for label in ds.labels)
+        path.write_text("{" + entries + "}" + trailing)
+        with pytest.raises(ParseError) as exc:
+            read(path, ds)
+        faults.append((exc.value.line, exc.value.reason))
+    assert faults[0] == faults[1]
+    assert faults[0][1].startswith("Extra data (column ")
+
+
 def test_read_dynamics_rejects_duplicate_key(toy_path, tmp_path):
     ds = read_layers(toy_path)
     path = tmp_path / "bias.json"

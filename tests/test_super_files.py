@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -326,6 +327,11 @@ HOSTILE_MM = {
     "oversized index": (dict(entries=[ENTRIES[0], "99999999999999999999999 1 1.5",
                                       *ENTRIES[2:]]),
                         "5: Integer out of range."),
+    # mmread sized its arrays by the declared count: the failed allocation closed
+    # the file under scipy's reader thread, which aborted the interpreter
+    "declared entries beyond memory": (dict(count=999_999_999_999),
+                                       "3: size line declares 999999999999 entries; "
+                                       "the lines after it hold 18 tokens"),
 }
 
 
@@ -341,6 +347,33 @@ def test_cli_analyze_hostile_super_exits_2(case, tmp_path):
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert json.loads(done.stderr) == {"error": "ParseError", "message": f"{path}:{where}"}
+
+
+# a few bytes that declare 2**31 - 1 instances: the allocation fails under the
+# address-space limit, and the CLI reports it as a file fault
+HUGE_SUPER = {
+    "huge.json": '{"n": 2147483647, "l": 1, "diagonal_blocks": [[[0, 1, 1.0], [1, 0, 1.0]]]}',
+    "huge.mtx": mm_text(comment="% multinet super-adjacency n=2147483647 l=1",
+                        size="2147483647 2147483647", entries=["1 2 1.0", "2 1 1.0"]),
+}
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_SUPER))
+def test_cli_unallocatable_size_exits_2(name, tmp_path):
+    path = tmp_path / name
+    path.write_text(HUGE_SUPER[name])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-m", "multinet.cli", "analyze", "--super",
+                           str(path), "--stationary"], env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=_limit_address_space)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert json.loads(done.stderr)["error"] == "MemoryError"
 
 
 # ---------------------------------------------------------------------------
