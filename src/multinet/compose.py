@@ -12,9 +12,9 @@ Four regimes build the coupling:
                  realized uniquely as edge weights (the walk on the result
                  projects back to each layer and to each ego matrix);
 * stationary  -- only the stationary layer distribution of each vertex is
-                 known; the undirected minimum-volume solution is built,
-                 in closed form for two layers and as a rank-one row-sum
-                 fit for more, all vertices at once;
+                 known; the undirected minimum-volume solution is built
+                 from each vertex's row-sum residuals (closed form for two
+                 layers), realized by one symmetric fit, all vertices at once;
 * distance    -- pairwise layer distances set one global coupling scale
                  (the temporal-stack case).
 """
@@ -44,8 +44,8 @@ from .graph import (
     STRUCTURAL_TOL,
     LayerGraph,
     _canonical,
-    _degree_scaling,
     _index_dtype,
+    _walk,
 )
 
 
@@ -292,12 +292,6 @@ def compose_ego(layers, egos: EgoMarkov, require_undirected=False,
 # consistency verification
 
 
-def _guarded_walk(block):
-    """Column-stochastic walk of an adjacency, zero columns where degree is 0."""
-    _, inverse = _degree_scaling(block, strict=False)
-    return block.multiply(inverse[:, None]).T
-
-
 @dataclass(frozen=True)
 class LayerConsistencyReport:
     """Deviation between each layer's walk and the joint walk's projection."""
@@ -363,7 +357,8 @@ def verify_layer_consistency(s: SuperAdjacency, layers,
     for i, lay in enumerate(layers):
         # vertices absent from a layer have no walk on either side; their
         # columns stay zero and compare clean, keeping this a pure diagnostic
-        diff = sparse.coo_array(_guarded_walk(s.block(i, i)) - _guarded_walk(lay.matrix))
+        diff = sparse.coo_array(_walk(s.block(i, i), strict=False)
+                                - _walk(lay.matrix, strict=False))
         if diff.nnz:
             k = int(np.argmax(np.abs(diff.data)))
             devs[i], spots[i] = abs(diff.data[k]), (int(diff.row[k]), int(diff.col[k]))
@@ -422,13 +417,11 @@ def ego_block_from_stationary(u, pi_u, degrees) -> np.ndarray:
     """Symmetric ego block whose walk has the given layer distribution.
 
     Row sums of the block must be proportional to pi_u (the stationary
-    distribution of a walk on a symmetric matrix is degree-proportional).
-    l = 2 is fully determined and solved in closed form with its feasibility
-    interval; l >= 3 is underdetermined and resolved by the minimum-volume
-    solution: the smallest total row-sum scale admitting a symmetric
-    non-negative realization, realized as the rank-one fit x_ij = u_i u_j,
-    or as a star where that scale sits on the realizability boundary.
-    An all-NaN pi_u leaves the layers uncoupled, as in compose_stationary.
+    distribution of a walk on a symmetric matrix is degree-proportional). The
+    minimum-volume solution takes the smallest row-sum scale admitting a
+    symmetric non-negative realization: the rank-one fit x_ij = u_i u_j, or a
+    star on the realizability boundary, which every l = 2 block is (its closed
+    form has a feasibility interval). An all-NaN pi_u leaves the layers uncoupled.
     """
     pi = np.asarray(pi_u, dtype=np.float64)
     deg = np.asarray(degrees, dtype=np.float64)
@@ -443,8 +436,8 @@ def ego_block_from_stationary(u, pi_u, degrees) -> np.ndarray:
 def _stationary_blocks(pis, deg, first=0):
     """ego_block_from_stationary broadcast over (n, l) distributions and their
     degrees, numbering vertices from `first`. Returns the (n, l, l) blocks
-    and the (vertex, exception) failures in vertex order. An all-NaN row
-    leaves its vertex uncoupled; any other invalid row raises ValueError."""
+    and the (vertex, first failed check) failures in vertex order. An all-NaN
+    row leaves its vertex uncoupled; any other invalid row raises ValueError."""
     n, l = pis.shape
     idx = np.arange(l)
     x = np.zeros((n, l, l))
@@ -456,30 +449,18 @@ def _stationary_blocks(pis, deg, first=0):
     checks = [((d <= 0.0).any(axis=1), lambda k, u: ZeroDegree(u, int(np.argmin(d[k]))))]
     # a row that fails one check computes garbage in the later ones, unread
     with np.errstate(divide="ignore", invalid="ignore"):
-        if l == 2:
-            coupling, more = _stationary_couplings_l2(pi, d)
-        elif l >= 3:
-            r, more = _min_volume_residuals(pi, d)
-        else:
-            more = []
-    # each row reports the first check it fails
-    ok = np.ones(len(rows), dtype=bool)
-    failures = []
-    for mask, make in checks + more:
-        for k in np.flatnonzero(mask & ok):
-            u = first + int(rows[k])
-            failures.append((u, make(k, u)))
-        ok &= ~mask
-    if l == 2:
-        x[rows[ok], 0, 1] = x[rows[ok], 1, 0] = coupling[ok]
-    elif l >= 3:
-        x[rows[ok]] += _symmetric_rowsum_fit(r[ok])
-    return x, sorted(failures, key=lambda failure: failure[0])
+        r, more = (_stationary_residuals_l2 if l == 2 else _min_volume_residuals)(pi, d)
+    checks += more
+    masks = np.array([mask for mask, _ in checks])  # (checks, rows)
+    failed = masks.any(axis=0)
+    x[rows[~failed]] += _symmetric_rowsum_fit(r[~failed])
+    return x, [(u, checks[masks[:, k].argmax()][1](k, u))  # each row's first failed check
+               for k, u in zip(np.flatnonzero(failed), (first + rows[failed]).tolist())]
 
 
-def _stationary_couplings_l2(pi, deg):
-    """The closed-form coupling of each two-layer row, and the checks on it
-    in order, as (row mask, make(row, vertex) -> exception) pairs."""
+def _stationary_residuals_l2(pi, deg):
+    """Each two-layer row's closed-form coupling x as its equal residuals
+    (x, x), and the checks on them, paired as in _min_volume_residuals."""
     d1, d2, p1 = deg[:, 0], deg[:, 1], pi[:, 0]
     endpoint = d1 / (d1 + d2)
     lo, hi = np.minimum(0.5, endpoint), np.maximum(0.5, endpoint)
@@ -489,7 +470,7 @@ def _stationary_couplings_l2(pi, deg):
     snap = np.abs(numerator) <= 8.0 * np.finfo(np.float64).eps * (d1 + d2)
     x = np.where(snap, 0.0, numerator / (1.0 - 2.0 * p1))
     half = p1 == 0.5
-    return x, [
+    return np.column_stack([x, x]), [
         (half & (d1 == d2), lambda k, u: Underdetermined(
             f"vertex {u}: pi = 1/2 with equal degrees leaves the coupling "
             "free; supply it explicitly")),
@@ -511,8 +492,11 @@ def _min_volume_residuals(pi, deg):
 
     Realizability of non-negative symmetric off-diagonals with row sums r
     needs 2 max(r) <= sum(r); per layer that is a linear bound on s, a lower
-    bound where pi_i < 1/2 and an upper bound where pi_i > 1/2.
+    bound where pi_i < 1/2 and an upper bound where pi_i > 1/2. One layer
+    has no off-diagonal entries: its residual is 0, at s = d.
     """
+    if pi.shape[1] == 1:  # read as exactly 1: a pi the check lets just above 1
+        pi = np.ones_like(pi)  # would part the bounds on s and fail the scale check
     total_d = deg.sum(axis=1, keepdims=True)
     bound = (total_d - 2.0 * deg) / (1.0 - 2.0 * pi)
     s_star = np.maximum((deg / pi).max(axis=1),
@@ -544,14 +528,17 @@ def _symmetric_rowsum_fit(r):
     with that row as row sums; 2 max(r) <= sum(r) holds up to rounding.
 
     On the boundary 2 max(r) = sum(r) the one realization is the star on the
-    largest residual h, x_hj = r_j. Inside it, the block is the rank-one fit
-    x_ij = u_i u_j. With c = sum_{j != h} u_j and S = c + r_h / c the whole
-    sum, u_h = r_h / c and every other u_i is the smaller root of
-    u_i (S - u_i) = r_i, 2 r_i / (S + sqrt(S^2 - 4 r_i)), exactly 0 where
-    r_i = 0. What remains is one equation per row, sum_{i != h} u_i = c,
-    whose left side exceeds c for small c (by the slack) and falls below it
-    from c = sqrt(2 sum r) on; bisection of all rows at once brackets the
-    root to rounding, and u_h is taken from the sum it reaches.
+    largest residual h, x_hj = r_j, copied with no arithmetic: two layers'
+    equal residuals (x, x) always sit there, giving x off the diagonal, and
+    one layer's zero residual gives the zero block. Inside it, the block is
+    the rank-one fit x_ij = u_i u_j. With c = sum_{j != h} u_j and
+    S = c + r_h / c the whole sum, u_h = r_h / c and every other u_i is the
+    smaller root of u_i (S - u_i) = r_i, 2 r_i / (S + sqrt(S^2 - 4 r_i)),
+    exactly 0 where r_i = 0. What remains is one equation per row,
+    sum_{i != h} u_i = c, whose left side exceeds c for small c (by the
+    slack) and falls below it from c = sqrt(2 sum r) on; bisection of all
+    rows at once brackets the root to rounding, and u_h is taken from the
+    sum it reaches.
     """
     k, l = r.shape
     rows, idx = np.arange(k), np.arange(l)

@@ -167,8 +167,14 @@ def urw_transition(g: LayerGraph) -> TransitionMatrix:
     Returns M with ``M[v, u] = a[u, v] / out_degree(u)``. Every vertex must
     have positive out-degree; otherwise the walk is undefined at it.
     """
-    _, inverse = _degree_scaling(g.matrix)
-    return TransitionMatrix(g.n, g.matrix.multiply(inverse[:, None]).T)
+    return TransitionMatrix(g.n, _walk(g.matrix))
+
+
+def _walk(matrix, strict=True):
+    """The one walk rule, column-stochastic: M[v, u] = a[u, v] / d_u; a zero
+    row raises DanglingVertex when strict, else stays a zero column."""
+    _, inverse = _degree_scaling(matrix, strict)
+    return matrix.multiply(inverse[:, None]).T
 
 
 def _degree_scaling(matrix, strict=True):

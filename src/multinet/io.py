@@ -27,7 +27,8 @@ does not parse. Each ego matrix becomes a float64 array as soon as it is
 decoded. Super-adjacencies serialize to Matrix-Market coordinate files (a
 header comment records n, l and the layer-major indexing) or to a JSON
 block layout, picked by the file name alone: a name ending in ``.json`` is
-JSON, any other name Matrix Market, for writing and reading. Both formats
+JSON, any other name Matrix Market, for writing and reading, and one ending
+in ``.gz`` or ``.bz2`` is refused. Both formats
 round-trip weights bit-identically; entry order and float spelling are not
 part of either format. Both reject indices out of range, non-numeric or
 non-finite weights and duplicate entries; the Matrix-Market reader also
@@ -178,11 +179,10 @@ def write_layers(ds: LayeredDataset, path):
 def _edge_triples(matrix, directed):
     """(u, v, weight) of each stored entry in row-major order, as Python
     numbers; an undirected matrix gives each edge once, with u <= v."""
-    coo = matrix.tocoo()
-    keep = slice(None) if directed else coo.row <= coo.col
-    row, col, weight = coo.row[keep], coo.col[keep], coo.data[keep]
-    order = np.lexsort((col, row))
-    return zip(row[order].tolist(), col[order].tolist(), weight[order].tolist())
+    csr = matrix.tocsr()  # of a canonical matrix: sorted columns in each row
+    row = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    keep = slice(None) if directed else row <= csr.indices
+    return zip(row[keep].tolist(), csr.indices[keep].tolist(), csr.data[keep].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +477,10 @@ def _read_dimacs(path, arcs):
 
 def _is_json(path):
     """The one format rule: a name ending in .json holds the JSON block
-    layout, any other name Matrix Market."""
+    layout, any other name Matrix Market, and one ending in .gz or .bz2 is a
+    ValueError: scipy's reader decompresses it, the writer writes plain text."""
+    if str(path).endswith((".gz", ".bz2")):
+        raise ValueError("a super-adjacency file name may not end in .gz or .bz2")
     return str(path).endswith(".json")
 
 
@@ -488,7 +491,11 @@ def write_super(s: SuperAdjacency, path):
 
 
 def read_super(path) -> SuperAdjacency:
-    return _read_super_json(path) if _is_json(path) else _read_super_mm(path)
+    try:
+        read = _read_super_json if _is_json(path) else _read_super_mm
+    except ValueError as exc:  # raised before scipy's reader sees the name
+        raise ParseError(0, str(exc), path) from None
+    return read(path)
 
 
 def _write_super_mm(s, path):

@@ -60,14 +60,13 @@ def bias_transform(g: LayerGraph, b) -> LayerGraph:
     if b.shape != (g.n,):
         raise DimensionMismatch(f"bias must have length {g.n}")
     _check_dynamics(bias=b)
-    coo = g.matrix.tocoo()
-    if g.directed:
-        data = coo.data * b[coo.row]
-    else:
+    mat = g.matrix.copy()  # scaled in place; an entry that underflows to 0 is dropped in place
+    scale = b[mat.indices]  # b[row] of each stored entry
+    if not g.directed:
         # b[row] * b[col] is computed identically for (u, v) and (v, u),
         # so exact symmetry survives the reweighing
-        data = coo.data * (b[coo.row] * b[coo.col])
-    mat = sparse.coo_array((data, (coo.row, coo.col)), shape=(g.n, g.n))
+        scale = scale * np.repeat(b, np.diff(mat.indptr))
+    mat.data *= scale
     return LayerGraph(g.n, mat, g.directed)
 
 

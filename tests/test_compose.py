@@ -476,6 +476,14 @@ def test_compose_stationary_nan_rows_uncoupled(rng):
     assert s.block(0, 1).nnz == 0
 
 
+@pytest.mark.parametrize("p", [1.0, 1.0 - 5e-13, 1.0 + 5e-13])
+def test_compose_stationary_single_layer_is_uncoupled_within_the_pi_tolerance(rng, p):
+    # one layer has nothing to couple: any pi the check accepts composes
+    layers = interactions(rng, 4, 1)
+    s = compose_stationary(layers, np.full((4, 1), p))
+    assert (s.matrix != layers[0].matrix).nnz == 0
+
+
 def test_compose_stationary_partly_nan_row_is_invalid(rng):
     # only an all-NaN row means "uncoupled"; a partly-NaN one is a bad pi
     layers = interactions(rng, 4, 2)

@@ -117,6 +117,38 @@ def test_empty_super_round_trips(tmp_path):
         assert_bit_identical(read_super(tmp_path / name), s)
 
 
+# scipy's reader decompresses a name ending in .gz or .bz2, so a file written
+# as plain text under such a name would never read back: both sides refuse it
+COMPRESSED = "a super-adjacency file name may not end in .gz or .bz2"
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2"])
+def test_compressed_names_are_refused(suffix, tmp_path):
+    s = SuperAdjacency(n=3, l=2, matrix=sparse.csc_array((6, 6)))
+    path = tmp_path / f"super.mtx{suffix}"
+    with pytest.raises(ValueError, match=r"may not end in \.gz or \.bz2"):
+        write_super(s, path)
+    assert not path.exists()
+    path.write_text(mm_text())
+    with pytest.raises(ParseError) as exc:
+        read_super(path)
+    assert (exc.value.line, exc.value.reason) == (0, COMPRESSED)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2"])
+def test_cli_compressed_names_exit_1_on_write_and_2_on_read(suffix, tmp_path, capsys):
+    layers, path = tmp_path / "layers.txt", tmp_path / f"super.mtx{suffix}"
+    layers.write_text("layer a undirected\nlayer b undirected\nedge a x y 1.0\nedge b x y 2.0\n")
+    assert main(["compose", "--layers", str(layers), "--mode", "distance", "--coupling", "1",
+                 "--out", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": COMPRESSED}
+    assert not path.exists()
+    path.write_text(mm_text())
+    assert main(["analyze", "--super", str(path), "--stationary"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "ParseError",
+                                                   "message": f"{path}:0: {COMPRESSED}"}
+
+
 # ---------------------------------------------------------------------------
 # malformed files
 

@@ -47,6 +47,15 @@ def test_bias_directed_one_sided():
     assert out[0, 1] == 2.0 and out[1, 0] == 1.0
 
 
+@pytest.mark.parametrize("directed", [True, False])
+def test_bias_underflow_drops_the_edge_and_leaves_the_input_intact(directed):
+    g = LayerGraph.from_edges(3, [(0, 1, 1e-300), (1, 2, 1.0)], directed=directed)
+    before = g.toarray()
+    out = bias_transform(g, [1e-300, 1.0, 1.0])
+    assert out.toarray()[0, 1] == 0.0 and out.toarray()[1, 2] == 1.0
+    assert np.array_equal(g.toarray(), before)
+
+
 def test_bias_rejects_nonpositive_entries():
     g = LayerGraph.from_edges(2, [(0, 1, 1.0)], directed=False)
     with pytest.raises(NegativeEntry):
