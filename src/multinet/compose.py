@@ -491,17 +491,28 @@ def _min_volume_residuals(pi, deg):
     order, as (row mask, make(row, vertex) -> exception) pairs.
 
     Realizability of non-negative symmetric off-diagonals with row sums r
-    needs 2 max(r) <= sum(r); per layer that is a linear bound on s, a lower
-    bound where pi_i < 1/2 and an upper bound where pi_i > 1/2. One layer
-    has no off-diagonal entries: its residual is 0, at s = d.
+    needs 2 max(r) <= sum(r), that is s (sum(pi) - 2 pi_i) >= sum(d) - 2 d_i;
+    per layer a lower bound on s where pi_i < 1/2 and an upper bound where
+    pi_i > 1/2. The bounds read sum(pi) as 1, which the pi-sum check holds
+    only to 1e-12. On the boundary 2 max(r) = sum(r), where the bounds meet,
+    that can part them, so a row whose bounds part is read as pi / sum(pi)
+    when the bounds of that meet; every other row is kept to the last bit.
+    One layer has no off-diagonal entries: its residual is 0, at s = d.
     """
-    if pi.shape[1] == 1:  # read as exactly 1: a pi the check lets just above 1
-        pi = np.ones_like(pi)  # would part the bounds on s and fail the scale check
     total_d = deg.sum(axis=1, keepdims=True)
-    bound = (total_d - 2.0 * deg) / (1.0 - 2.0 * pi)
-    s_star = np.maximum((deg / pi).max(axis=1),
-                        np.where(pi < 0.5, bound, -np.inf).max(axis=1))
-    s_cap = np.where(pi > 0.5, bound, np.inf).min(axis=1)
+
+    def scale_bounds(pi):  # (s_star, s_cap)
+        bound = (total_d - 2.0 * deg) / (1.0 - 2.0 * pi)
+        return (np.maximum((deg / pi).max(axis=1),
+                           np.where(pi < 0.5, bound, -np.inf).max(axis=1)),
+                np.where(pi > 0.5, bound, np.inf).min(axis=1))
+
+    s_star, s_cap = scale_bounds(pi)
+    unit = pi / pi.sum(axis=1, keepdims=True)
+    unit_star, unit_cap = scale_bounds(unit)
+    own = (s_star > s_cap * (1.0 + 1e-14)) & (unit_star <= unit_cap * (1.0 + 1e-14))
+    pi = np.where(own[:, None], unit, pi)
+    s_star[own], s_cap[own] = unit_star[own], unit_cap[own]
     half = (pi == 0.5) & (2.0 * deg < total_d)
     r = s_star[:, None] * pi - deg
     snap = 8.0 * np.finfo(np.float64).eps * np.maximum(s_star, deg.max(axis=1))

@@ -13,20 +13,26 @@ to the prefix at step max(rank u, rank v), so with inside_k the weight of
 the entries that become internal at step k, every prefix's volume and cut
 are the cumulative sums of d[order] and of d[order] - inside.
 
-The eigensolver is a deflated power iteration on the spectral shift
-2I - L = I + N, with N = D^{-1/2} W D^{-1/2}, run until the eigen-residual
-|L x - lambda x| drops below tolerance. It works in blocks: a block checks
-the residual of the unit vector x orthogonal to the null vector D^{1/2} 1,
-reuses that check's N x as its first step, takes up to _CHECK_EVERY = 16
-steps x <- x + N x in all, and only then projects out the null vector and
+The eigensolver accepts a unit x orthogonal to the null vector D^{1/2} 1
+once |N x - (x.N x) x| = |L x - lambda x| <= tol, N = D^{-1/2} W D^{-1/2}.
+Its two phases start from one seeded vector. First ARPACK's Lanczos method
+(eigsh; Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998) runs on N
+deflated against the null vector, within _LANCZOS_MATVECS = 300 products:
+a count, so that results do not depend on the machine. Two-community
+temporal stacks of 8,100 instances need about 100; a 50 x 50 two-layer
+road grid needs 561, past the point where factorising L costs less. Then,
+when the budget runs out or the check fails, and alone when max_iter <
+_LANCZOS_MATVECS so that any step cap holds exactly, a power iteration on
+2I - L = I + N runs in blocks: a block checks the residual of x, reuses
+that check's N x as its first step, takes up to _CHECK_EVERY = 16 steps
+x <- x + N x in all, and only then projects out the null vector and
 normalises. Deflating once per block is safe: per step the null direction
 (eigenvalue 2 of I + N) outgrows the Fiedler direction (eigenvalue
 2 - lambda_2 >= (n - 2)/(n - 1), at least 1/2 for n >= 3; for n = 2 the
 deflated start is already exact) by at most a factor 4, so the rounding a
 block leaves in it grows to at most 4^16 ~ 4e9 times eps, about 1e-6
 relative, and the next deflation removes it (at 32 steps the bound would
-be about 4e3). N is a sparse matrix at every size; no external eigenpackage
-is involved.
+be about 4e3). Lanczos deflates every product and needs no such bound.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .errors import Disconnected, EmptyGraph, EmptySide, NoConvergence
 from .graph import LayerGraph, _is_symmetric, components
 
 _CHECK_EVERY = 16  # power steps per residual check and deflation; see above
+_LANCZOS_MATVECS = 300  # products Lanczos may spend before the power loop; see above
 
 
 @dataclass(frozen=True)
@@ -90,9 +97,10 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
     Requires a connected graph without isolated vertices. The returned unit
     vector x is orthogonal to D^{1/2} 1 and satisfies |L x - lambda x|_2
     <= tol; its sign is fixed by making the largest-magnitude entry
-    positive. The residual is checked on the seeded start and after every
-    block of _CHECK_EVERY = 16 power steps on I + N, which deflates against
-    D^{1/2} 1 once at its end (the 4^16 bound in the module docstring);
+    positive. Lanczos runs first, within _LANCZOS_MATVECS products, when
+    max_iter allows that many. The power loop then checks the residual on
+    the seeded start and after every block of _CHECK_EVERY = 16 steps on
+    I + N, deflating at its end (the 4^16 bound in the module docstring);
     NoConvergence after exactly max_iter steps, the last block cut short.
     """
     w, d = _spectral_weights(g)
@@ -110,12 +118,53 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
     x = np.random.default_rng(seed).standard_normal(n)
     x -= (null @ x) * null
     x /= np.linalg.norm(x)
+    lanczos = _lanczos(normalized, null, x, tol, seed) if max_iter >= _LANCZOS_MATVECS else None
+    x = _power_loop(normalized, null, x, tol, max_iter) if lanczos is None else lanczos
+    if x[int(np.argmax(np.abs(x)))] < 0.0:
+        x = -x
+    return x
+
+
+def _lanczos(normalized, null, start, tol, seed):
+    """Phase one: eigsh's unit vector for the top of the deflated N, or None
+    when it needs over _LANCZOS_MATVECS products, fails or misses tol."""
+    from inspect import signature
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    products = 0
+
+    def deflated(v):
+        nonlocal products
+        if products == _LANCZOS_MATVECS:
+            raise NoConvergence(float("nan"), products)
+        products += 1
+        nv = normalized @ (v - (null @ v) * null)
+        return nv - (null @ nv) * null
+
+    # ARPACK draws a new vector when the start's Krylov space is exhausted
+    # (graphs with few distinct eigenvalues): from `rng` where eigsh takes
+    # one, else from the generator inside older scipy's Fortran ARPACK
+    seeded = {"rng": seed} if "rng" in signature(eigsh).parameters else {}
+    n = len(null)
+    try:
+        vecs = eigsh(LinearOperator((n, n), matvec=deflated, dtype=np.float64),
+                     k=1, which="LA", v0=start, tol=tol, **seeded)[1]
+    except (NoConvergence, ArpackError):
+        return None
+    x = vecs[:, 0] - (null @ vecs[:, 0]) * null
+    x /= np.linalg.norm(x)
+    nx = normalized @ x
+    return x if np.linalg.norm(nx - (x @ nx) * x) <= tol else None
+
+
+def _power_loop(normalized, null, x, tol, max_iter):
+    """Phase two: the blocked power loop from the unit start x, in place."""
     steps = 0
     while True:
         nx = normalized @ x
         residual = float(np.linalg.norm(nx - (x @ nx) * x))
         if residual <= tol:
-            break
+            return x
         if steps >= max_iter:
             raise NoConvergence(residual, max_iter)
         # power steps on 2I - L = I + N, the first from the check's N x;
@@ -130,9 +179,6 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
         if norm < 1e-300:
             raise NoConvergence(float("nan"), max_iter)
         x /= norm
-    if x[int(np.argmax(np.abs(x)))] < 0.0:
-        x = -x
-    return x
 
 
 def sweep_cut(g, order) -> Bisection:

@@ -484,6 +484,20 @@ def test_compose_stationary_single_layer_is_uncoupled_within_the_pi_tolerance(rn
     assert (s.matrix != layers[0].matrix).nnz == 0
 
 
+@pytest.mark.parametrize("pi, deg", [
+    ([0.6, 0.2, 0.2], [3.0, 1.0, 1.0]),  # the degree share: uncoupled
+    ([5.0 / 9.0, 2.0 / 9.0, 2.0 / 9.0], [3.0, 1.0, 1.0]),  # residuals (0, 0.2, 0.2)
+    ([0.3, 0.3, 0.4], [1.0, 2.0, 3.0]),  # residuals (0, 2, 2)
+])
+def test_stationary_block_is_the_same_whichever_way_pi_sums_round(pi, deg):
+    # every row is on the boundary 2 max(r) = sum(r), where the bounds on the
+    # scale meet; the pi-sum check accepts both roundings, which must not part
+    # them, and the blocks may differ by a small multiple of the 1e-12 between
+    low, high = (ego_block_from_stationary(0, np.array(pi) * p, deg)
+                 for p in (1.0 - 5e-13, 1.0 + 5e-13))
+    assert np.abs(high - low).max() <= 1e-11 * sum(deg)
+
+
 def test_compose_stationary_partly_nan_row_is_invalid(rng):
     # only an all-NaN row means "uncoupled"; a partly-NaN one is a bad pi
     layers = interactions(rng, 4, 2)

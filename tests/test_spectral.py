@@ -1,6 +1,9 @@
 """Fiedler sweep bisection, conductance, and layer load."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -18,21 +21,23 @@ from multinet import (
     conductance,
     fiedler_vector,
     layer_load,
+    spectral,
     sweep_cut,
+    write_super,
 )
 from multinet.errors import Disconnected, EmptyGraph, EmptySide, NoConvergence
 
 from conftest import identity_egos, random_connected_graph, random_graph
 
 
-def barbell(k=5):
-    """Two K_k cliques joined by one unit edge."""
+def barbell(k=5, bridge=1.0):
+    """Two K_k cliques joined by one edge of weight bridge."""
     edges = []
     for base in (0, k):
         for i in range(k):
             for j in range(i + 1, k):
                 edges.append((base + i, base + j, 1.0))
-    edges.append((k - 1, k, 1.0))
+    edges.append((k - 1, k, bridge))
     return LayerGraph.from_edges(2 * k, edges, directed=False)
 
 
@@ -286,6 +291,112 @@ def test_fiedler_stops_after_exactly_max_iter_steps(shape, max_iter):
         assert abs(caught.value.residual - exc.residual) <= 1e-6 * exc.residual
         return
     assert abs(fiedler_vector(g, max_iter=max_iter) @ x_loop) >= 1.0 - 1e-6
+
+
+# (graph, lambda_2 where it is known in closed form, whether lambda_2 is simple);
+# a unit path (grid(1, n)) on n vertices has lambda_k = 1 - cos(pi k / (n - 1)) (Chung,
+# Spectral Graph Theory), a cycle 1 - cos(2 pi k / n), twice each, and K_n n/(n-1)
+HARD_SPECTRA = {
+    **{f"cliques-{eps:.0e}": (barbell(8, eps), None, True)
+       for eps in 10.0 ** -np.arange(3, 13)},
+    "cycle-50": (LayerGraph.from_edges(50, [(i, (i + 1) % 50, 1.0) for i in range(50)],
+                                       directed=False), 1.0 - np.cos(2.0 * np.pi / 50), False),
+    "complete-8": (LayerGraph.from_edges(8, [(i, j, 1.0) for i in range(8) for j in range(i)],
+                                         directed=False), 8.0 / 7.0, False),
+    "star-9": (LayerGraph.from_edges(9, [(0, i, 1.0) for i in range(1, 9)], directed=False),
+               1.0, False),
+    "n-2": (grid(1, 2), 2.0, True),
+    "n-3": (grid(1, 3), 1.0, True),
+    **{f"path-{n}": (grid(1, n), 1.0 - np.cos(np.pi / (n - 1)), True) for n in (4, 10, 30, 100)},
+}
+
+
+@pytest.mark.parametrize("name", HARD_SPECTRA)
+def test_fiedler_on_hard_spectra(name):
+    g, exact, simple = HARD_SPECTRA[name]
+    tol = 1e-8
+    x = fiedler_vector(g, tol=tol)
+    vals, vecs = dense_fiedler_oracle(g)
+    lam2 = vals[1] if exact is None else exact
+    w = g.toarray()
+    d = w.sum(axis=1)
+    lsym = np.eye(len(d)) - w / np.sqrt(np.outer(d, d))
+    eigenvalue = x @ lsym @ x
+    assert abs(eigenvalue - lam2) <= 1e-12
+    assert np.linalg.norm(lsym @ x - eigenvalue * x) <= tol + 1e-13
+    assert abs(np.sqrt(d) @ x) / np.linalg.norm(np.sqrt(d)) <= tol
+    if simple:  # a repeated lambda_2 leaves the vector free within its eigenspace
+        assert x[int(np.argmax(np.abs(x)))] > 0.0
+        # eigh's vector is good to about eps over the gaps around lambda_2
+        if min(vals[1] - vals[0], vals[2:].min(initial=np.inf) - vals[1]) >= 1e-8:
+            assert abs(x @ vecs[:, 1]) >= 1.0 - 1e-6
+    result = bisect(g, tol=tol)
+    # Cheeger: lambda2 / 2 <= phi(G) <= phi(sweep cut) <= sqrt(2 lambda2); K_2 and
+    # K_n meet the lower bound, so both sides get a rounding margin
+    assert lam2 / 2.0 <= result.conductance * (1.0 + 1e-9) + 1e-15
+    assert result.conductance <= np.sqrt(2.0 * lam2) * (1.0 + 1e-9)
+    if name.startswith("cliques"):
+        # swapping the cliques maps the graph onto itself, and the vector to its negative
+        assert np.abs(x + x[::-1]).max() <= 1e-6
+        assert result.side.tolist() in ([True] * 8 + [False] * 8, [False] * 8 + [True] * 8)
+
+
+def test_fiedler_after_a_spent_lanczos_budget_is_the_power_loop(monkeypatch):
+    # a 200-vertex path needs more than _LANCZOS_MATVECS products, so the
+    # blocked power loop runs from the seeded start, as before the Lanczos phase
+    loops = []
+
+    def recording(*args):
+        loops.append(args[-1])
+        return power_loop(*args)
+
+    power_loop = spectral._power_loop
+    monkeypatch.setattr(spectral, "_power_loop", recording)
+    g = grid(1, 200)
+    x = fiedler_vector(g)
+    assert loops == [100_000]
+    assert x[int(np.argmax(np.abs(x)))] > 0.0
+    assert abs(x @ loop_fiedler_oracle(g)) >= 1.0 - 1e-6
+
+
+def two_community_stack(seed, n=400, l=20):
+    """A temporal stack of l snapshots of n vertices with two planted
+    communities, every layer coupled to the next: n * l instances."""
+    rng = np.random.default_rng(seed)
+    first = rng.permutation(n) < n // 2
+    p = np.where(first[:, np.newaxis] == first, 0.04, 0.004)
+    layers = []
+    for _ in range(l):
+        a = np.triu(np.where(rng.random((n, n)) < p, rng.uniform(0.5, 1.5, (n, n)), 0.0), 1)
+        layers.append(LayerGraph.from_dense(a + a.T, directed=False))
+    steps = np.arange(l)
+    return compose_distance(layers, np.abs(steps[:, np.newaxis] - steps).astype(float), 0.5,
+                            adjacent_only=True)
+
+
+def test_fiedler_is_deterministic_for_a_seed(monkeypatch):
+    monkeypatch.setattr(spectral, "_power_loop", lambda *args: pytest.fail("Lanczos missed"))
+    s = two_community_stack(3, n=100, l=10)
+    keep = max(components(s.matrix), key=len)
+    g = LayerGraph(len(keep), s.matrix[keep][:, keep], directed=False)
+    assert np.array_equal(fiedler_vector(g, seed=5), fiedler_vector(g, seed=5))
+
+
+def test_bisect_report_is_the_same_for_any_blas_thread_count(tmp_path):
+    # analyze --bisect in fresh interpreters with one and with two BLAS threads,
+    # which may split the solver's dot products and norms differently
+    write_super(two_community_stack(1), tmp_path / "stack.mtx")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"bisect-{threads}.json"
+        subprocess.run([sys.executable, "-m", "multinet.cli", "analyze", "--super",
+                        str(tmp_path / "stack.mtx"), "--bisect", "--largest-component",
+                        "--seed", "7", "--out", str(out)], check=True, timeout=120,
+                       env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src))
+        reports.append(out.read_bytes())
+    assert b'"bisection"' in reports[0]
+    assert reports[0] == reports[1]
 
 
 def test_bisect_reports_the_eigensolve():
