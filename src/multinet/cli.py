@@ -24,7 +24,14 @@ from .compose import (
     verify_layer_consistency,
 )
 from .errors import MultinetError, NoConvergence, ParseError
-from .graph import ITERATIVE_TOL, LayerGraph, components, stationary, urw_transition
+from .graph import (
+    ITERATIVE_TOL,
+    LayerGraph,
+    component_matrix,
+    components,
+    stationary,
+    urw_transition,
+)
 from .spectral import bisect, layer_load
 from .transform import degree_proportional_delay, transform_layer
 
@@ -224,17 +231,22 @@ def _cmd_analyze(args):
             raise ValueError("--layer-load needs a super-adjacency (--super)")
 
     report = {"seed": args.seed}
-    kept, walk = np.arange(full.n), full  # walk: the graph on the kept instances
+    n, kept, walk = full.n, np.arange(full.n), full  # walk: the graph on the kept instances
     if args.largest_component:
         comps = components(full.matrix)
         if len(comps) > 1:
             kept = comps[0]
-            walk = LayerGraph(len(kept), full.matrix[kept, :][:, kept], directed=full.directed)
+            walk = LayerGraph(len(kept), component_matrix(full.matrix, kept),
+                              directed=full.directed)
             report["restricted_to_component"] = kept.tolist()
+    # the whole matrix goes as soon as nothing left in the command reads it
+    full = None
+    if not (args.layer_load or args.dot):
+        graph = None
     side = None
     if args.bisect or args.dot:
         bisection = bisect(walk, seed=args.seed)
-        side = np.zeros(full.n, dtype=bool)
+        side = np.zeros(n, dtype=bool)
         side[kept[bisection.side]] = True
         report["bisection"] = {
             "side": np.flatnonzero(side).tolist(),
@@ -245,8 +257,11 @@ def _cmd_analyze(args):
         }
     if args.layer_load:
         report["layer_load"] = layer_load(graph).loads.tolist()
+    if not args.dot:
+        graph = None
     if args.stationary:
-        report["stationary"] = stationary(urw_transition(walk)).pi.tolist()
+        transition, walk = urw_transition(walk), None
+        report["stationary"] = stationary(transition).pi.tolist()
     if args.dot:
         mio.write_dot(graph, args.dot, side=side, labels=labels, layer_names=layer_names)
     mio.write_json(report, args.out)

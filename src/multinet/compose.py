@@ -44,6 +44,7 @@ from .graph import (
     STRUCTURAL_TOL,
     LayerGraph,
     _canonical,
+    _column_ranges,
     _index_dtype,
     _walk,
 )
@@ -104,7 +105,13 @@ def _check_egos(m, first=0):
 @dataclass(frozen=True)
 class SuperAdjacency:
     """The composed ln x ln block matrix, layer-major flat indexing, as
-    canonical CSC: int32 indices while n * l and the entry count fit, else int64."""
+    canonical CSC: int32 indices while n * l and the entry count fit, else int64.
+
+    Construction checks that every weight is finite and non-negative, and
+    that every entry outside the diagonal blocks joins two instances of one
+    vertex, a range of columns at a time: no index array is expanded to the
+    matrix's size.
+    """
 
     n: int
     l: int
@@ -113,19 +120,18 @@ class SuperAdjacency:
     def __post_init__(self):
         mat = _canonical(self.matrix, shape=(self.n * self.l, self.n * self.l))
         object.__setattr__(self, "matrix", mat)
-        coo = mat.tocoo(copy=False)  # shares the CSC arrays, expands only the columns
-        bad = np.flatnonzero(~np.isfinite(coo.data))
+        bad = np.flatnonzero(~np.isfinite(mat.data))
         if bad.size:
-            raise ValueError(f"non-finite weight at 0-based flat "
-                             f"({coo.row[bad[0]]}, {coo.col[bad[0]]})")
+            col = np.searchsorted(mat.indptr, bad[0], side="right") - 1
+            raise ValueError(f"non-finite weight at 0-based flat ({mat.indices[bad[0]]}, {col})")
         if mat.data.size and mat.data.min() < 0.0:
             raise ValueError("super-adjacency weights must be non-negative")
-        off = (coo.row // self.n) != (coo.col // self.n)
-        if not np.all(coo.row[off] % self.n == coo.col[off] % self.n):
-            raise ValueError(
-                "off-diagonal blocks must be diagonal: inter-layer edges may "
-                "only join instances of the same vertex"
-            )
+        for _, rows, cols in _inter_layer_entries(mat, self.n):
+            if not np.all(rows % self.n == cols % self.n):
+                raise ValueError(
+                    "off-diagonal blocks must be diagonal: inter-layer edges may "
+                    "only join instances of the same vertex"
+                )
 
     def block(self, i, j):
         """The n x n block coupling layer i to layer j (edges i -> j)."""
@@ -146,6 +152,18 @@ class SuperAdjacency:
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def _inter_layer_entries(mat, n):
+    """The entries of a layer-major CSC outside its diagonal blocks, its
+    inter-layer weights: positions, rows and columns, yielded for one range
+    of columns at a time (graph._column_ranges)."""
+    for lo, hi in _column_ranges(mat):
+        ptr = mat.indptr[lo:hi + 1]
+        rows = mat.indices[ptr[0]:ptr[-1]]
+        cols = np.repeat(np.arange(lo, hi, dtype=rows.dtype), np.diff(ptr))
+        k = np.flatnonzero(rows // n != cols // n)
+        yield ptr[0] + k, rows[k], cols[k]
 
 
 def degree_table(layers) -> np.ndarray:
@@ -381,17 +399,19 @@ def verify_ego_consistency(s: SuperAdjacency, egos: EgoMarkov,
     if dead.size:
         raise IsolatedInstance(*split_flat(int(dead[0]), n))
     # inter[u, i, j] = weight (u,i)->(u,j), read from the off-diagonal blocks
-    coo = s.matrix.tocoo(copy=False)
-    off = (coo.row // n) != (coo.col // n)
     inter = np.zeros((n, l, l))
-    inter[coo.row[off] % n, coo.row[off] // n, coo.col[off] // n] = coo.data[off]
+    for k, rows, cols in _inter_layer_entries(s.matrix, n):
+        inter[rows % n, rows // n, cols // n] = s.matrix.data[k]
     total_out = outdeg.reshape(l, n).T
+    stay = (total_out - inter.sum(axis=2)) / total_out
     # column i of the marginal = distribution from layer i; off the diagonal
     # M_slice (I - Q) reduces to the inter-layer weight over the total
-    marginal = (inter / total_out[:, :, np.newaxis]).transpose(0, 2, 1)
+    inter /= total_out[:, :, np.newaxis]
+    marginal = inter.transpose(0, 2, 1)  # a view: the deviations are made in place
     idx = np.arange(l)
-    marginal[:, idx, idx] = (total_out - inter.sum(axis=2)) / total_out
-    devs = np.abs(marginal - m).max(axis=(1, 2), initial=0.0)
+    marginal[:, idx, idx] = stay
+    marginal -= m
+    devs = np.abs(marginal, out=marginal).max(axis=(1, 2), initial=0.0)
     return EgoConsistencyReport(tol=tol, max_deviation_per_vertex=devs,
                                 worst_vertex=int(np.argmax(devs)) if n else 0)
 

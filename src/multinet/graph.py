@@ -25,6 +25,8 @@ from .errors import (
 # structural identities hold to this tolerance; iterative results default to 1e-10
 STRUCTURAL_TOL = 1e-12
 ITERATIVE_TOL = 1e-10
+# stored entries per pass where a temporary per entry would outgrow the matrix
+_CHUNK = 1 << 16
 
 
 def _index_dtype(*extents):
@@ -172,9 +174,14 @@ def urw_transition(g: LayerGraph) -> TransitionMatrix:
 
 def _walk(matrix, strict=True):
     """The one walk rule, column-stochastic: M[v, u] = a[u, v] / d_u; a zero
-    row raises DanglingVertex when strict, else stays a zero column."""
+    row raises DanglingVertex when strict, else stays a zero column. The CSC
+    arrays of a, read as CSR, are a^T: M is a^T with each stored weight
+    scaled, sharing a's index arrays."""
+    matrix = sparse.csc_array(matrix)
     _, inverse = _degree_scaling(matrix, strict)
-    return matrix.multiply(inverse[:, None]).T
+    scaled = inverse[matrix.indices]
+    scaled *= matrix.data
+    return sparse.csr_array((scaled, matrix.indices, matrix.indptr), shape=matrix.shape[::-1])
 
 
 def _degree_scaling(matrix, strict=True):
@@ -265,7 +272,8 @@ def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
     """
     mat, n = m.matrix, m.n
     # the pattern must be symmetric: first the counts, which cost no transpose
-    if not np.array_equal(np.bincount(mat.indices, minlength=n), np.diff(mat.indptr)):
+    counts = np.diff(mat.indptr)
+    if not np.array_equal(np.bincount(mat.indices, minlength=n), counts):
         raise NotDetailedBalanced("some transition has no reverse")
     rev = sparse.csc_array(mat.T)  # entry k: P(v -> u) where mat's entry k is P(u -> v)
     if not np.array_equal(rev.indices, mat.indices):
@@ -273,17 +281,18 @@ def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
     # imported after the pattern checks: csgraph brings in scipy.linalg, about
     # 0.15 s of start-up, which a chain without reverse transitions never needs
     from scipy.sparse.csgraph import breadth_first_order, connected_components
-    src = np.repeat(np.arange(n), np.diff(mat.indptr))  # u of entry k; v is indices[k]
     count, labels = connected_components(mat, directed=False)
     roots = np.unique(labels, return_index=True)[1]
+    idx = mat.indices.dtype  # an int64 indptr would make scipy widen the indices too
     forest = sparse.csr_array(  # row u lists the successors of u; row n the roots
-        (np.ones(mat.nnz + count), np.concatenate([mat.indices, roots]),
-         np.append(mat.indptr, mat.nnz + count)), shape=(n + 1, n + 1))
+        (np.ones(mat.nnz + count), np.concatenate([mat.indices, roots], dtype=idx),
+         np.append(mat.indptr, mat.nnz + count).astype(idx)), shape=(n + 1, n + 1))
     _, up = breadth_first_order(forest, n, directed=True, return_predecessors=True)
+    del forest  # a third full-size array, which nothing below reads
     up = np.append(up[:n], n).astype(np.int64)
     step = np.zeros(n + 1)  # log pi_v - log pi_up[v]
     child = np.flatnonzero(up[:n] < n)
-    k = np.searchsorted(src * n + mat.indices, up[child] * n + child)
+    k = _entry_positions(mat, child, up[child])  # P(up -> child) is entry k
     step[child] = np.log(mat.data[k]) - np.log(rev.data[k])
     while (up < n).any():  # pointer jumping: sum the steps up to the hub
         step, up = step + step[up], up[up]
@@ -291,10 +300,33 @@ def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
     np.maximum.at(top, labels, step[:n])
     weight = np.exp(step[:n] - top[labels])
     pi = weight * (np.bincount(labels) / n / np.bincount(labels, weight))[labels]
-    imbalance = pi[src] * mat.data - pi[mat.indices] * rev.data
-    if np.abs(imbalance).max(initial=0.0) > tol:
-        raise NotDetailedBalanced("chain is not detailed-balanced")
+    # flows pi_u P(u -> v) against pi_v P(v -> u), a range of columns at a time
+    for lo, hi in _column_ranges(mat):
+        span = slice(mat.indptr[lo], mat.indptr[hi])
+        out = np.repeat(pi[lo:hi], counts[lo:hi]) * mat.data[span]
+        out -= pi[mat.indices[span]] * rev.data[span]
+        if np.abs(out).max(initial=0.0) > tol:
+            raise NotDetailedBalanced("chain is not detailed-balanced")
     return pi
+
+
+def _column_ranges(mat):
+    """Consecutive column ranges (lo, hi) of a CSC of about _CHUNK stored
+    entries each, for passes whose temporaries grow with the entries."""
+    size = mat.shape[1]
+    width = max(1, size * _CHUNK // max(mat.nnz, 1))
+    return [(lo, min(lo + width, size)) for lo in range(0, size, width)]
+
+
+def _entry_positions(mat, rows, cols):
+    """Positions of the stored entries (rows[i], cols[i]) of a canonical CSC:
+    one bisection of each column's sorted rows, all columns at once."""
+    lo, hi = mat.indptr[cols].astype(np.int64), mat.indptr[cols + 1].astype(np.int64)
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        below = open_ & (mat.indices[np.where(open_, mid, 0)] < rows)
+        lo, hi = np.where(below, mid + 1, lo), np.where(open_ & ~below, mid, hi)
+    return lo
 
 
 def first_repeat(key):
@@ -311,9 +343,26 @@ def components(matrix) -> list[np.ndarray]:
     equal sizes in label order; each a slice of one label-sorted array."""
     # imported here: csgraph brings in scipy.linalg, about 0.15 s of start-up
     from scipy.sparse.csgraph import connected_components
-    count, labels = connected_components(sparse.csr_array(matrix), directed=True,
-                                         connection="weak")
+    # weak components are those of the undirected graph: csgraph reads a CSC's
+    # arrays as the CSR of A^T, which has the same ones, and copies only that
+    count, labels = connected_components(matrix, directed=True, connection="weak")
     sizes = np.bincount(labels, minlength=count)
     order, ends = np.argsort(labels, kind="stable"), np.cumsum(sizes)
     starts, ends = (ends - sizes).tolist(), ends.tolist()
     return [order[starts[k]:ends[k]] for k in np.argsort(-sizes, kind="stable").tolist()]
+
+
+def component_matrix(matrix, kept):
+    """The principal submatrix of a canonical CSC on `kept`, a sorted union of
+    its weak components (as `components` returns them), itself canonical. No
+    entry joins a kept and a dropped instance, so an entry stays exactly when
+    its row does, and only the kept entries are copied."""
+    n = matrix.shape[0]
+    inside = np.zeros(n, dtype=bool)
+    inside[kept] = True
+    keep = inside[matrix.indices]
+    new = np.cumsum(inside, dtype=matrix.indices.dtype) - 1  # old id -> new id
+    counts = np.diff(matrix.indptr)[kept]
+    indptr = np.concatenate([[0], np.cumsum(counts)], dtype=matrix.indptr.dtype)
+    return sparse.csc_array((matrix.data[keep], new[matrix.indices[keep]], indptr),
+                            shape=(len(kept), len(kept)))

@@ -36,6 +36,8 @@ rejects a missing or foreign banner, a NUL byte, a line past the header
 comments with more than three tokens, and a size line whose size is not
 n*l or whose entry count the file's tokens do not match, both checked
 before scipy's reader, given the file's name, allocates for the entries.
+Either reader's COO entries are freed as soon as their canonical CSC exists,
+so read_super's SuperAdjacency check and its caller see only that CSC.
 """
 
 from __future__ import annotations
@@ -495,7 +497,11 @@ def read_super(path) -> SuperAdjacency:
         read = _read_super_json if _is_json(path) else _read_super_mm
     except ValueError as exc:  # raised before scipy's reader sees the name
         raise ParseError(0, str(exc), path) from None
-    return read(path)
+    n, l, mat = read(path)  # the reader's COO is gone: the check sees the CSC alone
+    try:
+        return SuperAdjacency(n=n, l=l, matrix=mat)
+    except ValueError as exc:
+        raise ParseError(0, str(exc), path) from None
 
 
 def _write_super_mm(s, path):
@@ -543,7 +549,7 @@ def _read_super_mm(path):
             where = re.match(r"Line (\d+): (.*)", str(exc))
             line, reason = (int(where[1]), where[2]) if where else (0, str(exc))
             raise ParseError(line, reason, path) from None
-    return _super_from_entries(path, n, l, coo.row, coo.col, coo.data)
+    return n, l, _csc_of_entries(path, n * l, coo.row, coo.col, coo.data)
 
 
 _TOKEN = re.compile(rb"[^\0-\x20]+")  # bytes up to 32 (space) separate tokens
@@ -551,10 +557,11 @@ _TOKEN = re.compile(rb"[^\0-\x20]+")  # bytes up to 32 (space) separate tokens
 
 def _scan(handle, path):
     """The token count of a binary file (see _TOKEN), read from the start
-    into one 1 MB buffer; a NUL byte is a ParseError naming its line,
-    counted only after a find."""
+    into one 256 KiB buffer, which with its two flag arrays is all the scan
+    holds; a NUL byte is a ParseError naming its line, counted only after a
+    find."""
     handle.seek(0)
-    buf, offset, tokens, gap = bytearray(1 << 20), 0, 0, True
+    buf, offset, tokens, gap = bytearray(1 << 18), 0, 0, True
     while size := handle.readinto(buf):
         at = buf.find(b"\0", 0, size)
         if at >= 0:
@@ -615,20 +622,20 @@ def _read_super_json(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(0, f"malformed super-adjacency JSON: {exc}", path) from None
     flat = (offset.reshape(-1, 2) * n + index).astype(np.int64)
-    return _super_from_entries(path, n, l, flat[:, 0], flat[:, 1], table[:, 2])
+    return n, l, _csc_of_entries(path, n * l, flat[:, 0], flat[:, 1], table[:, 2])
 
 
-def _super_from_entries(path, n, l, rows, cols, vals):
-    """SuperAdjacency from flat COO arrays; rejects what summing would hide."""
+def _csc_of_entries(path, size, rows, cols, vals):
+    """The canonical CSC of flat COO arrays; rejects what summing would hide."""
     try:
-        coo = sparse.coo_array((vals, (rows, cols)), shape=(n * l, n * l))
+        coo = sparse.coo_array((vals, (rows, cols)), shape=(size, size))
         mat = _canonical(coo)  # only a summed repeat or a dropped zero loses entries
         repeat = None if mat.nnz == coo.nnz else first_repeat(
-            coo.row.astype(np.int64) * (n * l) + coo.col)
+            coo.row.astype(np.int64) * size + coo.col)
         if repeat is not None:
             raise ValueError(f"duplicate entry at 0-based flat "
                              f"({coo.row[repeat]}, {coo.col[repeat]})")
-        return SuperAdjacency(n=n, l=l, matrix=mat)
+        return mat
     except ValueError as exc:
         raise ParseError(0, str(exc), path) from None
 

@@ -8,10 +8,18 @@ form cut(S) / min(vol(S), vol(complement)) -- the one-sided cut(S)/vol(S)
 is emitted alongside, since a one-sided objective is trivially gamed by
 peeling off a single vertex.
 
+The weights W are those of an undirected LayerGraph, whose symmetric
+canonical CSC arrays read as CSR are W itself: no copy. Any other graph has
+its symmetry checked once, at the cost of one transposed copy, and a directed
+one is symmetrized as (W + W^T)/2 with a warning; bisect hands the undirected
+result to fiedler_vector and sweep_cut, which take it as it is. N =
+D^{-1/2} W D^{-1/2} is a scaled copy of W's weights on W's own index arrays.
+
 The sweep needs no loop over vertices: a stored entry w_uv becomes internal
-to the prefix at step max(rank u, rank v), so with inside_k the weight of
-the entries that become internal at step k, every prefix's volume and cut
-are the cumulative sums of d[order] and of d[order] - inside.
+to the prefix at step max(rank u, rank v), read in CSR order from the row
+pointer, so with inside_k the weight of the entries that become internal at
+step k, every prefix's volume and cut are the cumulative sums of d[order]
+and of d[order] - inside.
 
 The eigensolver accepts a unit x orthogonal to the null vector D^{1/2} 1
 once |N x - (x.N x) x| = |L x - lambda x| <= tol, N = D^{-1/2} W D^{-1/2}.
@@ -45,7 +53,7 @@ from scipy import sparse
 
 from .compose import SuperAdjacency
 from .errors import Disconnected, EmptyGraph, EmptySide, NoConvergence
-from .graph import LayerGraph, _is_symmetric, components
+from .graph import LayerGraph, components
 
 _CHECK_EVERY = 16  # power steps per residual check and deflation; see above
 _LANCZOS_MATVECS = 300  # products Lanczos may spend before the power loop; see above
@@ -77,16 +85,28 @@ class LayerLoad:
             raise ValueError("layer loads must be non-negative and sum to 1")
 
 
-def _spectral_weights(g):
-    """Symmetric CSR weights of a LayerGraph or SuperAdjacency and their row
-    sums; a directed graph is symmetrized as (W + W^T)/2, with a warning."""
+def _undirected(g):
+    """A LayerGraph or SuperAdjacency as an undirected LayerGraph: an
+    undirected LayerGraph itself, else its matrix, whose symmetry is checked
+    here, once, or (W + W^T)/2 with a warning when it is not symmetric."""
     if not isinstance(g, (SuperAdjacency, LayerGraph)):
         raise TypeError("expected a LayerGraph or SuperAdjacency")
+    if isinstance(g, LayerGraph) and not g.directed:
+        return g
     mat = g.matrix
-    if not _is_symmetric(mat):
+    try:  # its weights are positive and finite already: only asymmetry fails
+        return LayerGraph(mat.shape[0], mat, directed=False)
+    except ValueError:
         warnings.warn("directed graph symmetrized as (W + W^T)/2 for spectral analysis")
-        mat = (mat + mat.T) * 0.5
-    w = sparse.csr_array(mat)
+        return LayerGraph(mat.shape[0], (mat + mat.T) * 0.5, directed=False)
+
+
+def _spectral_weights(g):
+    """Symmetric CSR weights of a LayerGraph or SuperAdjacency (see
+    _undirected) and their row sums. A symmetric canonical CSC's arrays read
+    as CSR are the same matrix, so the CSR shares them: no copy."""
+    mat = _undirected(g).matrix
+    w = sparse.csr_array((mat.data, mat.indices, mat.indptr), shape=mat.shape)
     return w, np.asarray(w.sum(axis=1)).ravel()
 
 
@@ -110,8 +130,13 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
     comps = components(w)
     if len(comps) > 1:
         raise Disconnected(comps)
-    scale = sparse.diags_array(1.0 / np.sqrt(d))
-    normalized = sparse.csr_array(scale @ w @ scale)
+    # N = D^{-1/2} W D^{-1/2} as scale @ w @ scale rounds it, entry by entry
+    # (w_uv * s_u) * s_v with s = 1/sqrt(d), on w's own index arrays
+    scale = 1.0 / np.sqrt(d)
+    data = np.repeat(scale, np.diff(w.indptr))
+    data *= w.data
+    data *= scale[w.indices]
+    normalized = sparse.csr_array((data, w.indices, w.indptr), shape=w.shape)
     null = np.sqrt(d)
     null /= np.linalg.norm(null)
 
@@ -200,9 +225,10 @@ def sweep_cut(g, order) -> Bisection:
     order = order.astype(np.intp)
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    coo = w.tocoo()
-    inside = np.bincount(np.maximum(rank[coo.row], rank[coo.col]),
-                         weights=coo.data, minlength=n)
+    # the step at which each stored entry becomes internal, in CSR order
+    internal = rank[w.indices]
+    np.maximum(internal, np.repeat(rank, np.diff(w.indptr)), out=internal)
+    inside = np.bincount(internal, weights=w.data, minlength=n)
     step = d[order]
     vol = np.cumsum(step)  # summed in sweep order: a volume-free complement reads exactly 0
     # a prefix that is a union of components has cut 0, which the running
@@ -225,8 +251,8 @@ def bisect(g, tol: float = 1e-8, max_iter: int = 100_000,
            seed: int = 42) -> Bisection:
     """Sweep cut along the Fiedler ordering (ascending values, index ties),
     with the eigenvalue and residual of the Fiedler vector."""
-    w, d = _spectral_weights(g)
-    sym = LayerGraph(len(d), w, directed=False)  # symmetric now: no second warning
+    sym = _undirected(g)  # symmetry decided once: no second check or warning
+    w, d = _spectral_weights(sym)
     x = fiedler_vector(sym, tol=tol, max_iter=max_iter, seed=seed)
     order = np.argsort(x, kind="stable")
     inv_sqrt = 1.0 / np.sqrt(d)

@@ -36,6 +36,8 @@ from multinet.errors import (
     ZeroDiagonal,
 )
 
+from multinet.graph import _canonical
+
 from conftest import identity_egos, random_ego, random_egos, random_graph
 
 
@@ -307,6 +309,108 @@ def test_super_adjacency_rejects_cross_vertex_coupling(rng):
     mat[0, 3 + 1] = 1.0  # (vertex 0, layer 0) -> (vertex 1, layer 1)
     with pytest.raises(ValueError):
         SuperAdjacency(n=3, l=2, matrix=mat)
+
+
+def block_check_oracle(n, l, matrix):
+    """The check SuperAdjacency ran on an expanded COO before it read one
+    layer's columns at a time, kept as an oracle: its message, or None."""
+    mat = _canonical(matrix, shape=(n * l, n * l))
+    coo = mat.tocoo(copy=False)
+    bad = np.flatnonzero(~np.isfinite(coo.data))
+    if bad.size:
+        return f"non-finite weight at 0-based flat ({coo.row[bad[0]]}, {coo.col[bad[0]]})"
+    if mat.data.size and mat.data.min() < 0.0:
+        return "super-adjacency weights must be non-negative"
+    off = (coo.row // n) != (coo.col // n)
+    if not np.all(coo.row[off] % n == coo.col[off] % n):
+        return ("off-diagonal blocks must be diagonal: inter-layer edges may "
+                "only join instances of the same vertex")
+    return None
+
+
+def block_check_message(n, l, matrix):
+    try:
+        SuperAdjacency(n=n, l=l, matrix=matrix)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def coupled_stack(rng, n, l):
+    """A valid composition: random diagonal blocks plus same-vertex couplings."""
+    blocks = [[sparse.random_array((n, n), density=0.4, rng=rng) if i == j else
+               sparse.diags_array(rng.uniform(0.5, 1.5, n) * (rng.random(n) < 0.7))
+               for j in range(l)] for i in range(l)]
+    return sparse.block_array(blocks, format="lil")
+
+
+@pytest.mark.parametrize("l", [1, 2, 5])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_block_check_names_a_cross_vertex_entry_in_any_layer_as_the_oracle(rng, l, where):
+    n = 4
+    j = {"first": 0, "middle": l // 2, "last": l - 1}[where]
+    mat = coupled_stack(rng, n, l)
+    assert block_check_message(n, l, mat) is None and block_check_oracle(n, l, mat) is None
+    i = (j + 1) % l  # another layer, or the same one when l = 1
+    mat[i * n + 1, j * n + 2] = 0.75  # (vertex 1, layer i) -> (vertex 2, layer j)
+    expected = block_check_oracle(n, l, mat)
+    assert (expected is None) == (l == 1)  # one layer has no off-diagonal block
+    assert block_check_message(n, l, mat) == expected
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("l", [1, 3])
+def test_block_check_reports_the_first_bad_weight_as_the_oracle(rng, value, l):
+    n = 4
+    mat = coupled_stack(rng, n, l)
+    mat[n * l - 1, n * l - 2] = value
+    mat[1, n * l - 1] = value  # earlier in CSC order: the one named
+    if l > 1:
+        mat[0, n + 3] = 1.0  # a cross-vertex entry too, reported only after the weights
+    expected = block_check_oracle(n, l, mat)
+    assert expected is not None and block_check_message(n, l, mat) == expected
+
+
+def test_block_check_agrees_with_the_oracle_on_random_stacks(rng):
+    for _ in range(200):
+        n, l = (int(k) for k in rng.integers(1, 6, 2))
+        mat = coupled_stack(rng, n, l)
+        for _ in range(int(rng.integers(0, 3))):  # entries anywhere, a few of them bad
+            r, c = rng.integers(0, n * l, 2)
+            mat[r, c] = rng.choice([1.0, 2.5, np.nan, -1.0], p=[0.7, 0.2, 0.05, 0.05])
+        assert block_check_message(n, l, mat) == block_check_oracle(n, l, mat)
+
+
+def ego_deviation_oracle(s, egos):
+    """verify_ego_consistency's deviations as computed before it read one
+    column block at a time, from the expanded COO, kept as an oracle."""
+    n, l = s.n, s.l
+    outdeg = s.out_degrees()
+    coo = s.matrix.tocoo(copy=False)
+    off = (coo.row // n) != (coo.col // n)
+    inter = np.zeros((n, l, l))
+    inter[coo.row[off] % n, coo.row[off] // n, coo.col[off] // n] = coo.data[off]
+    total_out = outdeg.reshape(l, n).T
+    marginal = (inter / total_out[:, :, np.newaxis]).transpose(0, 2, 1)
+    idx = np.arange(l)
+    marginal[:, idx, idx] = (total_out - inter.sum(axis=2)) / total_out
+    return np.abs(marginal - egos.m).max(axis=(1, 2), initial=0.0)
+
+
+@pytest.mark.parametrize("l", [1, 2, 4])
+def test_verify_ego_deviations_are_bit_identical_to_the_oracle(rng, l):
+    n = 7
+    egos = random_egos(rng, n, l)
+    s = compose_ego(interactions(rng, n, l, directed=True), egos)
+    mat = s.matrix.tolil()
+    mat[n - 1, (l - 1) * n + n - 1] *= 1.5  # one deviating vertex, in the last layer's columns
+    disturbed = SuperAdjacency(n=n, l=l, matrix=mat)
+    other = random_egos(rng, n, l)  # against egos it was not built from: large deviations
+    for target in (egos, other):
+        report = verify_ego_consistency(disturbed, target)
+        expected = ego_deviation_oracle(disturbed, target)
+        assert np.array_equal(report.max_deviation_per_vertex, expected)
+        assert report.worst_vertex == int(np.argmax(expected))
 
 
 # ---------------------------------------------------------------------------

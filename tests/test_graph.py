@@ -22,7 +22,7 @@ from multinet.errors import (
     NonPositiveScale,
     NotDetailedBalanced,
 )
-from multinet.graph import _canonical, _index_dtype, _is_symmetric
+from multinet.graph import _canonical, _index_dtype, _is_symmetric, component_matrix
 
 from conftest import random_graph
 
@@ -277,6 +277,22 @@ def test_components_match_the_split_version(a, fmt):
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(component_digraphs(), st.data())
+def test_component_matrix_is_the_two_step_slice(a, data):
+    """Any union of components, as the slice of rows then columns it
+    replaced computes it: the same canonical arrays."""
+    mat = _canonical(a)
+    comps = components(mat)
+    picked = data.draw(st.lists(st.sampled_from(range(len(comps))), unique=True) if comps
+                       else st.just([]))
+    kept = np.sort(np.concatenate([comps[k] for k in picked] + [np.empty(0, np.int64)]))
+    got, expected = component_matrix(mat, kept), _canonical(mat[kept, :][:, kept])
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    assert got.shape == expected.shape and got.has_canonical_format
 
 
 def test_index_dtype_is_int32_up_to_the_largest_int32():

@@ -1,0 +1,91 @@
+"""Traced memory of read -> analyze, per stored entry of the super-adjacency.
+
+The canonical CSC of a super-adjacency takes 12 bytes per stored entry
+(float64 weights, int32 row indices). Each stage below holds that matrix
+plus at most a few more arrays of its size; the budgets pin how many.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from multinet import LayerGraph, cli, compose_distance
+from multinet.io import read_super, write_super
+
+# bytes per stored entry. read_super holds the file's COO (16) next to the
+# CSC built from it (12), and nothing more
+READ_SUPER_BUDGET = 34
+# analyze reads, takes the largest component, then holds one matrix with at
+# most two more arrays of its size at a time (a transpose, a scaled copy, a
+# spanning forest) and per-instance vectors: about 42 bytes at this stack's
+# 20 entries per instance
+ANALYZE_BUDGET = 52
+
+
+def two_community_stack(seed, n=600, l=8, degree=24):
+    """A distance-coupled stack of undirected layers over two planted
+    communities; about a tenth of the vertices is absent from each layer,
+    which leaves isolated instances outside the largest component."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for _ in range(l):
+        u = rng.integers(0, n, n * degree // 2)
+        # same parity is the same community; one edge in twenty crosses
+        v = (u + 2 * rng.integers(1, n // 2, u.size) + (rng.random(u.size) < 0.05)) % n
+        present = rng.random(n) < 0.9
+        keep = (u != v) & present[u] & present[v]
+        pairs = np.unique(np.sort(np.column_stack([u[keep], v[keep]]), axis=1), axis=0)
+        weights = rng.uniform(0.5, 1.5, len(pairs))
+        layers.append(LayerGraph.from_edges(n, np.column_stack([pairs, weights]), directed=False))
+    dist = np.abs(np.subtract.outer(np.arange(l), np.arange(l))).astype(float)
+    return compose_distance(layers, dist, 0.5, adjacent_only=True)
+
+
+def traced_peak(call, *args):
+    """The traced peak of one call, in bytes above what was held before it."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def stack_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("budget") / "stack.mtx"
+    s = two_community_stack(2016)
+    write_super(s, path)
+    return path, s.matrix.nnz
+
+
+def analyze(path, out, *flags):
+    argv = ["analyze", "--super", str(path), *flags, "--largest-component", "--out", str(out)]
+    assert cli.main(argv) == 0
+
+
+def test_the_stack_has_about_1e5_entries_and_a_smaller_largest_component(stack_file, tmp_path):
+    path, nnz = stack_file
+    assert 80_000 <= nnz <= 200_000
+    analyze(path, tmp_path / "report.json", "--bisect")
+    assert "restricted_to_component" in (tmp_path / "report.json").read_text()
+
+
+@pytest.mark.parametrize("stage, budget", [
+    ("read_super", READ_SUPER_BUDGET),
+    ("bisect", ANALYZE_BUDGET),
+    ("stationary", ANALYZE_BUDGET),
+])
+def test_read_to_analyze_keeps_its_bytes_per_entry_budget(stack_file, tmp_path, stage, budget):
+    path, nnz = stack_file
+    # a first run loads csgraph, ARPACK and scipy.io, which are not the matrix's cost
+    analyze(path, tmp_path / "warm.json", "--bisect", "--stationary")
+    out = tmp_path / "report.json"
+    calls = {
+        "read_super": (read_super, path),
+        "bisect": (analyze, path, out, "--bisect"),
+        "stationary": (analyze, path, out, "--stationary", "--layer-load"),
+    }
+    peak = traced_peak(*calls[stage])
+    assert peak <= budget * nnz, f"{stage}: {peak / nnz:.1f} bytes per stored entry"
