@@ -23,16 +23,18 @@ and of d[order] - inside.
 
 The eigensolver accepts a unit x orthogonal to the null vector D^{1/2} 1
 once |N x - (x.N x) x| = |L x - lambda x| <= tol, N = D^{-1/2} W D^{-1/2}.
-Its two phases start from one seeded vector. First ARPACK's Lanczos method
-(eigsh; Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998) runs on N
-deflated against the null vector, within _LANCZOS_MATVECS = 300 products:
-a count, so that results do not depend on the machine. Two-community
-temporal stacks of 8,100 instances need about 100; a 50 x 50 two-layer
-road grid needs 561, past the point where factorising L costs less. Then,
-when the budget runs out or the check fails, and alone when max_iter <
-_LANCZOS_MATVECS so that any step cap holds exactly, a power iteration on
-2I - L = I + N runs in blocks: a block checks the residual of x, reuses
-that check's N x as its first step, takes up to _CHECK_EVERY = 16 steps
+Its two phases start from one seeded vector and iterate 2I - L = I + N,
+whose top eigenvalue off the null vector is 2 - lambda_2 > 0 for n >= 3.
+First ARPACK's Lanczos method (eigsh; Lehoucq, Sorensen & Yang, ARPACK
+Users' Guide, SIAM 1998) runs on I + N deflated against the null vector
+(which then reads 0) to tol / 2 relative to its Ritz value, at most 2,
+within _LANCZOS_MATVECS = 300 products: a count, so that results do not
+depend on the machine. Temporal stacks of 8,100 instances need about 100; a
+50 x 50 two-layer road grid needs 561, past the point where factorising L
+costs less. Then, when the budget runs out or the check fails, and alone
+when max_iter < _LANCZOS_MATVECS so that any step cap holds exactly, the
+power loop runs in blocks: a block checks the residual of x, reuses that
+check's N x as its first step, takes up to _CHECK_EVERY = 16 steps
 x <- x + N x in all, and only then projects out the null vector and
 normalises. Deflating once per block is safe: per step the null direction
 (eigenvalue 2 of I + N) outgrows the Fiedler direction (eigenvalue
@@ -117,11 +119,9 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
     Requires a connected graph without isolated vertices. The returned unit
     vector x is orthogonal to D^{1/2} 1 and satisfies |L x - lambda x|_2
     <= tol; its sign is fixed by making the largest-magnitude entry
-    positive. Lanczos runs first, within _LANCZOS_MATVECS products, when
-    max_iter allows that many. The power loop then checks the residual on
-    the seeded start and after every block of _CHECK_EVERY = 16 steps on
-    I + N, deflating at its end (the 4^16 bound in the module docstring);
-    NoConvergence after exactly max_iter steps, the last block cut short.
+    positive. Lanczos runs first when max_iter allows _LANCZOS_MATVECS
+    products, then the blocked power loop (both in the module docstring);
+    NoConvergence after exactly max_iter loop steps, the last block cut short.
     """
     w, d = _spectral_weights(g)
     n = w.shape[0]
@@ -151,8 +151,8 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
 
 
 def _lanczos(normalized, null, start, tol, seed):
-    """Phase one: eigsh's unit vector for the top of the deflated N, or None
-    when it needs over _LANCZOS_MATVECS products, fails or misses tol."""
+    """Phase one: eigsh's unit vector for the top of the deflated I + N, or
+    None when it needs over _LANCZOS_MATVECS products, fails or misses tol."""
     from inspect import signature
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -163,17 +163,17 @@ def _lanczos(normalized, null, start, tol, seed):
         if products == _LANCZOS_MATVECS:
             raise NoConvergence(float("nan"), products)
         products += 1
-        nv = normalized @ (v - (null @ v) * null)
+        nv = v - (null @ v) * null
+        nv += normalized @ nv
         return nv - (null @ nv) * null
 
     # ARPACK draws a new vector when the start's Krylov space is exhausted
     # (graphs with few distinct eigenvalues): from `rng` where eigsh takes
     # one, else from the generator inside older scipy's Fortran ARPACK
     seeded = {"rng": seed} if "rng" in signature(eigsh).parameters else {}
-    n = len(null)
     try:
-        vecs = eigsh(LinearOperator((n, n), matvec=deflated, dtype=np.float64),
-                     k=1, which="LA", v0=start, tol=tol, **seeded)[1]
+        vecs = eigsh(LinearOperator(normalized.shape, matvec=deflated, dtype=np.float64),
+                     k=1, which="LA", v0=start, tol=tol / 2, **seeded)[1]
     except (NoConvergence, ArpackError):
         return None
     x = vecs[:, 0] - (null @ vecs[:, 0]) * null

@@ -4,7 +4,9 @@ A detailed-balanced walk (any undirected graph, and any directed graph whose
 walk is reversible) must come out as its closed form ``(|C| / n) d / vol_C``
 on every weakly connected component C, without a single iteration. Any other
 walk must reproduce bit for bit the lazy power iteration from the uniform
-vector that is kept below as the oracle.
+vector that is kept below as the oracle. Directed chains with several closed
+classes, transient states, a period or a slow eps link must reach the limit
+of that iteration, computed by dense repeated squaring.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ from multinet import (
     symmetrize_from_markov,
     urw_transition,
 )
-from multinet.errors import NotDetailedBalanced
+from multinet.errors import NoConvergence, NotDetailedBalanced
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -123,6 +125,65 @@ def test_non_reversible_walk_matches_uniform_start_oracle(m):
     assert np.array_equal(pi, oracle_lazy_iteration(m))
     with pytest.raises(NotDetailedBalanced):
         symmetrize_from_markov(m, 1.0)
+
+
+def arc_chain(n, arcs, links=()):
+    """Walk of weighted arcs (u, v, w), each state's weights normalised, then
+    each link (u, v, eps) moves probability eps of u's column to v."""
+    a = np.zeros((n, n))
+    for u, v, w in arcs:
+        a[v, u] += w
+    a /= a.sum(axis=0)
+    for u, v, eps in links:
+        a[:, u] *= 1.0 - eps
+        a[v, u] += eps
+    return TransitionMatrix(n, sparse.csc_array(a))
+
+
+def lazy_limit(m):
+    """Limit of the lazy chain (I + M)/2 started uniform, by dense repeated
+    squaring, each square renormalised to stay column-stochastic."""
+    p = 0.5 * (np.eye(m.n) + m.toarray())
+    for _ in range(64):
+        p = p @ p
+        p /= p.sum(axis=0)
+    return p @ np.full(m.n, 1.0 / m.n)
+
+
+# closed classes of unequal size with uneven weights, so that the uniform start
+# is far from the limit: a 3-cycle with a chord back, and a 6-cycle with two chords
+SMALL_CLASS = [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (1, 0, 2.0)]
+LARGE_CLASS = [(3, 4, 1.0), (4, 5, 1.0), (5, 6, 1.0), (6, 7, 1.0), (7, 8, 1.0), (8, 3, 1.0),
+               (5, 3, 3.0), (7, 4, 0.5)]
+DIRECTED_CHAINS = {
+    # three transient states feed both closed classes unevenly
+    "closed-classes-and-transients": arc_chain(12, SMALL_CLASS + LARGE_CLASS + [
+        (9, 10, 1.0), (10, 11, 1.0), (11, 9, 1.0), (9, 0, 0.2), (10, 5, 1.0), (11, 11, 0.5)]),
+    # a cycle of period 5, fed by a transient tail
+    "periodic": arc_chain(7, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (4, 0, 1.0),
+                              (5, 6, 1.0), (6, 0, 1.0), (5, 5, 1.0)]),
+    # the two classes joined both ways by probability eps: one class whose slow
+    # mode decays at a rate of about eps; the loop's 100k steps cannot finish 1e-6
+    **{f"eps-link-{eps:.0e}": arc_chain(9, SMALL_CLASS + LARGE_CLASS, [(0, 3, eps), (3, 0, eps)])
+       for eps in (1e-1, 1e-2, 1e-3, 1e-6)},
+}
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, raises=NoConvergence, reason="needs ROADMAP item 3's LU phase"))
+    if name == "eps-link-1e-06" else name for name in DIRECTED_CHAINS])
+def test_directed_chain_is_the_lazy_limit(name):
+    m = DIRECTED_CHAINS[name]
+    tol = 1e-10
+    pi = stationary(m, tol=tol).pi
+    matrix = m.toarray()
+    assert np.abs(matrix @ pi - pi).sum() <= tol
+    # the loop stops at |M x - x|_1 <= tol, where a lazy mode of modulus 1 - gap
+    # can still hold about (tol / 2) / gap; the slowest one that decays sets the bound
+    modulus = np.abs(np.linalg.eigvals(0.5 * (np.eye(m.n) + matrix)))
+    gap = 1.0 - modulus[np.abs(modulus - 1.0) > 1e-9].max()
+    assert np.abs(pi - lazy_limit(m)).sum() <= tol / gap
 
 
 def test_two_layer_grid_composition_is_degree_over_volume():
