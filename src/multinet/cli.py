@@ -256,12 +256,12 @@ def _cmd_analyze(args):
             "residual": bisection.residual,
         }
     if args.layer_load:
-        report["layer_load"] = layer_load(graph).loads.tolist()
+        report["layer_load"] = layer_load(graph).loads
     if not args.dot:
         graph = None
     if args.stationary:
         transition, walk = urw_transition(walk), None
-        report["stationary"] = stationary(transition).pi.tolist()
+        report["stationary"] = stationary(transition).pi
     if args.dot:
         mio.write_dot(graph, args.dot, side=side, labels=labels, layer_names=layer_names)
     mio.write_json(report, args.out)

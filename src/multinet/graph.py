@@ -281,14 +281,19 @@ def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
     # imported after the pattern checks: csgraph brings in scipy.linalg, about
     # 0.15 s of start-up, which a chain without reverse transitions never needs
     from scipy.sparse.csgraph import breadth_first_order, connected_components
-    count, labels = connected_components(mat, directed=False)
+    # mat's arrays read as CSR are its transpose, no copy; the pattern is
+    # symmetric, so its strong components are its weak ones, which csgraph
+    # would find on a transposed copy of its own
+    view = sparse.csr_array((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+    count, labels = connected_components(view, directed=True, connection="strong")
     roots = np.unique(labels, return_index=True)[1]
     idx = mat.indices.dtype  # an int64 indptr would make scipy widen the indices too
     forest = sparse.csr_array(  # row u lists the successors of u; row n the roots
-        (np.ones(mat.nnz + count), np.concatenate([mat.indices, roots], dtype=idx),
+        (np.broadcast_to(1.0, mat.nnz + count),  # the search reads no weights
+         np.concatenate([mat.indices, roots], dtype=idx),
          np.append(mat.indptr, mat.nnz + count).astype(idx)), shape=(n + 1, n + 1))
     _, up = breadth_first_order(forest, n, directed=True, return_predecessors=True)
-    del forest  # a third full-size array, which nothing below reads
+    del forest  # its index arrays, which nothing below reads
     up = np.append(up[:n], n).astype(np.int64)
     step = np.zeros(n + 1)  # log pi_v - log pi_up[v]
     child = np.flatnonzero(up[:n] < n)

@@ -32,7 +32,8 @@ within _LANCZOS_MATVECS = 300 products: a count, so that results do not
 depend on the machine. Temporal stacks of 8,100 instances need about 100; a
 50 x 50 two-layer road grid needs 561, past the point where factorising L
 costs less. Then, when the budget runs out or the check fails, and alone
-when max_iter < _LANCZOS_MATVECS so that any step cap holds exactly, the
+when max_iter < _LANCZOS_MATVECS, so that any step cap holds exactly, or
+n = 2, where I + N deflated is the zero map and the start is exact, the
 power loop runs in blocks: a block checks the residual of x, reuses that
 check's N x as its first step, takes up to _CHECK_EVERY = 16 steps
 x <- x + N x in all, and only then projects out the null vector and
@@ -119,9 +120,10 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
     Requires a connected graph without isolated vertices. The returned unit
     vector x is orthogonal to D^{1/2} 1 and satisfies |L x - lambda x|_2
     <= tol; its sign is fixed by making the largest-magnitude entry
-    positive. Lanczos runs first when max_iter allows _LANCZOS_MATVECS
-    products, then the blocked power loop (both in the module docstring);
-    NoConvergence after exactly max_iter loop steps, the last block cut short.
+    positive. Lanczos runs first when n >= 3 and max_iter allows
+    _LANCZOS_MATVECS products, then the blocked power loop (both in the module
+    docstring); NoConvergence after exactly max_iter loop steps, the last
+    block cut short.
     """
     w, d = _spectral_weights(g)
     n = w.shape[0]
@@ -143,7 +145,9 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
     x = np.random.default_rng(seed).standard_normal(n)
     x -= (null @ x) * null
     x /= np.linalg.norm(x)
-    lanczos = _lanczos(normalized, null, x, tol, seed) if max_iter >= _LANCZOS_MATVECS else None
+    # at n = 2 the deflated I + N is the zero map and the deflated start is exact
+    lanczos = (_lanczos(normalized, null, x, tol, seed)
+               if n >= 3 and max_iter >= _LANCZOS_MATVECS else None)
     x = _power_loop(normalized, null, x, tol, max_iter) if lanczos is None else lanczos
     if x[int(np.argmax(np.abs(x)))] < 0.0:
         x = -x

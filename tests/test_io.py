@@ -29,7 +29,7 @@ from multinet import (
     write_super,
 )
 from multinet.compose import EgoMarkov, _check_egos
-from multinet.io import LayeredDataset, _check_utf8, _ids, _numbers, read_distances
+from multinet.io import LayeredDataset, _check_utf8, _ids, _numbers, read_distances, write_json
 from multinet.errors import (
     DimensionMismatch,
     DuplicateEdge,
@@ -470,6 +470,38 @@ def test_super_json_round_trip_bit_identical(tmp_path):
     again = read_super(path)
     assert np.array_equal(again.matrix.data, s.matrix.data)
     assert (again.matrix != s.matrix).nnz == 0
+
+
+def test_write_json_float_vectors_read_back_bit_identical(tmp_path):
+    rng = np.random.default_rng(29)
+    special = np.array([0.0, -0.0, 1.0, 9.0, 10.0, 5e-324, 2.2250738585072014e-308,
+                        1.7976931348623157e308])
+    bits = rng.integers(0, 2**64, 2000, dtype=np.uint64).view(np.float64)  # every exponent
+    payload = {
+        "seed": 7,
+        "special": special,
+        "negated": -special,
+        "random": bits[np.isfinite(bits)],
+        "probabilities": rng.dirichlet(np.ones(500)),
+        "integral": rng.integers(-10**6, 10**6, 200).astype(np.float64),
+        "empty": np.zeros(0),
+        "non-finite": np.array([np.nan, np.inf, -np.inf, 0.5]),
+        "nested": {"list": [0.1, 2.0]},
+    }
+    path = tmp_path / "report.json"
+    write_json(payload, path)
+    text = path.read_text()
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    keys = [json.loads("{" + line.removesuffix(",") + "}") for line in lines[1:-1]]
+    assert [list(k) for k in keys] == [[key] for key in payload]
+    back = json.loads(text)
+    assert back["seed"] == 7 and back["nested"] == payload["nested"]
+    for key, value in payload.items():
+        if isinstance(value, np.ndarray):
+            assert all(type(x) is float for x in back[key]), key
+            read = np.array(back[key], dtype=np.float64)
+            assert np.array_equal(read.view(np.uint64), value.view(np.uint64)), key
 
 
 def test_super_mm_block_diagonal_entry_count(tmp_path, rng):

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -357,6 +358,14 @@ def test_fiedler_with_lambda_2_at_least_one_finishes_in_lanczos(monkeypatch, nam
     # restart vectors cannot make it the answer where lambda_2 >= 1 (n >= 3)
     monkeypatch.setattr(spectral, "_power_loop", lambda *args: pytest.fail("Lanczos missed"))
     fiedler_vector(HARD_SPECTRA[name][0])
+
+
+def test_fiedler_on_two_vertices_starts_no_arpack(monkeypatch):
+    # the deflated I + N is the zero map at n = 2, where eigsh would fail on a
+    # zero start after one product; the power loop accepts the deflated start
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *args, **kwargs: pytest.fail("ARPACK ran"))
+    fiedler_vector(HARD_SPECTRA["n-2"][0])
 
 
 def test_fiedler_after_a_spent_lanczos_budget_is_the_power_loop(monkeypatch):

@@ -25,9 +25,9 @@ edge b y z 1.0
 edge b z x 1.0
 """
 
-# transform, compose and verify, then analyze the directed composition and one
-# undirected layer; after each stage one line "stage <JSON>" names the stage and
-# lists the heavy modules loaded so far
+# transform, compose and verify, then analyze the directed composition; after
+# each stage one line "stage <JSON>" names the stage and lists the heavy modules
+# loaded so far
 PIPELINE = """\
 import json, sys
 from multinet.cli import main
@@ -41,8 +41,6 @@ stages = {{
                "--ego-file", "egos.json"],
     "analyze directed": ["analyze", "--super", "super.mtx", "--stationary",
                          "--out", "report.json"],
-    "analyze undirected": ["analyze", "--layers", "layers.txt", "--layer", "a",
-                           "--stationary", "--out", "layer.json"],
 }}
 for stage, argv in stages.items():
     code = main(argv)
@@ -79,7 +77,16 @@ def test_transform_compose_verify_load_no_csgraph(tmp_path):
     # a directed chain fails the reverse-pattern check before csgraph loads
     code, loaded = stages["analyze directed"]
     assert code == 0 and set(loaded) <= {"scipy.io"}
+
+
+def test_analyze_of_a_layer_loads_csgraph_and_the_report_writer(tmp_path):
     # an undirected layer's walk is detailed-balanced: its exact start needs
-    # csgraph, so the check sees a real import
-    code, loaded = stages["analyze undirected"]
-    assert code == 0 and "scipy.sparse.csgraph" in loaded and "scipy.linalg" in loaded
+    # csgraph (which brings in scipy.sparse.linalg and scipy.linalg), so the
+    # check sees a real import; the report's float vectors need scipy.io
+    (tmp_path / "layers.txt").write_text(LAYERS)
+    out = run("import sys\n"
+              "from multinet.cli import main\n"
+              "code = main(['analyze', '--layers', 'layers.txt', '--layer', 'a',\n"
+              "             '--stationary', '--out', 'layer.json'])\n"
+              f"print(code, sorted(m for m in {HEAVY!r} if m in sys.modules))", tmp_path)
+    assert out.strip() == f"0 {sorted(HEAVY)}"
