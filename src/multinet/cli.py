@@ -30,7 +30,6 @@ from .graph import (
     component_matrix,
     components,
     stationary,
-    urw_transition,
 )
 from .spectral import bisect, layer_load
 from .transform import degree_proportional_delay, transform_layer
@@ -260,8 +259,7 @@ def _cmd_analyze(args):
     if not args.dot:
         graph = None
     if args.stationary:
-        transition, walk = urw_transition(walk), None
-        report["stationary"] = stationary(transition).pi
+        report["stationary"] = stationary(walk).pi
     if args.dot:
         mio.write_dot(graph, args.dot, side=side, labels=labels, layer_names=layer_names)
     mio.write_json(report, args.out)

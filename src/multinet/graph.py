@@ -5,6 +5,12 @@ out-degrees are row sums. Transition matrices are column-stochastic: entry
 ``(v, u)`` is the probability of stepping u -> v, so a stationary vector pi
 satisfies ``M @ pi = pi`` literally. All types are immutable after
 construction and every operation returns fresh objects.
+
+``stationary`` also takes a graph, meaning its unbiased walk. When the
+graph's matrix W is exactly symmetric its walk is reversible and pi is the
+closed form ``(|C| / n) d / vol(C)`` on each component C (Lovász, *Random
+walks on graphs: a survey*, 1993), computed from the degrees and checked by
+one product with W; no transition matrix is built.
 """
 
 from __future__ import annotations
@@ -157,8 +163,8 @@ class StationaryDistribution:
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=np.float64)
         object.__setattr__(self, "pi", pi)
-        if pi.min(initial=0.0) < 0.0:
-            raise ValueError("stationary entries must be non-negative")
+        if not np.all(np.isfinite(pi)) or pi.min(initial=0.0) < 0.0:
+            raise ValueError("stationary entries must be finite and non-negative")
         if abs(pi.sum() - 1.0) > STRUCTURAL_TOL:
             raise ValueError("stationary distribution must sum to 1")
 
@@ -209,17 +215,27 @@ def reconstruct_adjacency(m: TransitionMatrix, gamma) -> LayerGraph:
     return LayerGraph(m.n, adjacency, directed=True)
 
 
-def stationary(m: TransitionMatrix, tol: float = ITERATIVE_TOL,
+def stationary(m: TransitionMatrix | LayerGraph, tol: float = ITERATIVE_TOL,
                max_iter: int = 100_000) -> StationaryDistribution:
     """Fixed point of the walk: ``|M pi - pi|_1 <= tol``, else NoConvergence.
 
-    A detailed-balanced chain (the walk of any undirected layer or
-    composition) starts from its exact balance-ratio vector, which is
-    already fixed, with mass |C|/n on each weakly connected component C; any
-    other chain starts uniform. The loop iterates the half-lazy operator
-    (x + Mx)/2, which shares every fixed point with M but is aperiodic, so
-    bipartite structures converge too.
+    A LayerGraph stands for its unbiased walk. When its matrix is exactly
+    symmetric (every undirected graph and composition) the result is the
+    closed form (|C|/n) d / vol(C) on each weakly connected component C,
+    taken once one product confirms it; any other graph, or a closed form
+    that misses `tol`, goes through urw_transition as below.
+
+    A detailed-balanced chain starts from its exact balance-ratio vector,
+    which is already fixed, with mass |C|/n on each weakly connected
+    component C; any other chain starts uniform. The loop iterates the
+    half-lazy operator (x + Mx)/2, which shares every fixed point with M but
+    is aperiodic, so bipartite structures converge too.
     """
+    if isinstance(m, LayerGraph):
+        pi = _degree_stationary(m, tol)
+        if pi is not None:
+            return StationaryDistribution(pi)
+        m = urw_transition(m)
     try:
         x = _balance_stationary(m, tol)
     except NotDetailedBalanced:
@@ -233,6 +249,45 @@ def stationary(m: TransitionMatrix, tol: float = ITERATIVE_TOL,
             x = 0.5 * (x + y)
             x /= x.sum()
     raise NoConvergence(residual, max_iter)
+
+
+def _degree_stationary(g: LayerGraph, tol):
+    """The closed form (|C|/n) d / vol(C) of a graph whose matrix W is exactly
+    symmetric, once |M pi - pi|_1 = |W (pi / d) - pi|_1 <= tol; None for any
+    other graph, for a miss, or where a volume overflows. A zero degree
+    raises DanglingVertex."""
+    mat, n = g.matrix, g.n
+    # a directed flag asks for checks, cheapest first: a chain whose pattern
+    # counts differ is turned away before csgraph loads
+    if g.directed and not (_symmetric_counts(mat) and _is_symmetric(mat)):
+        return None
+    d, inverse = _degree_scaling(mat)
+    _, labels = _symmetric_components(mat)
+    vol = np.bincount(labels, d)
+    if not np.all(np.isfinite(vol)):
+        return None
+    pi = d / vol[labels] * (np.bincount(labels) / n)[labels]
+    return pi if float(np.abs(mat @ (pi * inverse) - pi).sum()) <= tol else None
+
+
+def _symmetric_counts(mat) -> bool:
+    """Whether every vertex of a square CSC stores as many entries in its row
+    as in its column, which a symmetric pattern needs: the first check of
+    one, as it costs no transpose."""
+    return np.array_equal(np.bincount(mat.indices, minlength=mat.shape[0]),
+                          np.diff(mat.indptr))
+
+
+def _symmetric_components(mat):
+    """csgraph's (count, labels) of the components of a CSC whose pattern is
+    symmetric. Its arrays read as CSR are its transpose, no copy, and with a
+    symmetric pattern the strong components are the weak ones, which csgraph
+    would find on a transposed copy of its own."""
+    # imported here: csgraph brings in scipy.linalg, about 0.15 s of start-up,
+    # which a chain turned away by a pattern check never needs
+    from scipy.sparse.csgraph import connected_components
+    view = sparse.csr_array((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+    return connected_components(view, directed=True, connection="strong")
 
 
 def is_detailed_balanced(m: TransitionMatrix, pi: StationaryDistribution,
@@ -271,21 +326,13 @@ def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
     pi_u P(u -> v) differs from pi_v P(v -> u) by more than `tol`.
     """
     mat, n = m.matrix, m.n
-    # the pattern must be symmetric: first the counts, which cost no transpose
-    counts = np.diff(mat.indptr)
-    if not np.array_equal(np.bincount(mat.indices, minlength=n), counts):
+    if not _symmetric_counts(mat):
         raise NotDetailedBalanced("some transition has no reverse")
     rev = sparse.csc_array(mat.T)  # entry k: P(v -> u) where mat's entry k is P(u -> v)
     if not np.array_equal(rev.indices, mat.indices):
         raise NotDetailedBalanced("some transition has no reverse")
-    # imported after the pattern checks: csgraph brings in scipy.linalg, about
-    # 0.15 s of start-up, which a chain without reverse transitions never needs
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
-    # mat's arrays read as CSR are its transpose, no copy; the pattern is
-    # symmetric, so its strong components are its weak ones, which csgraph
-    # would find on a transposed copy of its own
-    view = sparse.csr_array((mat.data, mat.indices, mat.indptr), shape=mat.shape)
-    count, labels = connected_components(view, directed=True, connection="strong")
+    count, labels = _symmetric_components(mat)
+    from scipy.sparse.csgraph import breadth_first_order  # loaded by _symmetric_components
     roots = np.unique(labels, return_index=True)[1]
     idx = mat.indices.dtype  # an int64 indptr would make scipy widen the indices too
     forest = sparse.csr_array(  # row u lists the successors of u; row n the roots
@@ -306,6 +353,7 @@ def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
     weight = np.exp(step[:n] - top[labels])
     pi = weight * (np.bincount(labels) / n / np.bincount(labels, weight))[labels]
     # flows pi_u P(u -> v) against pi_v P(v -> u), a range of columns at a time
+    counts = np.diff(mat.indptr)
     for lo, hi in _column_ranges(mat):
         span = slice(mat.indptr[lo], mat.indptr[hi])
         out = np.repeat(pi[lo:hi], counts[lo:hi]) * mat.data[span]

@@ -84,8 +84,9 @@ class LayerLoad:
     def __post_init__(self):
         loads = np.asarray(self.loads, dtype=np.float64)
         object.__setattr__(self, "loads", loads)
-        if loads.min(initial=0.0) < 0.0 or abs(loads.sum() - 1.0) > 1e-12:
-            raise ValueError("layer loads must be non-negative and sum to 1")
+        if (not np.all(np.isfinite(loads)) or loads.min(initial=0.0) < 0.0
+                or abs(loads.sum() - 1.0) > 1e-12):
+            raise ValueError("layer loads must be finite, non-negative and sum to 1")
 
 
 def _undirected(g):
@@ -291,8 +292,11 @@ def layer_load(s: SuperAdjacency) -> LayerLoad:
     coupling included.
     """
     outdeg = s.out_degrees()
-    total = outdeg.sum()
+    with np.errstate(over="ignore"):  # an overflow is raised below, not warned
+        total = outdeg.sum()
+        per_layer = outdeg.reshape(s.l, s.n).sum(axis=1)
+    if not np.isfinite(total):
+        raise ValueError("total degree overflows float64; rescale the weights")
     if total <= 0.0:
         raise EmptyGraph("composed network has no weight")
-    per_layer = outdeg.reshape(s.l, s.n).sum(axis=1)
     return LayerLoad(loads=per_layer / total)

@@ -25,6 +25,7 @@ from multinet import (
     verify_layer_consistency,
 )
 from multinet.cli import main
+from multinet.io import write_json
 from multinet.errors import NoConvergence
 
 from test_io import CATS, GR, TOY
@@ -117,8 +118,26 @@ def test_analyze_report_matches_library(tmp_path, temporal_path):
                       "conductance_one_sided": b.conductance_one_sided,
                       "eigenvalue": b.eigenvalue, "residual": b.residual},
         "layer_load": layer_load(s).loads.tolist(),
-        "stationary": stationary(urw_transition(walk)).pi.tolist(),
+        "stationary": stationary(walk).pi.tolist(),
     })
+
+
+def test_analyze_directed_stationary_is_the_transition_matrix_route(tmp_path, toy_path):
+    # an ego composition's matrix is not symmetric: its report is that of the
+    # walk's transition matrix, byte for byte
+    ds = read_layers(toy_path)
+    rng = np.random.default_rng(11)
+    ego_path, super_path = tmp_path / "egos.json", tmp_path / "super.mtx"
+    ego_path.write_text(json.dumps({label: rng.dirichlet(np.ones(3), size=3).T.tolist()
+                                    for label in ds.labels}))
+    assert main(["compose", "--layers", str(toy_path), "--mode", "ego",
+                 "--ego-file", str(ego_path), "--out", str(super_path)]) == 0
+    out, expected = tmp_path / "report.json", tmp_path / "expected.json"
+    assert main(["analyze", "--super", str(super_path), "--stationary", "--out", str(out)]) == 0
+    walk = read_super(super_path).as_graph()
+    assert (walk.matrix != walk.matrix.T).nnz > 0
+    write_json({"seed": 42, "stationary": stationary(urw_transition(walk)).pi}, expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_verify_report_matches_library(tmp_path, toy_path, capsys):

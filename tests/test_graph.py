@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from multinet import (
     LayerGraph,
+    StationaryDistribution,
     components,
     is_detailed_balanced,
     reconstruct_adjacency,
@@ -192,6 +193,20 @@ def test_symmetrize_rejects_unbalanced_chain():
     )
     with pytest.raises(NotDetailedBalanced):
         symmetrize_from_markov(urw_transition(g), 1.0)
+
+
+@pytest.mark.parametrize("pi", [[np.nan], [0.5, np.nan, 0.5], [np.inf, 0.0]])
+def test_stationary_type_rejects_non_finite_entries(pi):
+    with pytest.raises(ValueError, match="finite"):
+        StationaryDistribution(np.array(pi))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_stationary_of_a_graph_whose_volume_overflows(directed):
+    # each degree is 1.5e308 and their sum overflows: the closed form cannot
+    # be formed, and the walk's own balance ratios give the answer
+    g = LayerGraph.from_dense([[0.0, 1.5e308], [1.5e308, 0.0]], directed=directed)
+    assert np.array_equal(stationary(g).pi, [0.5, 0.5])
 
 
 def test_layer_graph_rejects_negative_weight():

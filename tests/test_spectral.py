@@ -1,5 +1,6 @@
 """Fiedler sweep bisection, conductance, and layer load."""
 
+import json
 import os
 import re
 import subprocess
@@ -15,6 +16,8 @@ from scipy import sparse
 
 from multinet import (
     LayerGraph,
+    LayerLoad,
+    SuperAdjacency,
     bisect,
     components,
     compose_distance,
@@ -26,6 +29,7 @@ from multinet import (
     sweep_cut,
     write_super,
 )
+from multinet.cli import main
 from multinet.errors import Disconnected, EmptyGraph, EmptySide, NoConvergence
 
 from conftest import identity_egos, random_connected_graph, random_graph
@@ -680,6 +684,33 @@ def test_layer_load_monotone_in_layer_scale(rng):
     )
     assert boosted and layer_load(boosted).loads[1] > layer_load(base).loads[1]
     assert abs(layer_load(boosted).loads.sum() - 1.0) <= 1e-12
+
+
+def overflowing_stack():
+    """One layer of two instances joined both ways by 1.5e308: each degree is
+    finite, their sum is not."""
+    return SuperAdjacency(2, 1, sparse.csc_array([[0.0, 1.5e308], [1.5e308, 0.0]]))
+
+
+def test_layer_load_rejects_an_overflowing_total_degree():
+    with pytest.raises(ValueError, match="total degree overflows float64"):
+        layer_load(overflowing_stack())
+
+
+@pytest.mark.parametrize("loads", [[np.nan], [0.5, np.nan], [np.inf, 0.0]])
+def test_layer_load_type_rejects_non_finite_entries(loads):
+    with pytest.raises(ValueError, match="finite"):
+        LayerLoad(np.array(loads))
+
+
+def test_analyze_of_an_overflowing_stack_exits_1(tmp_path, capsys):
+    path = tmp_path / "big.mtx"
+    write_super(overflowing_stack(), path)
+    assert main(["analyze", "--super", str(path), "--layer-load"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": "ValueError", "message": "total degree overflows float64; rescale the weights"}]
 
 
 def test_bisect_on_super_adjacency(rng):

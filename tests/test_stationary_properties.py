@@ -25,7 +25,8 @@ from multinet import (
     symmetrize_from_markov,
     urw_transition,
 )
-from multinet.errors import NoConvergence, NotDetailedBalanced
+from multinet import graph
+from multinet.errors import DanglingVertex, NoConvergence, NotDetailedBalanced
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -67,8 +68,9 @@ def undirected_graphs(draw):
 
 
 @st.composite
-def non_reversible_chains(draw):
-    """Walks around a ring 0 -> 1 -> ... -> 0 that break detailed balance.
+def non_reversible_graphs(draw):
+    """Directed graphs around a ring 0 -> 1 -> ... -> 0 whose walks break
+    detailed balance.
 
     Either the arc 1 -> 0 is missing (the pattern is not symmetric), or the
     ring runs both ways with clockwise weights in [1, 2] and counter-clockwise
@@ -86,7 +88,10 @@ def non_reversible_chains(draw):
         a[(ring + 1) % n, ring] = rng.uniform(3.0, 4.0, n)
     else:
         a[1, 0] = 0.0
-    return urw_transition(LayerGraph.from_dense(a, directed=True))
+    return LayerGraph.from_dense(a, directed=True)
+
+
+non_reversible_chains = non_reversible_graphs().map(urw_transition)
 
 
 @PROPERTY
@@ -109,6 +114,63 @@ def test_reversible_directed_walk_is_the_closed_form(drawn):
 
 
 @PROPERTY
+@given(undirected_graphs())
+def test_graph_is_its_closed_form(drawn):
+    g, _ = drawn
+    pi = stationary(g).pi
+    assert np.abs(pi - closed_form(g.matrix)).sum() <= 1e-12
+    assert np.abs(pi - stationary(urw_transition(g)).pi).sum() <= 1e-12
+
+
+@PROPERTY
+@given(undirected_graphs())
+def test_each_component_gets_mass_in_proportion_to_its_size(drawn):
+    g, _ = drawn
+    pi = stationary(g).pi
+    _, labels = connected_components(g.matrix, directed=False)
+    assert np.abs(np.bincount(labels, pi) - np.bincount(labels) / g.n).max() <= 1e-12
+
+
+@PROPERTY
+@given(undirected_graphs())
+def test_symmetric_graph_flagged_directed_takes_the_closed_form(drawn):
+    # as_graph() of a super-adjacency says directed whatever its matrix; a
+    # symmetric one builds no transition matrix
+    g, _ = drawn
+    s = compose_distance([g, g.scaled(2.0)], [[0.0, 1.0], [1.0, 0.0]], 0.5)
+    walk = s.as_graph()
+    assert walk.directed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "urw_transition", None)
+        pi = stationary(walk).pi
+    assert np.abs(pi - closed_form(s.matrix)).sum() <= 1e-12
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_isolated_instance_raises_dangling_vertex(directed):
+    g = LayerGraph.from_dense([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                              directed=directed)
+    with pytest.raises(DanglingVertex) as caught:
+        stationary(g)
+    assert caught.value.vertex == 2
+
+
+@PROPERTY
+@given(non_reversible_graphs())
+def test_directed_graph_is_its_transition_matrix_route(g):
+    assert np.array_equal(stationary(g).pi, stationary(urw_transition(g)).pi)
+
+
+@PROPERTY
+@given(undirected_graphs())
+def test_reversible_directed_graph_is_its_transition_matrix_route(drawn):
+    # a reversible walk on an asymmetric matrix: the balance ratios, not the degrees
+    g, rng = drawn
+    h = reconstruct_adjacency(urw_transition(g), rng.uniform(0.1, 10.0, g.n))
+    assert np.array_equal(stationary(h).pi, stationary(urw_transition(h)).pi)
+
+
+@PROPERTY
 @given(undirected_graphs(), st.floats(0.1, 10.0))
 def test_symmetrize_is_the_scaled_adjacency(drawn, alpha):
     g, _ = drawn
@@ -119,7 +181,7 @@ def test_symmetrize_is_the_scaled_adjacency(drawn, alpha):
 
 
 @PROPERTY
-@given(non_reversible_chains())
+@given(non_reversible_chains)
 def test_non_reversible_walk_matches_uniform_start_oracle(m):
     pi = stationary(m).pi
     assert np.array_equal(pi, oracle_lazy_iteration(m))
