@@ -23,12 +23,18 @@ Companion JSON files hold ego matrices or stationary layer distributions
 keyed by vertex label, bias/delay values keyed by layer then vertex label,
 layer distances, or positive road-class weights; each value a finite JSON
 number, or a ParseError names the file and the key, as it does JSON that
-does not parse. Each ego matrix becomes a float64 array as soon as it is
-decoded. Super-adjacencies serialize to Matrix-Market coordinate files (a
-header comment records n, l and the layer-major indexing) or to a JSON
-block layout, picked by the file name alone: a name ending in ``.json`` is
-JSON, any other name Matrix Market, for writing and reading, and one ending
-in ``.gz`` or ``.bz2`` is refused. Both formats
+does not parse. A fault that one key holds is on the line of that key,
+found by scanning the file again once the fault is known. Each ego matrix
+becomes a float64 array as soon as it is decoded. Super-adjacencies
+serialize to Matrix-Market coordinate files (a header comment records n, l
+and the layer-major indexing) or to a JSON block layout, picked by the file
+name alone: a name ending in ``.json`` is JSON, any other name Matrix
+Market, for writing and reading, and one ending in ``.gz`` or ``.bz2`` is
+refused. A matrix equal to its transpose is written under the ``symmetric``
+banner, its entries with row >= col alone; any other under ``general``.
+The reader accepts both; under ``symmetric`` each entry off the diagonal
+also stands for its mirror, so one above the diagonal reads as its mirror
+and a file listing both triangles repeats every entry. Both formats
 round-trip weights bit-identically; entry order and float spelling are not
 part of either format. Both reject indices out of range, non-numeric or
 non-finite weights and duplicate entries; the Matrix-Market reader also
@@ -56,7 +62,8 @@ from scipy import sparse
 
 from .compose import EgoMarkov, SuperAdjacency, _check_egos
 from .errors import DimensionMismatch, DuplicateEdge, MissingCategory, ParseError, UnknownLayer
-from .graph import _canonical, _is_symmetric, _layer_graphs, components, first_repeat
+from .graph import (_canonical, _is_symmetric, _layer_graphs, _symmetric_counts, components,
+                    first_repeat)
 from .transform import DynamicsParams
 
 @dataclass(frozen=True)
@@ -235,11 +242,37 @@ def _read_object(path, keys="vertex label", convert=None):
     return payload
 
 
-def _numbers(value, path=None, where=None, shape=None):
+def _key_line(path, keys):
+    """The line on which the last of `keys`, a chain of object keys from the
+    top of a JSON file that read_json accepted, is written; 0 where the chain
+    is not in the file. The file is scanned again, so only a fault pays."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    space, skip = json.decoder.WHITESPACE.match, json.JSONDecoder().raw_decode
+    at, line = 0, 0
+    for key in keys:
+        at = space(text, at).end()
+        if not text.startswith("{", at):
+            return 0
+        at = space(text, at + 1).end()
+        while text.startswith('"', at):  # each member: "name" : value , or }
+            name, end = json.decoder.scanstring(text, at + 1)
+            start = space(text, space(text, end).end() + 1).end()
+            if name == key:  # read_json refused a repeated key
+                break
+            at = space(text, space(text, skip(text, start)[1]).end() + 1).end()
+        else:
+            return 0
+        line, at = text.count("\n", 0, at) + 1, start
+    return line
+
+
+def _numbers(value, path=None, where=None, shape=None, keys=()):
     """A JSON value of finite JSON numbers as float64 of `shape` (any shape
     when None). Anything else -- a string, boolean, null, object, ragged
     list, NaN, an infinity, an integer beyond float range or another shape --
-    is a ParseError naming `where`, or None when `where` is None."""
+    is a ParseError naming `where` on the line of `keys` (see _key_line), or
+    None when `where` is None."""
     try:
         cells = np.array(value, dtype=object)
         if shape in (None, cells.shape) and set(map(type, cells.flat)) <= {int, float}:
@@ -251,26 +284,30 @@ def _numbers(value, path=None, where=None, shape=None):
     if where is not None:
         wanted = ("finite JSON numbers" if shape is None else "a finite JSON number"
                   if shape == () else f"a list of {shape[0]} finite JSON numbers")
-        raise ParseError(0, f"{where} must be {wanted}", path)
+        raise ParseError(_key_line(path, keys) if keys else 0, f"{where} must be {wanted}", path)
 
 
-def _values(payload, path, where, shape=()):
+def _values(payload, path, where, shape=(), within=()):
     """The values of a JSON object as float64, one row of `shape` per key in
-    file order; a fault names the first faulty key, as `where(key)`."""
+    file order; a fault names the first faulty key, as `where(key)`, on its
+    line. `within` is the chain of keys that leads to the object."""
     values = _numbers(list(payload.values()) or np.empty((0, *shape)))
     if values is None or values.shape[1:] != shape:
         for key, value in payload.items():
-            _numbers(value, path, where(key), shape)
+            _numbers(value, path, where(key), shape, (*within, key))
     return values
 
 
-def _ids(labels, ds, path):
-    """Vertex ids of `labels` in `ds`; an unknown label is a ParseError."""
+def _ids(labels, ds, path, within=()):
+    """Vertex ids of `labels`, the keys of the object that the chain of keys
+    `within` leads to, in `ds`; an unknown label is a ParseError on its line."""
     ids = dict(zip(ds.labels, range(ds.n)))
     try:
         return np.fromiter(map(ids.__getitem__, labels), np.int64, len(labels))
     except KeyError as exc:
-        raise ParseError(0, f"unknown vertex label {exc.args[0]!r}", path) from None
+        label = exc.args[0]
+        raise ParseError(_key_line(path, (*within, label)), f"unknown vertex label {label!r}",
+                         path) from None
 
 
 def read_ego_file(path, ds: LayeredDataset) -> EgoMarkov:
@@ -292,7 +329,7 @@ def read_ego_file(path, ds: LayeredDataset) -> EgoMarkov:
         raise ParseError(0, f"missing ego matrices for {sorted(missing)}", path)
     if not all(isinstance(m_u, np.ndarray) for m_u in payload.values()):
         for u, label in enumerate(ds.labels):  # raises what its matrix alone would
-            m_u = _numbers(payload[label], path, f"ego matrix of {label!r}")
+            m_u = _numbers(payload[label], path, f"ego matrix of {label!r}", keys=(label,))
             _check_egos(m_u[None], first=u)
             if m_u.shape != (l, l):
                 k = len(m_u)
@@ -366,13 +403,13 @@ def read_dynamics(bias_path, delay_path, ds: LayeredDataset) -> dict:
         payload = {} if path is None else _read_object(path, "layer name")
         for name, entry in payload.items():
             if name not in ds.layer_names:
-                raise ParseError(0, f"unknown layer {name!r}", path)
+                raise ParseError(_key_line(path, (name,)), f"unknown layer {name!r}", path)
             if not isinstance(entry, dict):
-                raise ParseError(0, f"layer {name!r} must be a JSON object keyed by vertex label",
-                                 path)
-            vectors[name], ids = np.ones(ds.n), _ids(entry, ds, path)
+                raise ParseError(_key_line(path, (name,)),
+                                 f"layer {name!r} must be a JSON object keyed by vertex label", path)
+            vectors[name], ids = np.ones(ds.n), _ids(entry, ds, path, (name,))
             vectors[name][ids] = _values(
-                entry, path, lambda label: f"value of {label!r} in layer {name!r}")
+                entry, path, lambda label: f"value of {label!r} in layer {name!r}", within=(name,))
         return vectors
 
     bias, delay = load(bias_path), load(delay_path)
@@ -392,7 +429,8 @@ def read_class_weights(path) -> dict:
     weights = _values(payload, path, lambda c: f"weight of {c!r}")
     for name, weight in zip(payload, weights):
         if weight <= 0:
-            raise ParseError(0, f"weight of {name!r} must be positive", path)
+            raise ParseError(_key_line(path, (name,)), f"weight of {name!r} must be positive",
+                             path)
     return dict(zip(payload, weights.tolist()))
 
 
@@ -528,21 +566,39 @@ def read_super(path) -> SuperAdjacency:
         raise ParseError(0, str(exc), path) from None
 
 
+# the banners read_super accepts; write_super picks symmetric for a matrix equal
+# to its transpose and lists only its entries on and below the diagonal
+_BANNERS = (b"%%MatrixMarket matrix coordinate real general",
+            b"%%MatrixMarket matrix coordinate real symmetric")
+
+
 def _write_super_mm(s, path):
     import scipy.io  # imported here: only Matrix Market files need it, 0.02 s of start-up
+    mat, symmetry = s.matrix, "general"
+    if _symmetric_counts(mat) and _is_symmetric(mat):
+        mat, symmetry = _lower_triangle(mat), "symmetric"
     # an open handle stops mmwrite from appending ".mtx" to the name
     with open(path, "wb") as handle:
-        scipy.io.mmwrite(handle, s.matrix, field="real", symmetry="general",
+        scipy.io.mmwrite(handle, mat, field="real", symmetry=symmetry,
                          comment=f" multinet super-adjacency n={s.n} l={s.l} "
                                  "indexing=layer-major flat=layer*n+vertex (1-based below)")
+
+
+def _lower_triangle(mat):
+    """The entries of a CSC with row >= col, as a COO built from its arrays:
+    given the CSC, mmwrite would hold a full COO of it next to its copy of the
+    lower triangle, 25 bytes per stored entry at its peak against 17."""
+    col = np.repeat(np.arange(mat.shape[1], dtype=mat.indices.dtype), np.diff(mat.indptr))
+    keep = mat.indices >= col
+    return sparse.coo_array((mat.data[keep], (mat.indices[keep], col[keep])), shape=mat.shape)
 
 
 def _read_super_mm(path):
     import scipy.io  # imported here: only Matrix Market files need it, 0.02 s of start-up
     with open(path, "rb") as handle:
-        banner = "%%MatrixMarket matrix coordinate real general"
-        if handle.readline().strip() != banner.encode():
-            raise ParseError(1, f"expected the banner {banner!r}", path)
+        if handle.readline().strip() not in _BANNERS:
+            raise ParseError(1, "expected the banner " + " or ".join(
+                repr(banner.decode()) for banner in _BANNERS), path)
         header = b"".join(itertools.takewhile(  # comments and blank lines
             lambda line: line.startswith(b"%") or line.isspace(), handle))
         found = [re.search(rb"\b%s=(\d+)\b" % key, header) for key in (b"n", b"l")]

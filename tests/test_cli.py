@@ -436,7 +436,7 @@ def test_ingest_class_weights_must_be_positive(weight, tmp_path, capsys):
     assert main(["ingest-dimacs", "--gr", str(gr), "--categories", str(cats),
                  "--class-weights", str(weights), "--out", str(tmp_path / "out.layers")]) == 2
     assert json.loads(capsys.readouterr().err) == {
-        "error": "ParseError", "message": f"{weights}:0: weight of 'A4' must be positive"}
+        "error": "ParseError", "message": f"{weights}:1: weight of 'A4' must be positive"}
 
 
 # analyze's usage errors: exit 1 and the message, before any analysis runs
@@ -641,17 +641,17 @@ EGO_FAULTS = {
     "column sum": ({"x": EYE, "y": [[0.5, 0.0], [0.0, 1.0]]},
                    1, "ValueError", "ego matrix columns must sum to 1"),
     "non-numeric": ({"x": [["a", 0.0], [0.0, 1.0]], "y": EYE}, 2, "ParseError",
-                    "{path}:0: ego matrix of 'x' must be finite JSON numbers"),
+                    "{path}:1: ego matrix of 'x' must be finite JSON numbers"),
     "ragged": ({"x": EYE, "y": [[1.0, 0.0], [0.0]]}, 2, "ParseError",
-               "{path}:0: ego matrix of 'y' must be finite JSON numbers"),
+               "{path}:1: ego matrix of 'y' must be finite JSON numbers"),
     "zero diagonal": ({"x": EYE, "y": [[0.0, 0.5], [1.0, 0.5]]},
                       1, "ZeroDiagonal", "ego matrix of vertex 1 has zero stay-probability "
                                          "in layer 0; composition undefined"),
     "unknown label": ({"x": EYE, "y": EYE, "z": EYE},
-                      2, "ParseError", "{path}:0: unknown vertex label 'z'"),
+                      2, "ParseError", "{path}:1: unknown vertex label 'z'"),
     "missing label": ({"x": EYE}, 2, "ParseError", "{path}:0: missing ego matrices for ['y']"),
     "NaN": ({"x": [[float("nan"), 0.5], [float("nan"), 0.5]], "y": EYE}, 2, "ParseError",
-            "{path}:0: ego matrix of 'x' must be finite JSON numbers"),
+            "{path}:1: ego matrix of 'x' must be finite JSON numbers"),
     "non-object top level": (EYE, 2, "ParseError",
                              "{path}:0: top level must be a JSON object keyed by vertex label"),
 }
@@ -762,7 +762,8 @@ def test_json_companion_faults(case, tmp_path, temporal_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "ParseError", "message": f"{bad}:0: {message}"}
+    line = 0 if isinstance(payload, list) else 1  # the line of the key, one a list lacks
+    assert err == {"error": "ParseError", "message": f"{bad}:{line}: {message}"}
 
 
 # Every side file through the one number rule: each fault swaps one number of
@@ -820,6 +821,7 @@ def test_side_file_values_must_be_finite_numbers(side, fault, tmp_path, temporal
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     err = json.loads(lines[0])
-    assert err["error"] == "ParseError" and err["message"].startswith(f"{bad}:0: ")
+    line = 1 if fault != "top level" and isinstance(valid, dict) else 0  # the key's line
+    assert err["error"] == "ParseError" and err["message"].startswith(f"{bad}:{line}: ")
     if fault != "top level":
-        assert err["message"].startswith(f"{bad}:0: {where} must be ")
+        assert err["message"].startswith(f"{bad}:{line}: {where} must be ")

@@ -62,6 +62,7 @@ READERS = {
     "delay": (["delay.json"], ["transform", "--layers", "layers.txt",
                                "--delay-file", "delay.json", "--out", "out.txt"]),
     "mtx": (["super.mtx"], ["analyze", "--super", "super.mtx"]),
+    "mtx-symmetric": (["symmetric.mtx"], ["analyze", "--super", "symmetric.mtx"]),
     "super-json": (["super.json"], ["analyze", "--super", "super.json"]),
     "dimacs": (["road.gr", "road.cat"], ["ingest-dimacs", "--gr", "road.gr",
                                          "--categories", "road.cat", "--out", "out.txt"]),
@@ -97,12 +98,15 @@ def run_reader(reader):
     rng, records = random.Random(reader), []
     with tempfile.TemporaryDirectory() as tmp:
         paths = {name: os.path.join(tmp, name) for name in
-                 [*INPUTS, "super.mtx", "super.json", "out.txt", "out.mtx"]}
+                 [*INPUTS, "super.mtx", "super.json", "symmetric.mtx", "out.txt", "out.mtx"]}
         for name, text in INPUTS.items():
             Path(paths[name]).write_text(text)
         for name in ("super.mtx", "super.json"):  # a valid composition in each format
             assert main(["compose", "--layers", paths["layers.txt"], "--mode", "ego",
                          "--ego-file", paths["ego.json"], "--out", paths[name]]) == 0
+        # undirected layers composed by distance: a file under the symmetric banner
+        assert main(["compose", "--layers", paths["layers.txt"], "--mode", "distance",
+                     "--coupling", "1", "--out", paths["symmetric.mtx"]]) == 0
         valid = {name: Path(paths[name]).read_bytes() for name in files}
         args = [paths.get(arg, arg) for arg in argv]
         for _ in range(MUTATIONS_PER_READER):

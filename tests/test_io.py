@@ -29,7 +29,15 @@ from multinet import (
     write_super,
 )
 from multinet.compose import EgoMarkov, _check_egos
-from multinet.io import LayeredDataset, _check_utf8, _ids, _numbers, read_distances, write_json
+from multinet.io import (
+    LayeredDataset,
+    _check_utf8,
+    _ids,
+    _numbers,
+    read_class_weights,
+    read_distances,
+    write_json,
+)
 from multinet.errors import (
     DimensionMismatch,
     DuplicateEdge,
@@ -516,8 +524,11 @@ def test_super_mm_block_diagonal_entry_count(tmp_path, rng):
         line for line in path.read_text().splitlines()
         if line and not line.startswith("%")
     ][1:]
-    expected = sum(lay.matrix.nnz for lay in layers)
+    # undirected layers: a symmetric file, which lists the entries with row >= col
+    assert path.read_text().startswith("%%MatrixMarket matrix coordinate real symmetric\n")
+    expected = sum(sparse.tril(lay.matrix).nnz for lay in layers)
     assert len(triples) == expected
+    assert all(int(row) >= int(col) for row, col, _ in map(str.split, triples))
 
 
 def test_write_dot_colors_sides(tmp_path, rng):
@@ -595,6 +606,62 @@ def test_super_json_rejects_duplicate_block_key(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# a side-file fault that one key holds names the line that key is written on
+
+EYE3 = "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"
+SIDE_READERS = {
+    "pi": lambda path, ds: read_pi_file(path, ds),
+    "ego": lambda path, ds: read_ego_file(path, ds),
+    "bias": lambda path, ds: read_dynamics(path, None, ds),
+    "delay": lambda path, ds: read_dynamics(None, path, ds),
+    "class weights": lambda path, ds: read_class_weights(path),
+}
+# name: (reader, file text, line, reason); the toy's labels and layers
+KEY_LINE_FAULTS = {
+    "pi unknown label": ("pi", '{\n "alice": [0.5, 0.25, 0.25],\n\n "zz": [1, 0, 0]\n}\n',
+                         4, "unknown vertex label 'zz'"),
+    "pi value": ("pi", '{"alice": [0.5, 0.25, 0.25],\n "bob":\n  [0.5, "x", 0.5]}',
+                 2, "pi of 'bob' must be a list of 3 finite JSON numbers"),
+    "ego unknown label": ("ego", "{\n" + ",\n".join(f' "{label}": {EYE3}' for label in
+                                                    ["alice", "bob", "zz", "carol", "dave"])
+                          + "\n}", 4, "unknown vertex label 'zz'"),
+    "ego matrix, escaped key": (
+        "ego", f'{{"alice": {EYE3}, "bob": {EYE3},\n "dave": {EYE3},\n "c\\u0061rol":\n'
+               '   [[1, 0, 0], [0, "x", 0], [0, 0, 1]]}', 3,
+        "ego matrix of 'carol' must be finite JSON numbers"),
+    "bias unknown layer": ("bias", '{\n "phone": {"alice": 2},\n "fax": {}\n}', 3,
+                           "unknown layer 'fax'"),
+    "bias layer not an object": ("bias", '{"phone": {"alice": 2},\n\n "email": [1]}', 3,
+                                 "layer 'email' must be a JSON object keyed by vertex label"),
+    "bias label in the second layer": (
+        "bias", '{\n "phone": {"alice": 2},\n "email": {\n  "bob": 1,\n  "zz": 2}}', 5,
+        "unknown vertex label 'zz'"),
+    "delay value of the second layer": (
+        "delay", '{\n "phone": {"alice": 2},\n "email": {\n  "bob": 1,\n  "alice": "x"\n }\n}',
+        5, "value of 'alice' in layer 'email' must be a finite JSON number"),
+    "class weight not positive": ("class weights", '{\n "A1": 3,\n "A4": 0\n}', 3,
+                                  "weight of 'A4' must be positive"),
+    "class weight on the next line": ("class weights", '{"A1": 3, "A4":\n null}', 1,
+                                      "weight of 'A4' must be a finite JSON number"),
+    # no one line holds these
+    "ego missing label": ("ego", f'{{\n "alice": {EYE3}\n}}', 0,
+                          "missing ego matrices for ['bob', 'carol', 'dave']"),
+    "pi top level": ("pi", "[\n [0.5, 0.25, 0.25]\n]", 0,
+                     "top level must be a JSON object keyed by vertex label"),
+}
+
+
+@pytest.mark.parametrize("case", list(KEY_LINE_FAULTS))
+def test_side_file_fault_names_the_line_of_its_key(case, toy_path, tmp_path):
+    reader, text, line, reason = KEY_LINE_FAULTS[case]
+    path = tmp_path / "side.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        SIDE_READERS[reader](path, read_layers(toy_path))
+    assert (exc.value.line, exc.value.reason) == (line, reason)
+
+
+# ---------------------------------------------------------------------------
 # the matrix-by-matrix ego decode against the earlier whole-file route
 
 
@@ -625,7 +692,7 @@ def oracle_read_ego_file(path, ds):
     values = _numbers(list(payload.values()) or np.empty((0, l, l)), shape=(ds.n, l, l))
     if values is None:
         for u, label in enumerate(ds.labels):
-            m_u = _numbers(payload[label], path, f"ego matrix of {label!r}")
+            m_u = _numbers(payload[label], path, f"ego matrix of {label!r}", keys=(label,))
             _check_egos(m_u[None], first=u)
             if m_u.shape != (l, l):
                 k = len(m_u)
@@ -718,7 +785,7 @@ def test_ego_fault_after_a_full_batch_of_good_matrices(tmp_path):
         return got
 
     assert read_with(float("nan")) == (
-        ParseError, f"{path}:0: ego matrix of 'v257' must be finite JSON numbers", 0)
+        ParseError, f"{path}:1: ego matrix of 'v257' must be finite JSON numbers", 1)
     assert read_with(0.0) == (ValueError, "ego matrix columns must sum to 1", None)
     # a lower vertex whose matrix was converted but whose columns do not sum
     # to 1 comes first

@@ -94,9 +94,11 @@ def test_super_round_trip_bit_identical_both_formats(s):
             write_super(s, Path(tmp) / name)
         assert sorted(p.name for p in Path(tmp).iterdir()) == names
         json.loads((Path(tmp) / "super.json").read_text())
+        # the symmetric banner exactly when the matrix equals its transpose
+        symmetry = "symmetric" if (s.matrix != s.matrix.T).nnz == 0 else "general"
         for name in names[1:]:
             assert (Path(tmp) / name).read_text().startswith(
-                "%%MatrixMarket matrix coordinate real general\n")
+                f"%%MatrixMarket matrix coordinate real {symmetry}\n")
         for name in names:
             assert_bit_identical(read_super(Path(tmp) / name), s)
 
@@ -115,6 +117,86 @@ def test_empty_super_round_trips(tmp_path):
     for name in ("empty.mm", "empty.json"):
         write_super(s, tmp_path / name)
         assert_bit_identical(read_super(tmp_path / name), s)
+
+
+# ---------------------------------------------------------------------------
+# symmetric storage: the lower triangle of a matrix equal to its transpose
+
+SYMMETRIC = "%%MatrixMarket matrix coordinate real symmetric"
+
+
+def mm_entries(path):
+    """The (row, col) pairs, 1-based, that a Matrix Market file lists."""
+    lines = [line.split() for line in path.read_text().splitlines() if not line.startswith("%")]
+    return [(int(row), int(col)) for row, col, _ in lines[1:]]
+
+
+def test_symmetric_lower_triangle_reads_as_its_general_twin(tmp_path):
+    general, symmetric = tmp_path / "general.mtx", tmp_path / "symmetric.mtx"
+    general.write_text(mm_text())
+    symmetric.write_text(mm_text(banner=SYMMETRIC, entries=["2 1 1.5", "3 1 0.25", "4 3 2.0"]))
+    assert_bit_identical(read_super(symmetric), read_super(general))
+    reports = []
+    for path in (general, symmetric):
+        out = tmp_path / f"{path.stem}.json"
+        assert main(["analyze", "--super", str(path), "--stationary", "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_symmetric_entry_above_the_diagonal_reads_as_its_mirror(tmp_path):
+    path = tmp_path / "upper.mtx"
+    path.write_text(mm_text(banner=SYMMETRIC, entries=["1 2 1.5", "1 3 0.25", "4 3 2.0"]))
+    (twin := tmp_path / "twin.mtx").write_text(mm_text())
+    assert_bit_identical(read_super(path), read_super(twin))
+
+
+def test_symmetric_file_listing_both_triangles_is_a_duplicate(tmp_path):
+    path = tmp_path / "both.mtx"
+    path.write_text(mm_text(**MALFORMED_MM["symmetric banner"]))
+    with pytest.raises(ParseError) as exc:
+        read_super(path)
+    assert (exc.value.line, exc.value.reason) == (0, "duplicate entry at 0-based flat (1, 0)")
+
+
+def test_compose_distance_of_undirected_layers_writes_the_lower_triangle(tmp_path):
+    layers, path = tmp_path / "layers.txt", tmp_path / "super.mtx"
+    layers.write_text("layer a undirected\nlayer b undirected\nedge a x y 1.0\n"
+                      "edge a y y 0.5\nedge b x y 2.0\nedge b y z 3.0\n")
+    assert main(["compose", "--layers", str(layers), "--mode", "distance", "--coupling", "1",
+                 "--out", str(path)]) == 0
+    assert path.read_text().startswith(SYMMETRIC + "\n")
+    s = read_super(path)
+    lower = sparse.tril(s.matrix).tocoo()
+    assert (s.matrix != s.matrix.T).nnz == 0 and s.matrix.nnz > lower.nnz
+    assert sorted(mm_entries(path)) == sorted(zip((lower.row + 1).tolist(),
+                                                  (lower.col + 1).tolist()))
+
+
+def test_compose_ego_of_directed_layers_keeps_general(tmp_path):
+    layers, egos, path = tmp_path / "layers.txt", tmp_path / "ego.json", tmp_path / "super.mtx"
+    layers.write_text("layer a directed\nlayer b directed\nedge a x y 1.0\nedge a y x 2.0\n"
+                      "edge b x y 2.0\nedge b y x 1.0\n")
+    egos.write_text(json.dumps({"x": [[0.75, 0.5], [0.25, 0.5]], "y": [[1.0, 0.0], [0.0, 1.0]]}))
+    assert main(["compose", "--layers", str(layers), "--mode", "ego", "--ego-file", str(egos),
+                 "--out", str(path)]) == 0
+    assert path.read_text().startswith(BANNER + "\n")
+    s = read_super(path)
+    assert (s.matrix != s.matrix.T).nnz > 0
+    assert len(mm_entries(path)) == s.matrix.nnz
+
+
+def test_zero_entry_composition_round_trips(tmp_path):
+    layers, path = tmp_path / "layers.txt", tmp_path / "super.mtx"
+    layers.write_text("layer a undirected\nlayer b undirected\nvertex x\nvertex y\n")
+    assert main(["compose", "--layers", str(layers), "--mode", "distance", "--coupling", "1",
+                 "--out", str(path)]) == 0
+    assert path.read_text().startswith(SYMMETRIC + "\n") and mm_entries(path) == []
+    s = read_super(path)
+    assert (s.n, s.l, s.matrix.shape, s.matrix.nnz) == (2, 2, (4, 4), 0)
+    write_super(s, again := tmp_path / "again.mtx")
+    assert again.read_bytes() == path.read_bytes()
+    assert_bit_identical(read_super(again), s)
 
 
 # scipy's reader decompresses a name ending in .gz or .bz2, so a file written
@@ -176,6 +258,7 @@ MALFORMED_MM = {
     "missing banner": dict(banner=None),
     "array banner": dict(banner="%%MatrixMarket matrix array real general"),
     "symmetric banner": dict(banner="%%MatrixMarket matrix coordinate real symmetric"),
+    "skew-symmetric banner": dict(banner="%%MatrixMarket matrix coordinate real skew-symmetric"),
     "pattern banner": dict(banner="%%MatrixMarket matrix coordinate pattern general"),
     "fewer entries than declared": dict(count=7),
     "more entries than declared": dict(count=5),
