@@ -3,6 +3,15 @@
 Exit codes: 0 success, 1 validation or infeasibility, 2 a file fault (a
 ParseError, its subclasses included), an OS error or exhausted memory, 3
 solver non-convergence. Failures also emit one structured JSON object on stderr.
+
+Each command is a fresh process, so each pays once for what it decides: main
+builds the arguments of the one subcommand it runs (_build_parser), and
+analyze decides each fact about its matrix once, on the graph it reads (see
+graph.py): the super-adjacency's checks stand for the graph's (as_graph), a
+`symmetric`-banner file has its symmetry from the banner, and
+--largest-component finds the components once, in one csgraph pass, which
+then tell the component slice that it is one component, so stationary and
+bisect search it no more.
 """
 
 from __future__ import annotations
@@ -24,19 +33,14 @@ from .compose import (
     verify_layer_consistency,
 )
 from .errors import MultinetError, NoConvergence, ParseError
-from .graph import (
-    ITERATIVE_TOL,
-    LayerGraph,
-    component_matrix,
-    components,
-    stationary,
-)
+from .graph import ITERATIVE_TOL, components, stationary
 from .spectral import bisect, layer_load
 from .transform import degree_proportional_delay, transform_layer
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
@@ -51,27 +55,43 @@ def main(argv=None) -> int:
     return code
 
 
-def _build_parser():
+def _build_parser(command=None):
+    """The CLI's parser: with every subcommand, or with `command`'s alone
+    when it names one, which then parses, and prints its help and errors, as
+    under the full parser."""
+    everything = command not in _COMMANDS
     parser = argparse.ArgumentParser(
         prog="multinet",
         description="Compose and analyze multi-layer networks under a "
                     "unified random-walk process.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # the layers and their stage-1 dynamics, shared by transform and compose
-    dynamics = argparse.ArgumentParser(add_help=False)
-    dynamics.add_argument("--layers", required=True)
-    dynamics.add_argument("--bias-file")
-    dynamics.add_argument("--delay-file")
-    dynamics.add_argument("--degree-delay", type=float, metavar="KAPPA",
-                          help="use tau = 1 + KAPPA * degree in every layer")
+    # a parser of one subcommand still names them all in its usage line
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if everything else "{" + ",".join(_COMMANDS) + "}")
+    for name, (summary, handler, add_arguments) in _COMMANDS.items():
+        if everything or name == command:
+            p = sub.add_parser(name, help=summary)
+            add_arguments(p)
+            p.set_defaults(handler=handler)
+    return parser
 
-    p = sub.add_parser("transform", parents=[dynamics],
-                       help="apply bias/delay dynamics to each layer")
+
+def _dynamics_arguments(p):
+    """The layers and their stage-1 dynamics, shared by transform and compose."""
+    p.add_argument("--layers", required=True)
+    p.add_argument("--bias-file")
+    p.add_argument("--delay-file")
+    p.add_argument("--degree-delay", type=float, metavar="KAPPA",
+                   help="use tau = 1 + KAPPA * degree in every layer")
+
+
+def _transform_arguments(p):
+    _dynamics_arguments(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_transform)
 
-    p = sub.add_parser("compose", parents=[dynamics], help="assemble the composed network")
+
+def _compose_arguments(p):
+    _dynamics_arguments(p)
     p.add_argument("--mode", required=True,
                    choices=["multiplex", "ego", "stationary", "distance"])
     p.add_argument("--ego-file")
@@ -88,9 +108,9 @@ def _build_parser():
     p.add_argument("--force-symmetrize", action="store_true",
                    help="average asymmetric ego blocks; implies --require-undirected")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_compose)
 
-    p = sub.add_parser("verify", help="run both consistency checks on a composition")
+
+def _verify_arguments(p):
     p.add_argument("--super", dest="super_path", required=True)
     p.add_argument("--layers", required=True,
                    help="the layers the composition was built from; for a "
@@ -98,9 +118,9 @@ def _build_parser():
                         "`transform` run with the same flags")
     p.add_argument("--ego-file", required=True)
     p.add_argument("--tol", type=float, default=ITERATIVE_TOL)
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("analyze", help="spectral and load analysis")
+
+def _analyze_arguments(p):
     p.add_argument("--super", dest="super_path")
     p.add_argument("--layers")
     p.add_argument("--layer", help="pick one layer of a layered file")
@@ -114,9 +134,9 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--dot", help="write a DOT file colored by bisection side")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.set_defaults(handler=_cmd_analyze)
 
-    p = sub.add_parser("ingest-dimacs", help="split a DIMACS .gr road graph into layers")
+
+def _ingest_arguments(p):
     p.add_argument("--gr", required=True)
     p.add_argument("--categories", required=True)
     p.add_argument("--highway-classes", default="A1,A2,A3")
@@ -124,9 +144,6 @@ def _build_parser():
     p.add_argument("--scale-layer", action="append", default=[], metavar="NAME=FACTOR",
                    help="rescale one layer's weights after ingestion")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_ingest)
-
-    return parser
 
 
 def _load_transformed(args):
@@ -232,11 +249,10 @@ def _cmd_analyze(args):
     report = {"seed": args.seed}
     n, kept, walk = full.n, np.arange(full.n), full  # walk: the graph on the kept instances
     if args.largest_component:
-        comps = components(full.matrix)
+        comps = components(full)  # kept on full: a walk that is all of it is not searched again
         if len(comps) > 1:
             kept = comps[0]
-            walk = LayerGraph(len(kept), component_matrix(full.matrix, kept),
-                              directed=full.directed)
+            walk = full.subgraph(kept)  # one component, symmetric if full is known to be
             report["restricted_to_component"] = kept.tolist()
     # the whole matrix goes as soon as nothing left in the command reads it
     full = None
@@ -278,6 +294,19 @@ def _cmd_ingest(args):
         layers[k] = layers[k].scaled(float(factor))
     mio.write_layers(replace(ds, layers=layers), args.out)
     return 0
+
+
+# name: (summary in the top-level help, handler, the function adding its arguments)
+_COMMANDS = {
+    "transform": ("apply bias/delay dynamics to each layer", _cmd_transform,
+                  _transform_arguments),
+    "compose": ("assemble the composed network", _cmd_compose, _compose_arguments),
+    "verify": ("run both consistency checks on a composition", _cmd_verify,
+               _verify_arguments),
+    "analyze": ("spectral and load analysis", _cmd_analyze, _analyze_arguments),
+    "ingest-dimacs": ("split a DIMACS .gr road graph into layers", _cmd_ingest,
+                      _ingest_arguments),
+}
 
 
 if __name__ == "__main__":

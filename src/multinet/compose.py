@@ -22,6 +22,7 @@ Four regimes build the coupling:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -147,7 +148,15 @@ class SuperAdjacency:
         return np.asarray(self.matrix.sum(axis=1)).ravel()
 
     def as_graph(self):
-        return LayerGraph(self.n * self.l, self.matrix, directed=True)
+        """The composed network as one directed LayerGraph on this matrix,
+        made once and without checking again what construction checked, so
+        that the facts decided on it (LayerGraph.symmetric, components) hold
+        for every later call."""
+        return self._graph
+
+    @cached_property
+    def _graph(self):
+        return LayerGraph._checked(self.matrix, directed=True)
 
 
 # ---------------------------------------------------------------------------

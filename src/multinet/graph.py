@@ -11,11 +11,20 @@ graph's matrix W is exactly symmetric its walk is reversible and pi is the
 closed form ``(|C| / n) d / vol(C)`` on each component C (Lovász, *Random
 walks on graphs: a survey*, 1993), computed from the degrees and checked by
 one product with W; no transition matrix is built.
+
+Facts about a graph's matrix that several analyses read -- whether it equals
+its transpose (``LayerGraph.symmetric``) and its weak components
+(``components``) -- are decided at most once per LayerGraph, when first read,
+and kept on it; ``LayerGraph.subgraph`` hands a component slice both, from its
+parent's, and a reader that knows one from the file fills it in. Nothing is
+kept beyond the graph object, so each command decides each fact once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -42,10 +51,15 @@ def _index_dtype(*extents):
 
 def _canonical(mat, shape=None):
     """Canonical CSC: float64, sorted, no duplicates or stored zeros, indices and
-    indptr in the _index_dtype of shape and entry count; canonical input is not copied."""
+    indptr in the _index_dtype of shape and entry count; canonical input is not
+    copied, nor searched again for what scipy's flag or a scan of its weights
+    shows is not there."""
     out = sparse.csc_array(mat, shape=shape, dtype=np.float64)
+    if isinstance(mat, sparse.csc_array) and mat.has_canonical_format:
+        out.has_canonical_format = True  # a new array does not inherit the flag
     out.sum_duplicates()  # sorts the indices too
-    out.eliminate_zeros()
+    if not out.data.all():
+        out.eliminate_zeros()
     idx = _index_dtype(*out.shape, out.data.size)
     out.indices = out.indices.astype(idx, copy=False)
     out.indptr = out.indptr.astype(idx, copy=False)
@@ -68,6 +82,8 @@ class LayerGraph:
 
     A zero entry means the edge is absent; stored weights are strictly
     positive and finite. Undirected graphs hold the full symmetric matrix.
+    Facts about the matrix (``symmetric``, its ``components``) are computed
+    when first read and kept on the graph.
     """
 
     n: int
@@ -80,8 +96,48 @@ class LayerGraph:
         data = mat.data
         if data.size and (not np.all(np.isfinite(data)) or data.min() <= 0.0):
             raise ValueError("edge weights must be strictly positive and finite")
-        if not self.directed and not _is_symmetric(mat):
-            raise ValueError("undirected graph requires an exactly symmetric matrix")
+        if not self.directed:
+            if not _is_symmetric(mat):
+                raise ValueError("undirected graph requires an exactly symmetric matrix")
+            self.__dict__["symmetric"] = True
+
+    @classmethod
+    def _checked(cls, matrix, directed, **facts):
+        """A graph on a canonical CSC that has passed the checks above, built
+        without repeating them, with `facts`, values of its lazily computed
+        properties that are already known."""
+        graph = cls.__new__(cls)
+        graph.__dict__.update(n=matrix.shape[0], matrix=matrix, directed=directed, **facts)
+        return graph
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether the matrix equals its transpose, whatever the directed
+        flag: decided once per graph, by the pattern counts and then, only
+        if they agree, by a transposed copy (_is_symmetric)."""
+        return _symmetric_counts(self.matrix) and _is_symmetric(self.matrix)
+
+    @cached_property
+    def _components(self):
+        return components(self.matrix)
+
+    @cached_property
+    def _in_degrees(self):
+        """Column sums, each summed in its column's stored order: the degrees
+        of a symmetric matrix as its CSC arrays read as CSR add them up."""
+        return np.asarray(self.matrix.sum(axis=0)).ravel()
+
+    def subgraph(self, kept):
+        """The graph on `kept`, a sorted union of its weak components (items
+        of components(self)), on component_matrix's copy of their entries,
+        which needs none of the checks. Its components follow from this
+        graph's labels, renumbered in order, and a symmetric matrix keeps
+        its symmetry; neither is computed again."""
+        labels = np.unique(components(self).labels[kept], return_inverse=True)[1]
+        facts = {"_components": _Components(labels)}
+        if self.__dict__.get("symmetric"):
+            facts["symmetric"] = True
+        return LayerGraph._checked(component_matrix(self.matrix, kept), self.directed, **facts)
 
     @classmethod
     def from_edges(cls, n, edges, directed=True):
@@ -223,7 +279,10 @@ def stationary(m: TransitionMatrix | LayerGraph, tol: float = ITERATIVE_TOL,
     symmetric (every undirected graph and composition) the result is the
     closed form (|C|/n) d / vol(C) on each weakly connected component C,
     taken once one product confirms it; any other graph, or a closed form
-    that misses `tol`, goes through urw_transition as below.
+    that misses `tol`, goes through urw_transition as below. The symmetry
+    and the components are the graph's own facts (LayerGraph.symmetric,
+    components): a graph that already knows them, such as a component
+    slice, has neither decided again.
 
     A detailed-balanced chain starts from its exact balance-ratio vector,
     which is already fixed, with mass |C|/n on each weakly connected
@@ -256,13 +315,12 @@ def _degree_stationary(g: LayerGraph, tol):
     symmetric, once |M pi - pi|_1 = |W (pi / d) - pi|_1 <= tol; None for any
     other graph, for a miss, or where a volume overflows. A zero degree
     raises DanglingVertex."""
-    mat, n = g.matrix, g.n
-    # a directed flag asks for checks, cheapest first: a chain whose pattern
-    # counts differ is turned away before csgraph loads
-    if g.directed and not (_symmetric_counts(mat) and _is_symmetric(mat)):
+    # a chain whose pattern counts differ is turned away before csgraph loads
+    if not g.symmetric:
         return None
+    mat, n = g.matrix, g.n
     d, inverse = _degree_scaling(mat)
-    _, labels = _symmetric_components(mat)
+    labels = components(g).labels  # with a symmetric pattern weak is strong
     vol = np.bincount(labels, d)
     if not np.all(np.isfinite(vol)):
         return None
@@ -391,18 +449,41 @@ def first_repeat(key):
     return int(np.setdiff1d(np.arange(key.size), np.unique(key, return_index=True)[1])[0])
 
 
-def components(matrix) -> list[np.ndarray]:
-    """Weakly connected components of a sparse adjacency, largest first,
-    equal sizes in label order; each a slice of one label-sorted array."""
+def components(graph) -> Sequence[np.ndarray]:
+    """Weakly connected components of a LayerGraph or a sparse adjacency,
+    largest first, equal sizes in label order; each a slice of one
+    label-sorted array, made when it is first indexed. A LayerGraph's are
+    found once, by one csgraph pass, and kept on it (see LayerGraph.subgraph
+    for a slice's)."""
+    if isinstance(graph, LayerGraph):
+        return graph._components
     # imported here: csgraph brings in scipy.linalg, about 0.15 s of start-up
     from scipy.sparse.csgraph import connected_components
     # weak components are those of the undirected graph: csgraph reads a CSC's
     # arrays as the CSR of A^T, which has the same ones, and copies only that
-    count, labels = connected_components(matrix, directed=True, connection="weak")
-    sizes = np.bincount(labels, minlength=count)
-    order, ends = np.argsort(labels, kind="stable"), np.cumsum(sizes)
-    starts, ends = (ends - sizes).tolist(), ends.tolist()
-    return [order[starts[k]:ends[k]] for k in np.argsort(-sizes, kind="stable").tolist()]
+    return _Components(connected_components(graph, directed=True, connection="weak")[1])
+
+
+class _Components(Sequence):
+    """The components of weak labels 0..count-1, numbered, as csgraph numbers
+    them, in order of their first vertex: the count and the largest are read
+    off the sizes, and the label sort that slices them waits for an item."""
+
+    def __init__(self, labels):
+        self.labels = labels
+        self._sizes = np.bincount(labels)
+        self._rank = np.argsort(-self._sizes, kind="stable")
+        self._ends = self._order = None
+
+    def __len__(self):
+        return len(self._sizes)
+
+    def __getitem__(self, k):
+        c = self._rank[k]
+        if self._order is None:
+            self._order = np.argsort(self.labels, kind="stable")
+            self._ends = np.cumsum(self._sizes)
+        return self._order[self._ends[c] - self._sizes[c]:self._ends[c]]
 
 
 def component_matrix(matrix, kept):
@@ -414,8 +495,9 @@ def component_matrix(matrix, kept):
     inside = np.zeros(n, dtype=bool)
     inside[kept] = True
     keep = inside[matrix.indices]
-    new = np.cumsum(inside, dtype=matrix.indices.dtype) - 1  # old id -> new id
     counts = np.diff(matrix.indptr)[kept]
-    indptr = np.concatenate([[0], np.cumsum(counts)], dtype=matrix.indptr.dtype)
+    idx = _index_dtype(len(kept), int(counts.sum()))
+    new = np.cumsum(inside, dtype=idx) - 1  # old id -> new id
+    indptr = np.concatenate([[0], np.cumsum(counts)], dtype=idx)
     return sparse.csc_array((matrix.data[keep], new[matrix.indices[keep]], indptr),
                             shape=(len(kept), len(kept)))

@@ -23,24 +23,26 @@ Companion JSON files hold ego matrices or stationary layer distributions
 keyed by vertex label, bias/delay values keyed by layer then vertex label,
 layer distances, or positive road-class weights; each value a finite JSON
 number, or a ParseError names the file and the key, as it does JSON that
-does not parse. A fault that one key holds is on the line of that key,
-found by scanning the file again once the fault is known. Each ego matrix
-becomes a float64 array as soon as it is decoded. Super-adjacencies
-serialize to Matrix-Market coordinate files (a header comment records n, l
-and the layer-major indexing) or to a JSON block layout, picked by the file
-name alone: a name ending in ``.json`` is JSON, any other name Matrix
-Market, for writing and reading, and one ending in ``.gz`` or ``.bz2`` is
-refused. A matrix equal to its transpose is written under the ``symmetric``
-banner, its entries with row >= col alone; any other under ``general``.
-The reader accepts both; under ``symmetric`` each entry off the diagonal
-also stands for its mirror, so one above the diagonal reads as its mirror
-and a file listing both triangles repeats every entry. Both formats
-round-trip weights bit-identically; entry order and float spelling are not
-part of either format. Both reject indices out of range, non-numeric or
-non-finite weights and duplicate entries; the Matrix-Market reader also
-rejects a missing or foreign banner, a NUL byte, a line past the header
-comments with more than three tokens, and a size line whose size is not
-n*l or whose entry count the file's tokens do not match, both checked
+does not parse. A fault that one key holds is on the line of that key, and
+a key repeated in one object on the line of its second occurrence, found by
+scanning the file again once the fault is known. Each ego matrix becomes a
+float64 array as soon as it is decoded. Super-adjacencies serialize to
+Matrix-Market coordinate files (a header comment records n, l and the
+layer-major indexing) or to a JSON block layout, picked by the file name
+alone: a name ending in ``.json`` is JSON, any other name Matrix Market, for
+writing and reading, and one ending in ``.gz`` or ``.bz2`` is refused. A
+matrix equal to its transpose is written under the ``symmetric`` banner, its
+entries with row >= col alone; any other under ``general``. The reader
+accepts both; under ``symmetric`` each entry off the diagonal also stands
+for its mirror, so one above the diagonal reads as its mirror, a file
+listing both triangles repeats every entry, and the matrix read is known to
+equal its transpose (``LayerGraph.symmetric`` of its graph) without a check.
+Both formats round-trip weights bit-identically; entry order and float
+spelling are not part of either format. Both reject indices out of range,
+non-numeric or non-finite weights and duplicate entries; the Matrix-Market
+reader also rejects a missing or foreign banner, a NUL byte, a line past the
+header comments with more than three tokens, and a size line whose size is
+not n*l or whose entry count the file's tokens do not match, both checked
 before scipy's reader, given the file's name, allocates for the entries.
 Either reader's COO entries are freed as soon as their canonical CSC exists,
 so read_super's SuperAdjacency check and its caller see only that CSC.
@@ -62,8 +64,7 @@ from scipy import sparse
 
 from .compose import EgoMarkov, SuperAdjacency, _check_egos
 from .errors import DimensionMismatch, DuplicateEdge, MissingCategory, ParseError, UnknownLayer
-from .graph import (_canonical, _is_symmetric, _layer_graphs, _symmetric_counts, components,
-                    first_repeat)
+from .graph import _canonical, _layer_graphs, components, first_repeat
 from .transform import DynamicsParams
 
 @dataclass(frozen=True)
@@ -207,7 +208,8 @@ def read_json(path, convert=None):
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ParseError(0, f"duplicate JSON object key {key!r}", path)
+                raise ParseError(_repeat_line(text, key), f"duplicate JSON object key {key!r}",
+                                 path)
             seen.add(key)
         return dict(pairs)
 
@@ -248,22 +250,53 @@ def _key_line(path, keys):
     is not in the file. The file is scanned again, so only a fault pays."""
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
-    space, skip = json.decoder.WHITESPACE.match, json.JSONDecoder().raw_decode
     at, line = 0, 0
     for key in keys:
-        at = space(text, at).end()
-        if not text.startswith("{", at):
+        # read_json refused a repeated key: the first member of that name is the one
+        member = next((member for member in _members(text, at) if member[0] == key), None)
+        if member is None:
             return 0
-        at = space(text, at + 1).end()
-        while text.startswith('"', at):  # each member: "name" : value , or }
-            name, end = json.decoder.scanstring(text, at + 1)
-            start = space(text, space(text, end).end() + 1).end()
-            if name == key:  # read_json refused a repeated key
-                break
-            at = space(text, space(text, skip(text, start)[1]).end() + 1).end()
-        else:
-            return 0
-        line, at = text.count("\n", 0, at) + 1, start
+        line, at = text.count("\n", 0, member[1]) + 1, member[2]
+    return line
+
+
+def _members(text, at):
+    """(name, start of the name, start of the value) of each member of the
+    JSON object at `at`, after any whitespace, in file order; none where no
+    object starts there. Each member must decode."""
+    space, skip = json.decoder.WHITESPACE.match, json.JSONDecoder().raw_decode
+    at = space(text, at).end()
+    if not text.startswith("{", at):
+        return
+    at = space(text, at + 1).end()
+    while text.startswith('"', at):  # each member: "name" : value , or }
+        name, end = json.decoder.scanstring(text, at + 1)
+        start = space(text, space(text, end).end() + 1).end()
+        yield name, at, start
+        at = space(text, space(text, skip(text, start)[1]).end() + 1).end()
+
+
+def _repeat_line(text, key):
+    """The line on which `key` is written the second time in the object that
+    read_json refused for it, the first to repeat a key in the order objects
+    close, found by decoding `text` again with the pure-Python scanner, which
+    shows where each object starts: only a fault pays. 0 where that scanner
+    recurses too deeply."""
+    line = 0
+
+    def parse_object(s_and_end, strict, scan_once, object_hook, pairs_hook, memo):
+        nonlocal line
+        pairs, end = json.decoder.JSONObject(s_and_end, strict, scan_once, None, list, memo)
+        if not line and len(dict(pairs)) < len(pairs):
+            at = [at for name, at, _ in _members(text, s_and_end[1] - 1) if name == key][1]
+            line = text.count("\n", 0, at) + 1
+        return None, end
+
+    decoder = json.JSONDecoder()
+    decoder.parse_object = parse_object
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    with contextlib.suppress(ValueError, RecursionError):  # past the repeat the text may not parse
+        decoder.decode(text)
     return line
 
 
@@ -559,11 +592,14 @@ def read_super(path) -> SuperAdjacency:
         read = _read_super_json if _is_json(path) else _read_super_mm
     except ValueError as exc:  # raised before scipy's reader sees the name
         raise ParseError(0, str(exc), path) from None
-    n, l, mat = read(path)  # the reader's COO is gone: the check sees the CSC alone
+    n, l, mat, mirrored = read(path)  # the reader's COO is gone: the check sees the CSC alone
     try:
-        return SuperAdjacency(n=n, l=l, matrix=mat)
+        s = SuperAdjacency(n=n, l=l, matrix=mat)
     except ValueError as exc:
         raise ParseError(0, str(exc), path) from None
+    if mirrored:  # each entry was read with its mirror: the matrix equals its transpose
+        vars(s.as_graph())["symmetric"] = True
+    return s
 
 
 # the banners read_super accepts; write_super picks symmetric for a matrix equal
@@ -575,7 +611,7 @@ _BANNERS = (b"%%MatrixMarket matrix coordinate real general",
 def _write_super_mm(s, path):
     import scipy.io  # imported here: only Matrix Market files need it, 0.02 s of start-up
     mat, symmetry = s.matrix, "general"
-    if _symmetric_counts(mat) and _is_symmetric(mat):
+    if s.as_graph().symmetric:
         mat, symmetry = _lower_triangle(mat), "symmetric"
     # an open handle stops mmwrite from appending ".mtx" to the name
     with open(path, "wb") as handle:
@@ -596,9 +632,10 @@ def _lower_triangle(mat):
 def _read_super_mm(path):
     import scipy.io  # imported here: only Matrix Market files need it, 0.02 s of start-up
     with open(path, "rb") as handle:
-        if handle.readline().strip() not in _BANNERS:
+        banner = handle.readline().strip()
+        if banner not in _BANNERS:
             raise ParseError(1, "expected the banner " + " or ".join(
-                repr(banner.decode()) for banner in _BANNERS), path)
+                repr(known.decode()) for known in _BANNERS), path)
         header = b"".join(itertools.takewhile(  # comments and blank lines
             lambda line: line.startswith(b"%") or line.isspace(), handle))
         found = [re.search(rb"\b%s=(\d+)\b" % key, header) for key in (b"n", b"l")]
@@ -629,7 +666,7 @@ def _read_super_mm(path):
             where = re.match(r"Line (\d+): (.*)", str(exc))
             line, reason = (int(where[1]), where[2]) if where else (0, str(exc))
             raise ParseError(line, reason, path) from None
-    return n, l, _csc_of_entries(path, n * l, coo.row, coo.col, coo.data)
+    return n, l, _csc_of_entries(path, n * l, coo.row, coo.col, coo.data), banner == _BANNERS[1]
 
 
 _TOKEN = re.compile(rb"[^\0-\x20]+")  # bytes up to 32 (space) separate tokens
@@ -702,7 +739,7 @@ def _read_super_json(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(0, f"malformed super-adjacency JSON: {exc}", path) from None
     flat = (offset.reshape(-1, 2) * n + index).astype(np.int64)
-    return n, l, _csc_of_entries(path, n * l, flat[:, 0], flat[:, 1], table[:, 2])
+    return n, l, _csc_of_entries(path, n * l, flat[:, 0], flat[:, 1], table[:, 2]), False
 
 
 def _csc_of_entries(path, size, rows, cols, vals):
@@ -733,11 +770,12 @@ def write_dot(graph, path, side=None, labels=None, layer_names=None):
     if isinstance(graph, SuperAdjacency):
         names = [f"{vertex}@{layer}" for layer in named(layer_names, graph.l)
                  for vertex in named(labels, graph.n)]
+        graph = graph.as_graph()
     else:
         names = named(labels, mat.shape[0])
     colors = [""] * len(names) if side is None else \
         [' [color="firebrick"]' if side[k] else ' [color="steelblue"]' for k in range(len(names))]
-    directed = not _is_symmetric(mat)
+    directed = not graph.symmetric
     keyword, arrow = ("digraph", "->") if directed else ("graph", "--")
     parts = [f"{keyword} multinet {{\n"]
     parts += [f'  "{name}"{color};\n' for name, color in zip(names, colors)]

@@ -8,12 +8,16 @@ form cut(S) / min(vol(S), vol(complement)) -- the one-sided cut(S)/vol(S)
 is emitted alongside, since a one-sided objective is trivially gamed by
 peeling off a single vertex.
 
-The weights W are those of an undirected LayerGraph, whose symmetric
-canonical CSC arrays read as CSR are W itself: no copy. Any other graph has
-its symmetry checked once, at the cost of one transposed copy, and a directed
-one is symmetrized as (W + W^T)/2 with a warning; bisect hands the undirected
-result to fiedler_vector and sweep_cut, which take it as it is. N =
-D^{-1/2} W D^{-1/2} is a scaled copy of W's weights on W's own index arrays.
+The weights W are those of a LayerGraph whose matrix is symmetric, whose
+canonical CSC arrays read as CSR are W itself: no copy. A SuperAdjacency
+stands for its graph (as_graph). Whether W is symmetric, its components and
+its degrees are facts kept on that graph (LayerGraph.symmetric, components,
+and the column sums), each decided at most once: an undirected graph, a
+component slice or a `symmetric`-banner file already knows the first two,
+and bisect hands the same graph to fiedler_vector and sweep_cut. A matrix
+that is not symmetric is symmetrized as (W + W^T)/2 with a warning, once, and
+the result is handed on. N = D^{-1/2} W D^{-1/2} is a scaled copy of W's
+weights on W's own index arrays.
 
 The sweep needs no loop over vertices: a stored entry w_uv becomes internal
 to the prefix at step max(rank u, rank v), read in CSR order from the row
@@ -89,29 +93,22 @@ class LayerLoad:
             raise ValueError("layer loads must be finite, non-negative and sum to 1")
 
 
-def _undirected(g):
-    """A LayerGraph or SuperAdjacency as an undirected LayerGraph: an
-    undirected LayerGraph itself, else its matrix, whose symmetry is checked
-    here, once, or (W + W^T)/2 with a warning when it is not symmetric."""
-    if not isinstance(g, (SuperAdjacency, LayerGraph)):
-        raise TypeError("expected a LayerGraph or SuperAdjacency")
-    if isinstance(g, LayerGraph) and not g.directed:
-        return g
-    mat = g.matrix
-    try:  # its weights are positive and finite already: only asymmetry fails
-        return LayerGraph(mat.shape[0], mat, directed=False)
-    except ValueError:
-        warnings.warn("directed graph symmetrized as (W + W^T)/2 for spectral analysis")
-        return LayerGraph(mat.shape[0], (mat + mat.T) * 0.5, directed=False)
-
-
 def _spectral_weights(g):
-    """Symmetric CSR weights of a LayerGraph or SuperAdjacency (see
-    _undirected) and their row sums. A symmetric canonical CSC's arrays read
-    as CSR are the same matrix, so the CSR shares them: no copy."""
-    mat = _undirected(g).matrix
+    """A LayerGraph or SuperAdjacency as a graph whose matrix W is symmetric
+    -- its own graph when its symmetry fact says so, whatever the directed
+    flag, else that of (W + W^T)/2, with a warning -- then W as CSR weights
+    and their row sums, the graph's column sums. A symmetric canonical CSC's
+    arrays read as CSR are the same matrix, so the CSR shares them: no copy."""
+    if isinstance(g, SuperAdjacency):
+        g = g.as_graph()
+    elif not isinstance(g, LayerGraph):
+        raise TypeError("expected a LayerGraph or SuperAdjacency")
+    if not g.symmetric:
+        warnings.warn("directed graph symmetrized as (W + W^T)/2 for spectral analysis")
+        g = LayerGraph(g.n, (g.matrix + g.matrix.T) * 0.5, directed=False)
+    mat = g.matrix
     w = sparse.csr_array((mat.data, mat.indices, mat.indptr), shape=mat.shape)
-    return w, np.asarray(w.sum(axis=1)).ravel()
+    return g, w, g._in_degrees
 
 
 def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
@@ -126,11 +123,11 @@ def fiedler_vector(g, tol: float = 1e-8, max_iter: int = 100_000,
     docstring); NoConvergence after exactly max_iter loop steps, the last
     block cut short.
     """
-    w, d = _spectral_weights(g)
+    sym, w, d = _spectral_weights(g)
     n = w.shape[0]
     if n < 2:
         raise EmptyGraph("need at least two vertices to bisect")
-    comps = components(w)
+    comps = components(sym)
     if len(comps) > 1:
         raise Disconnected(comps)
     # N = D^{-1/2} W D^{-1/2} as scale @ w @ scale rounds it, entry by entry
@@ -219,7 +216,7 @@ def sweep_cut(g, order) -> Bisection:
     on ties) together with the whole profile. A prefix with no volume on one
     side has conductance inf; EmptyGraph if every prefix has.
     """
-    w, d = _spectral_weights(g)
+    _, w, d = _spectral_weights(g)
     n = w.shape[0]
     order = np.asarray(order)
     if (order.shape != (n,) or order.dtype.kind not in "biufO"
@@ -256,8 +253,7 @@ def bisect(g, tol: float = 1e-8, max_iter: int = 100_000,
            seed: int = 42) -> Bisection:
     """Sweep cut along the Fiedler ordering (ascending values, index ties),
     with the eigenvalue and residual of the Fiedler vector."""
-    sym = _undirected(g)  # symmetry decided once: no second check or warning
-    w, d = _spectral_weights(sym)
+    sym, w, d = _spectral_weights(g)  # handed on: no second symmetrization or warning
     x = fiedler_vector(sym, tol=tol, max_iter=max_iter, seed=seed)
     order = np.argsort(x, kind="stable")
     inv_sqrt = 1.0 / np.sqrt(d)
@@ -273,7 +269,7 @@ def conductance(g, side, one_sided: bool = False) -> float:
     Symmetric form cut / min(vol, vol of complement) by default; one_sided
     divides by the set's own volume only.
     """
-    w, d = _spectral_weights(g)
+    _, w, d = _spectral_weights(g)
     side = np.asarray(side, dtype=bool)
     if side.shape != (w.shape[0],):
         raise ValueError("side must be a boolean vector over all vertices")

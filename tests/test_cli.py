@@ -1,5 +1,6 @@
 """End-to-end CLI runs with exit-code checks."""
 
+import argparse
 import json
 
 import numpy as np
@@ -344,6 +345,29 @@ def test_analyze_has_no_conductance_flag(tmp_path, capsys):
         main(["analyze", "--layers", str(path), "--conductance"])
     assert exc.value.code == 2
     assert "--conductance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [None, "transform", "compose", "verify", "analyze",
+                                     "ingest-dimacs"])
+def test_help_is_the_full_parsers(command, capsys):
+    # main builds only the subcommand it runs; its help, and the top level's,
+    # are those of the parser with every subcommand built
+    full = cli._build_parser()
+    subparsers = next(action for action in full._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    parser = subparsers.choices[command] if command else full
+    assert capsys.readouterr().out == parser.format_help()
+
+
+def test_top_level_error_of_one_command_is_the_full_parsers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--stationary", "extra"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (cli._build_parser().format_usage()
+                                       + "multinet: error: unrecognized arguments: extra\n")
 
 
 def test_analyze_stationary_and_dot(tmp_path, temporal_path, capsys):

@@ -308,6 +308,14 @@ def test_component_matrix_is_the_two_step_slice(a, data):
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(expected, name)), name
     assert got.shape == expected.shape and got.has_canonical_format
+    # LayerGraph.subgraph: that slice, with components renumbered from the
+    # parent's labels exactly as a search of the slice finds them
+    sub = LayerGraph(mat.shape[0], mat, directed=True).subgraph(kept)
+    assert sub.n == len(kept) and np.array_equal(sub.matrix.data, expected.data)
+    found = components(expected)
+    assert len(components(sub)) == len(found)
+    for g, e in zip(components(sub), found):
+        assert np.array_equal(g, e)
 
 
 def test_index_dtype_is_int32_up_to_the_largest_int32():

@@ -34,8 +34,10 @@ from multinet.io import (
     _check_utf8,
     _ids,
     _numbers,
+    _repeat_line,
     read_class_weights,
     read_distances,
+    read_json,
     write_json,
 )
 from multinet.errors import (
@@ -548,26 +550,27 @@ def test_write_dot_colors_sides(tmp_path, rng):
 # a key given twice in one JSON object is a ParseError, never a silent overwrite
 
 
-def assert_rejects_duplicate_key(read, path, key):
+def assert_rejects_duplicate_key(read, path, key, line):
+    """The fault names the key and the line of its second occurrence."""
     with pytest.raises(ParseError) as exc:
         read(path)
-    assert f"duplicate JSON object key {key!r}" in str(exc.value)
+    assert (exc.value.line, exc.value.reason) == (line, f"duplicate JSON object key {key!r}")
 
 
 def test_ego_file_rejects_duplicate_key(toy_path, tmp_path):
     ds = read_layers(toy_path)
     eye = json.dumps(np.eye(3).tolist())
     path = tmp_path / "egos.json"
-    path.write_text(f'{{"alice": {eye}, "bob": {eye}, "carol": {eye}, '
-                    f'"dave": {eye}, "alice": {eye}}}')
-    assert_rejects_duplicate_key(lambda p: read_ego_file(p, ds), path, "alice")
+    path.write_text(f'{{"alice": {eye}, "bob": {eye}, "carol": {eye},\n'
+                    f' "dave": {eye},\n "alice": {eye}}}')
+    assert_rejects_duplicate_key(lambda p: read_ego_file(p, ds), path, "alice", 3)
 
 
 def test_pi_file_rejects_duplicate_key(toy_path, tmp_path):
     ds = read_layers(toy_path)
     path = tmp_path / "pis.json"
-    path.write_text('{"alice": [0.5, 0.3, 0.2], "alice": [0.2, 0.2, 0.6]}')
-    assert_rejects_duplicate_key(lambda p: read_pi_file(p, ds), path, "alice")
+    path.write_text('{"alice": [0.5, 0.3, 0.2],\n\n "alice": [0.2, 0.2, 0.6]}')
+    assert_rejects_duplicate_key(lambda p: read_pi_file(p, ds), path, "alice", 3)
 
 
 @pytest.mark.parametrize("trailing", ["x", "\n\n  {}", " ,", "}", '\n"alice"'])
@@ -592,17 +595,26 @@ def test_extra_data_is_one_fault_on_both_json_routes(toy_path, tmp_path, trailin
 def test_read_dynamics_rejects_duplicate_key(toy_path, tmp_path):
     ds = read_layers(toy_path)
     path = tmp_path / "bias.json"
-    path.write_text('{"phone": {"alice": 2.0, "alice": 3.0}}')
-    assert_rejects_duplicate_key(lambda p: read_dynamics(p, None, ds), path, "alice")
+    path.write_text('{"phone": {"alice": 2.0,\n "alice": 3.0}}')
+    assert_rejects_duplicate_key(lambda p: read_dynamics(p, None, ds), path, "alice", 2)
+
+
+@pytest.mark.parametrize("depth, line", [(100, 2), (400, 0)])
+def test_repeated_key_deep_inside_is_found_while_the_search_can_recurse(tmp_path, depth, line):
+    # the line search decodes again in pure Python, which takes more frames
+    # per level of nesting than the C decoder that found the repeat
+    path = tmp_path / "deep.json"
+    path.write_text('{"a":' * depth + '{"b": 1,\n "b": 2}' + "}" * depth)
+    assert_rejects_duplicate_key(read_json, path, "b", line)
 
 
 def test_super_json_rejects_duplicate_block_key(tmp_path):
     # before, the second "0,1" block replaced the first one's couplings
     path = tmp_path / "super.json"
     path.write_text('{"n": 2, "l": 2, "diagonal_blocks": [[[0, 1, 1.5], [1, 0, 1.5]], '
-                    '[[0, 1, 2.0], [1, 0, 2.0]]], "off_diagonal_blocks": '
-                    '{"0,1": [[0, 0.25]], "0,1": [[1, 0.75]]}}')
-    assert_rejects_duplicate_key(read_super, path, "0,1")
+                    '[[0, 1, 2.0], [1, 0, 2.0]]], "off_diagonal_blocks":\n'
+                    ' {"0,1": [[0, 0.25]],\n  "0,1": [[1, 0.75]]}}')
+    assert_rejects_duplicate_key(read_super, path, "0,1", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +655,15 @@ KEY_LINE_FAULTS = {
                                   "weight of 'A4' must be positive"),
     "class weight on the next line": ("class weights", '{"A1": 3, "A4":\n null}', 1,
                                       "weight of 'A4' must be a finite JSON number"),
+    # a repeated key: the line of its second occurrence, in the first object to
+    # close with one (read_json's hook sees an inner object before its parent)
+    "class weight repeated": ("class weights", '{"A1": 3,\n "A4": 1,\n "A1": 5}', 3,
+                              "duplicate JSON object key 'A1'"),
+    "pi label repeated, escaped": ("pi", '{"carol": [1, 0, 0],\n "c\\u0061rol": [0, 1, 0]}',
+                                   2, "duplicate JSON object key 'carol'"),
+    "bias label repeated in a repeated layer": (
+        "bias", '{"phone": {"alice": 2},\n "phone": {"bob": 1,\n  "bob": 2}}', 3,
+        "duplicate JSON object key 'bob'"),
     # no one line holds these
     "ego missing label": ("ego", f'{{\n "alice": {EYE3}\n}}', 0,
                           "missing ego matrices for ['bob', 'carol', 'dave']"),
@@ -667,12 +688,14 @@ def test_side_file_fault_names_the_line_of_its_key(case, toy_path, tmp_path):
 
 def oracle_read_ego_file(path, ds):
     """The earlier reader: json.loads of the whole file into nested lists,
-    one _numbers call over every matrix, then the per-label fault loop."""
+    one _numbers call over every matrix, then the per-label fault loop; a
+    repeated key on the line of its second occurrence, as read_json finds it."""
     def unique_keys(pairs):
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ParseError(0, f"duplicate JSON object key {key!r}", path)
+                raise ParseError(_repeat_line(text, key), f"duplicate JSON object key {key!r}",
+                                 path)
             seen.add(key)
         return dict(pairs)
 
