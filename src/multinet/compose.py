@@ -384,8 +384,7 @@ def verify_layer_consistency(s: SuperAdjacency, layers,
     for i, lay in enumerate(layers):
         # vertices absent from a layer have no walk on either side; their
         # columns stay zero and compare clean, keeping this a pure diagnostic
-        diff = sparse.coo_array(_walk(s.block(i, i), strict=False)
-                                - _walk(lay.matrix, strict=False))
+        diff = sparse.coo_array(_walk(s.block(i, i)) - _walk(lay.matrix))
         if diff.nnz:
             k = int(np.argmax(np.abs(diff.data)))
             devs[i], spots[i] = abs(diff.data[k]), (int(diff.row[k]), int(diff.col[k]))

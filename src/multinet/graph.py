@@ -113,9 +113,13 @@ class LayerGraph:
     @cached_property
     def symmetric(self) -> bool:
         """Whether the matrix equals its transpose, whatever the directed
-        flag: decided once per graph, by the pattern counts and then, only
-        if they agree, by a transposed copy (_is_symmetric)."""
-        return _symmetric_counts(self.matrix) and _is_symmetric(self.matrix)
+        flag: decided once per graph, by the pattern counts (_counts_agree)
+        and then, only if they agree, by a transposed copy (_is_symmetric)."""
+        return self._counts_agree and _is_symmetric(self.matrix)
+
+    @cached_property
+    def _counts_agree(self) -> bool:
+        return _symmetric_counts(self.matrix)
 
     @cached_property
     def _components(self):
@@ -174,9 +178,11 @@ class LayerGraph:
 
 
 def _layer_graphs(n, pairs, weights, index, flags):
-    """One LayerGraph per directed flag in `flags`, of the edges pairs[k] of
-    weight weights[k] in layer index[k]; an undirected layer mirrors its
-    off-diagonal edges."""
+    """One LayerGraph per directed flag in `flags`, of the edges pairs[k], none
+    given twice, of weight weights[k] (checked once; a zero is no edge) in layer
+    index[k]; an undirected layer mirrors its off-diagonal edges, so is symmetric."""
+    if not (weights.min(initial=0.0) >= 0.0 and weights.max(initial=0.0) < np.inf):
+        raise ValueError("edge weights must be strictly positive and finite")
     order = np.argsort(index, kind="stable")
     cuts = np.searchsorted(index, np.arange(len(flags) + 1), sorter=order).tolist()
     layers = []
@@ -186,7 +192,8 @@ def _layer_graphs(n, pairs, weights, index, flags):
         if not flag:
             off = u != v
             u, v, w = (np.concatenate(part) for part in ((u, v[off]), (v, u[off]), (w, w[off])))
-        layers.append(LayerGraph(n, sparse.coo_array((w, (u, v)), shape=(n, n)), flag))
+        mat = _canonical(sparse.coo_array((w, (u, v)), shape=(n, n)))
+        layers.append(LayerGraph._checked(mat, flag, **({} if flag else {"symmetric": True})))
     return layers
 
 
@@ -229,18 +236,29 @@ def urw_transition(g: LayerGraph) -> TransitionMatrix:
     """Unbiased random walk of a graph: step weights proportional to edges.
 
     Returns M with ``M[v, u] = a[u, v] / out_degree(u)``. Every vertex must
-    have positive out-degree; otherwise the walk is undefined at it.
+    have positive out-degree; otherwise the walk is undefined at it. M's CSC
+    is a's CSR, row u scaled by 1/d_u as in _walk: one copy, which passes
+    TransitionMatrix's checks unless a degree overflows (their error).
     """
-    return TransitionMatrix(g.n, _walk(g.matrix))
+    d, inverse = _degree_scaling(g.matrix)
+    if d.max(initial=0.0) == np.inf:
+        raise ValueError("every column of a transition matrix must sum to 1")
+    rows = g.matrix.tocsr()  # column u of M is row u of a, scaled a range of rows at a time
+    counts = np.diff(rows.indptr)
+    for lo, hi in _column_ranges(rows):
+        rows.data[rows.indptr[lo]:rows.indptr[hi]] *= np.repeat(inverse[lo:hi], counts[lo:hi])
+    m = TransitionMatrix.__new__(TransitionMatrix)
+    m.__dict__.update(n=g.n, matrix=_canonical(  # an underflowed product is dropped
+        sparse.csc_array((rows.data, rows.indices, rows.indptr), shape=rows.shape)))
+    return m
 
 
-def _walk(matrix, strict=True):
-    """The one walk rule, column-stochastic: M[v, u] = a[u, v] / d_u; a zero
-    row raises DanglingVertex when strict, else stays a zero column. The CSC
-    arrays of a, read as CSR, are a^T: M is a^T with each stored weight
-    scaled, sharing a's index arrays."""
+def _walk(matrix):
+    """The walk rule of urw_transition, M[v, u] = a[u, v] / d_u, with a zero
+    row left a zero column, as a CSR: the CSC arrays of a, read as CSR, are
+    a^T, so M is a^T with each stored weight scaled, sharing a's index arrays."""
     matrix = sparse.csc_array(matrix)
-    _, inverse = _degree_scaling(matrix, strict)
+    _, inverse = _degree_scaling(matrix, strict=False)
     scaled = inverse[matrix.indices]
     scaled *= matrix.data
     return sparse.csr_array((scaled, matrix.indices, matrix.indptr), shape=matrix.shape[::-1])
@@ -290,22 +308,27 @@ def stationary(m: TransitionMatrix | LayerGraph, tol: float = ITERATIVE_TOL,
     half-lazy operator (x + Mx)/2, which shares every fixed point with M but
     is aperiodic, so bipartite structures converge too.
     """
+    counts_agree = None
     if isinstance(m, LayerGraph):
         pi = _degree_stationary(m, tol)
         if pi is not None:
             return StationaryDistribution(pi)
+        # M's pattern is W's transposed: W's counts, read by m.symmetric, are M's
+        counts_agree = m.symmetric or m._counts_agree
         m = urw_transition(m)
     try:
-        x = _balance_stationary(m, tol)
+        x = _balance_stationary(m, tol, counts_agree)
     except NotDetailedBalanced:
         x = np.full(m.n, 1.0 / m.n)
+    gap = np.empty(m.n)
     for step in range(max_iter + 1):
         y = m.matrix @ x
-        residual = float(np.abs(y - x).sum())
+        residual = float(np.abs(np.subtract(y, x, out=gap), out=gap).sum())
         if residual <= tol:
             return StationaryDistribution(x)
         if step < max_iter:
-            x = 0.5 * (x + y)
+            x += y
+            x *= 0.5
             x /= x.sum()
     raise NoConvergence(residual, max_iter)
 
@@ -374,17 +397,18 @@ def symmetrize_from_markov(m: TransitionMatrix, alpha: float,
     return LayerGraph(m.n, (s + s.T) * 0.5, directed=False)
 
 
-def _balance_stationary(m: TransitionMatrix, tol) -> np.ndarray:
+def _balance_stationary(m: TransitionMatrix, tol, counts_agree=None) -> np.ndarray:
     """Stationary vector of a detailed-balanced chain from its balance ratios.
 
     pi_v / pi_u = P(u -> v) / P(v -> u) is accumulated in log space along one
     breadth-first spanning forest, rooted at a hub joined to the first vertex
     of each weakly connected component C, which then gets mass |C|/n. Raises
     NotDetailedBalanced when a transition has no reverse or some flow
-    pi_u P(u -> v) differs from pi_v P(v -> u) by more than `tol`.
+    pi_u P(u -> v) differs from pi_v P(v -> u) by more than `tol`. The
+    pattern counts are checked first, unless `counts_agree` gives their verdict.
     """
     mat, n = m.matrix, m.n
-    if not _symmetric_counts(mat):
+    if not (_symmetric_counts(mat) if counts_agree is None else counts_agree):
         raise NotDetailedBalanced("some transition has no reverse")
     rev = sparse.csc_array(mat.T)  # entry k: P(v -> u) where mat's entry k is P(u -> v)
     if not np.array_equal(rev.indices, mat.indices):

@@ -13,8 +13,8 @@ no one line holds it; DuplicateEdge, UnknownLayer and MissingCategory are
 its subclasses. A byte that is not UTF-8 is a fault on its own line.
 
 Vertex labels are shared across layers; ids follow first appearance. The
-layered and the DIMACS readers scan a file once into flat typed buffers, at
-most 40 bytes per edge, then find repeated edges (and DIMACS ids out of range)
+layered and the DIMACS readers scan a file once into flat typed buffers, 32
+and 40 bytes per edge, then find repeated edges (and DIMACS ids out of range)
 with array operations and raise at the earliest faulty line. A DIMACS ``.gr``
 file has one ``p sp <n> <m>`` header (counts below 2**31), m arc lines, arc
 ends in 1..n and finite lengths; an arc, or a category line, given again
@@ -56,6 +56,7 @@ import json
 import re
 import sys
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from io import BytesIO
 
@@ -107,14 +108,14 @@ def _check_utf8(text, path, line=1):
 
 def read_layers(path) -> LayeredDataset:
     """Parse the layered edge-list format; the earliest faulty line is reported.
-    One pass checks each line and appends each edge's ids, layer, weight and
-    line number to flat typed buffers, about 40 bytes per edge; one check
-    over all layers finds a repeated edge, and each layer's matrix is built
-    from views of those buffers."""
-    declared = {}  # layer name -> (index, directed flag), in declaration order
-    ids = {}  # label -> id, in order of first appearance
-    ends, layer, where = array("q"), array("q"), array("q")  # per edge: u, v; layer; line
-    weight = array("d")
+    One pass checks each line and appends each edge's layer, ids and weight
+    to flat typed buffers, 32 bytes per edge. One check over all layers finds
+    a repeated edge, either way round in an undirected layer (which mirrors
+    it), and each layer's matrix is built from views of those buffers."""
+    declared, flags = {}, []  # layer name -> index, in declaration order; directed flags
+    ids = defaultdict(itertools.count().__next__)  # label -> id, in order of first appearance
+    edges, weight = array("q"), array("d")  # per edge: layer, u, v; weight
+    put, put_weight, inf = edges.append, weight.append, np.inf
     fault = None  # raised after the lines before it are checked for a repeated edge
     try:
         with open(path, encoding="utf-8", errors="surrogateescape") as handle:
@@ -130,48 +131,54 @@ def read_layers(path) -> LayeredDataset:
                 if kind == "edge":
                     if len(tokens) != 5:
                         raise ParseError(lineno, "expected: edge <layer> <u> <v> <weight>", path)
-                    name = tokens[1]
-                    if name not in declared:
-                        raise UnknownLayer(lineno, f"edge in undeclared layer {name!r}", path)
+                    k = declared.get(tokens[1])
+                    if k is None:
+                        raise UnknownLayer(lineno, f"edge in undeclared layer {tokens[1]!r}", path)
                     try:
                         w = float(tokens[4])
                     except ValueError:
                         raise ParseError(lineno, f"bad weight {tokens[4]!r}", path) from None
-                    if not 0.0 < w < np.inf:
+                    if not 0.0 < w < inf:
                         raise ParseError(lineno, "edge weight must be a positive finite number",
                                          path)
-                    ends.append(ids.setdefault(tokens[2], len(ids)))
-                    ends.append(ids.setdefault(tokens[3], len(ids)))
-                    layer.append(declared[name][0])
-                    weight.append(w)
-                    where.append(lineno)
+                    put(k)
+                    put(ids[tokens[2]])
+                    put(ids[tokens[3]])
+                    put_weight(w)
                 elif kind == "vertex":
                     if len(tokens) != 2:
                         raise ParseError(lineno, "expected: vertex <label>", path)
-                    ids.setdefault(tokens[1], len(ids))
+                    ids[tokens[1]]  # a new label takes the next id
                 elif kind == "layer":
                     if len(tokens) != 3 or tokens[2] not in ("directed", "undirected"):
                         raise ParseError(lineno, "expected: layer <name> directed|undirected", path)
                     if tokens[1] in declared:
                         raise ParseError(lineno, f"layer {tokens[1]!r} declared twice", path)
-                    declared[tokens[1]] = (len(declared), tokens[2] == "directed")
+                    declared[tokens[1]] = len(flags)
+                    flags.append(tokens[2] == "directed")
                 else:
                     raise ParseError(lineno, f"unknown directive {kind!r}", path)
     except ParseError as exc:
         fault = exc
 
-    labels, n, flags = list(ids), len(ids), [flag for _, flag in declared.values()]
-    pairs, index = np.frombuffer(ends, np.int64).reshape(-1, 2), np.frombuffer(layer, np.int64)
-    keys = np.where(np.array(flags, dtype=bool)[index, None], pairs, np.sort(pairs, axis=1))
-    repeat = first_repeat(np.ravel_multi_index((index, *keys.T), (len(flags), n, n)))
+    n, triples = len(ids), np.frombuffer(edges, np.int64).reshape(-1, 3)
+    index, pairs = triples[:, 0], triples[:, 1:]
+    np.copyto(pairs, np.sort(pairs, axis=1), where=~np.array(flags, dtype=bool)[index, None])
+    repeat = first_repeat(np.ravel_multi_index((index, *pairs.T), (len(flags), n, n)))
     if repeat is not None:
-        u, v = (labels[k] for k in pairs[repeat])
-        raise DuplicateEdge(where[repeat], f"edge {u}-{v} in layer "
-                            f"{list(declared)[layer[repeat]]!r} given twice", path)
+        line, (_, name, u, v, _) = _edge_line(path, repeat)
+        raise DuplicateEdge(line, f"edge {u}-{v} in layer {name!r} given twice", path)
     if fault is not None:
         raise fault
-    return LayeredDataset(layer_names=list(declared), labels=labels,
+    return LayeredDataset(layer_names=list(declared), labels=list(ids),
                           layers=_layer_graphs(n, pairs, np.frombuffer(weight), index, flags))
+
+
+def _edge_line(path, k):
+    """(line, tokens) of edge k (from 0) of a layered file: only a repeat reads it again."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        lines = ((at, raw.split("#", 1)[0].split()) for at, raw in enumerate(handle, 1))
+        return next(itertools.islice(((at, t) for at, t in lines if t[:1] == ["edge"]), k, None))
 
 
 def write_layers(ds: LayeredDataset, path):
@@ -666,7 +673,8 @@ def _read_super_mm(path):
             where = re.match(r"Line (\d+): (.*)", str(exc))
             line, reason = (int(where[1]), where[2]) if where else (0, str(exc))
             raise ParseError(line, reason, path) from None
-    return n, l, _csc_of_entries(path, n * l, coo.row, coo.col, coo.data), banner == _BANNERS[1]
+    mirrored = banner == _BANNERS[1]
+    return n, l, _csc_of_entries(path, n * l, coo.row, coo.col, coo.data, mirrored), mirrored
 
 
 _TOKEN = re.compile(rb"[^\0-\x20]+")  # bytes up to 32 (space) separate tokens
@@ -742,16 +750,18 @@ def _read_super_json(path):
     return n, l, _csc_of_entries(path, n * l, flat[:, 0], flat[:, 1], table[:, 2]), False
 
 
-def _csc_of_entries(path, size, rows, cols, vals):
-    """The canonical CSC of flat COO arrays; rejects what summing would hide."""
+def _csc_of_entries(path, size, rows, cols, vals, mirrored=False):
+    """The canonical CSC of flat COO arrays; rejects what summing would hide.
+    A `mirrored` matrix is read as its transpose, itself: mmread gives a file
+    write_super wrote as its lower triangle, column by column, then the
+    mirrors, so each row arrives sorted and the CSC needs no sort."""
     try:
-        coo = sparse.coo_array((vals, (rows, cols)), shape=(size, size))
+        coo = sparse.coo_array((vals, (cols, rows) if mirrored else (rows, cols)),
+                               shape=(size, size))
         mat = _canonical(coo)  # only a summed repeat or a dropped zero loses entries
-        repeat = None if mat.nnz == coo.nnz else first_repeat(
-            coo.row.astype(np.int64) * size + coo.col)
+        repeat = None if mat.nnz == coo.nnz else first_repeat(rows.astype(np.int64) * size + cols)
         if repeat is not None:
-            raise ValueError(f"duplicate entry at 0-based flat "
-                             f"({coo.row[repeat]}, {coo.col[repeat]})")
+            raise ValueError(f"duplicate entry at 0-based flat ({rows[repeat]}, {cols[repeat]})")
         return mat
     except ValueError as exc:
         raise ParseError(0, str(exc), path) from None

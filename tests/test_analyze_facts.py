@@ -164,3 +164,30 @@ def test_each_fact_is_decided_once(name, symmetry_checks, flags, tmp_path, count
     code, report = analyze(path, [*flags, "--largest-component"], tmp_path / "report.json")
     assert code == 0 and b"restricted_to_component" in report
     assert counted == {"connected_components": 1, "_is_symmetric": symmetry_checks}
+
+
+@pytest.mark.parametrize("largest", [False, True])
+def test_a_directed_walk_is_counted_once_and_built_unchecked(largest, tmp_path, monkeypatch):
+    # the walk's pattern is the graph's transposed: the one pattern count made
+    # for LayerGraph.symmetric also turns the chain away from the balance start
+    s = stack(np.random.default_rng(3), 40, 3, 2, directed=True, presence=1.0)
+    path = tmp_path / "super.mtx"
+    write_super(s, path)
+    calls = {"_symmetric_counts": 0, "__post_init__": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, count)
+
+    counting(graph, "_symmetric_counts")
+    counting(graph.TransitionMatrix, "__post_init__")
+    flags = ["--stationary", "--layer-load", *(["--largest-component"] if largest else [])]
+    code, report = analyze(path, flags, tmp_path / "report.json")
+    assert code == 0
+    assert calls == {"_symmetric_counts": 1, "__post_init__": 0}
+    monkeypatch.undo()
+    assert report == recomputed(s, flags, 42, tmp_path / "expected.json")[1]

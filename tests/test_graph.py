@@ -10,7 +10,9 @@ from scipy.sparse.csgraph import connected_components
 from multinet import (
     LayerGraph,
     StationaryDistribution,
+    TransitionMatrix,
     components,
+    graph,
     is_detailed_balanced,
     reconstruct_adjacency,
     stationary,
@@ -57,6 +59,28 @@ def test_urw_columns_stochastic_random(rng):
         g = random_graph(rng, 9, directed=directed, self_loop_p=0.3)
         cols = urw_transition(g).toarray().sum(axis=0)
         assert np.abs(cols - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_urw_transition_is_the_checked_walk(seed):
+    # weights far apart, so that some products underflow to zero
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, 12, directed=bool(seed % 2), self_loop_p=0.3)
+    scale = rng.choice([1e-300, 1.0, 1e300], g.matrix.nnz)
+    g = LayerGraph(g.n, sparse.csc_array((g.matrix.data * scale, g.matrix.indices,
+                                          g.matrix.indptr), shape=g.matrix.shape), True)
+    m, want = urw_transition(g), TransitionMatrix(g.n, graph._walk(g.matrix))
+    for field in ("indptr", "indices", "data"):
+        got, expected = getattr(m.matrix, field), getattr(want.matrix, field)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), field
+    assert m.matrix.has_canonical_format and m.matrix.nnz < g.matrix.nnz  # underflows dropped
+
+
+def test_urw_rejects_a_degree_that_overflows():
+    g = LayerGraph.from_edges(3, [(0, 1, 1e308), (0, 2, 1e308), (1, 0, 1.0), (2, 0, 1.0)])
+    for walk in (urw_transition, stationary):
+        with pytest.raises(ValueError, match="every column of a transition matrix must sum to 1"):
+            walk(g)
 
 
 def test_reconstruct_identity_scaling():
@@ -212,6 +236,24 @@ def test_stationary_of_a_graph_whose_volume_overflows(directed):
 def test_layer_graph_rejects_negative_weight():
     with pytest.raises(ValueError):
         LayerGraph.from_edges(2, [(0, 1, -1.0)], directed=True)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("weight", [-1.0, -5e-324, float("nan"), float("inf"), float("-inf")])
+def test_from_edges_rejects_a_weight_that_is_negative_or_not_finite(weight, directed):
+    with pytest.raises(ValueError, match="^edge weights must be strictly positive and finite$"):
+        LayerGraph.from_edges(3, [(0, 1, 1.0), (1, 2, weight)], directed=directed)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("weight", [0.0, -0.0])
+def test_from_edges_keeps_no_entry_for_a_zero_weight(weight, directed):
+    # a zero entry means the edge is absent
+    g = LayerGraph.from_edges(3, [(0, 1, 1.0), (1, 2, weight)], directed=directed)
+    want = [[0.0, 1.0, 0.0], [0.0 if directed else 1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert np.array_equal(g.toarray(), want)
+    assert g.matrix.nnz == (1 if directed else 2)
+    assert g.symmetric is not directed
 
 
 def test_layer_graph_rejects_asymmetric_undirected():

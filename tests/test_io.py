@@ -393,7 +393,7 @@ def test_dimacs_parse_errors_name_the_line(case, tmp_path):
     assert (exc.value.path, exc.value.line, exc.value.reason) == (paths[which], line, reason)
 
 
-@pytest.mark.parametrize("weight", [0, -1, float("nan"), float("inf")])
+@pytest.mark.parametrize("weight", [0, -0.0, -1, float("nan"), float("inf"), float("-inf")])
 def test_dimacs_class_weights_must_be_positive_and_finite(weight, tmp_path):
     gr, cats = tmp_path / "roads.gr", tmp_path / "roads.cat"
     gr.write_text(GR)

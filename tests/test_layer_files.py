@@ -307,6 +307,34 @@ def test_earliest_faulty_line_is_reported(tmp_path, text, error, line):
     assert str(exc.value) == str(oracle.value)
 
 
+@pytest.mark.parametrize("text, line", [
+    # blank, comment and vertex lines, and a commented-out edge, before the repeat
+    (b"layer a directed\n\nedge a x y 1\n# edge a x y 1\n \t\nvertex z\n"
+     b"#edge a z z 1\nedge a x y 2 # again\n", 8),
+    # another layer's edges between the two copies
+    (b"layer a undirected\nlayer b directed\nedge a x y 1\nedge b x y 1\n"
+     b"edge b y x 1\nedge b x x 1\nedge a x y 3\n", 7),
+    # a reversed undirected edge, after an edge of a new label
+    (b"layer a undirected\nedge a x y 1\nedge a z x 1\nedge a y x 2\n", 4),
+    # the file's last line, with no newline after it
+    (b"layer a directed\nedge a x y 1\nedge a y x 1\nedge a x y 1", 4),
+    # CRLF and lone CR line ends
+    (b"layer a directed\r\nedge a x y 1\r\n\r\nedge a x y 1\r\n", 4),
+    (b"layer a directed\redge a x y 1\r# x\redge a x y 1\r", 4),
+    # a comment holding "edge" and a word that starts with it
+    (b"layer a directed\nvertex edge # edge\nedge a edge x 1\nedge a edge x 1\n", 4),
+])
+def test_a_repeated_edge_is_reported_on_its_own_line(tmp_path, text, line):
+    path = tmp_path / "repeat.layers"
+    path.write_bytes(text)
+    with pytest.raises(DuplicateEdge) as exc:
+        read_layers(path)
+    with pytest.raises(DuplicateEdge) as oracle:
+        read_layers_by_line(path)
+    assert exc.value.line == line
+    assert str(exc.value) == str(oracle.value)
+
+
 def test_bytes_not_utf8_are_a_deferred_parse_error(tmp_path):
     path = tmp_path / "faulty.layers"
     # the bad byte within, then past, the first block of about 8 KB the decoder reads

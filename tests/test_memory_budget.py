@@ -1,4 +1,5 @@
-"""Traced memory of read -> analyze, per stored entry of the super-adjacency.
+"""Traced memory of read -> analyze, per stored entry of the super-adjacency,
+and of reading a layered file, per edge line.
 
 The canonical CSC of a super-adjacency takes 12 bytes per stored entry
 (float64 weights, int32 row indices). Each stage below holds that matrix
@@ -9,8 +10,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from multinet import LayerGraph, cli, compose_distance
+from multinet import LayerGraph, cli, compose_distance, read_layers, urw_transition
 from multinet.io import read_super, write_super
 
 # bytes per stored entry. read_super holds the file's COO (16) next to the
@@ -25,6 +27,16 @@ ANALYZE_BUDGET = 52
 # the matrix, one CSR copy for the symmetry check and per-instance vectors,
 # about 32 bytes; a transition matrix and its balance forest take about 42
 STATIONARY_BUDGET = 40
+# bytes per stored entry of a directed walk's transition matrix: its CSC (12),
+# one range of rows' scale factors and per-vertex vectors, about 15 on the
+# graph below; a scaled copy of all the weights next to the CSC took 21
+TRANSITION_BUDGET = 18
+# bytes per edge line. read_layers keeps 32 per edge in its buffers (layer,
+# ends, weight), about 34 with their growth; the repeated-edge check, then the
+# layers it builds, add about 40 at their peak: about 74 on the file below.
+# Buffers of 40 bytes per edge, with the check's keys held while the layers
+# were built, took 98
+READ_LAYERS_BUDGET = 84
 
 
 def two_community_stack(seed, n=600, l=8, degree=24):
@@ -93,3 +105,39 @@ def test_read_to_analyze_keeps_its_bytes_per_entry_budget(stack_file, tmp_path, 
     }
     peak = traced_peak(*calls[stage])
     assert peak <= budget * nnz, f"{stage}: {peak / nnz:.1f} bytes per stored entry"
+
+
+def test_read_layers_keeps_its_bytes_per_edge_budget(tmp_path):
+    """Six layers over 3,000 labels, every other one undirected: 67,402 edge
+    lines, each edge given once, in random order within its layer."""
+    rng = np.random.default_rng(7)
+    n, l, m = 3000, 6, 15_000
+    parts = [f"layer L{k} {'directed' if k % 2 else 'undirected'}\n" for k in range(l)]
+    for k in range(l):
+        u, v = np.divmod(rng.choice(n * n, m, replace=False), n)
+        keep = u != v if k % 2 else u < v
+        weights = rng.uniform(0.5, 2.0, int(keep.sum()))
+        parts += [f"edge L{k} v{a} v{b} {w!r}\n"
+                  for a, b, w in zip(u[keep].tolist(), v[keep].tolist(), weights.tolist())]
+    path = tmp_path / "stack.layers"
+    path.write_text("".join(parts), encoding="utf-8")
+    edges = len(parts) - l
+    assert 60_000 <= edges <= 70_000
+    read_layers(path)  # a first read is not the file's cost
+    peak = traced_peak(read_layers, path)
+    assert peak <= READ_LAYERS_BUDGET * edges, f"{peak / edges:.1f} bytes per edge line"
+
+
+def test_a_directed_walk_keeps_its_bytes_per_entry_budget():
+    """10,000 vertices with 30 distinct out-neighbours each, one per band."""
+    rng = np.random.default_rng(11)
+    n, out = 10_000, 30
+    band = n // out
+    rows = np.repeat(np.arange(n), out)
+    cols = (rows + rng.integers(1, band, rows.size) + np.tile(np.arange(out) * band, n)) % n
+    g = LayerGraph(n, sparse.csc_array((rng.uniform(0.5, 1.5, rows.size), (rows, cols)),
+                                       shape=(n, n)), directed=True)
+    assert g.matrix.nnz == n * out and not g.symmetric
+    urw_transition(g)
+    peak = traced_peak(urw_transition, g)
+    assert peak <= TRANSITION_BUDGET * g.matrix.nnz, f"{peak / g.matrix.nnz:.1f} bytes per entry"

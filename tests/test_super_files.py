@@ -159,6 +159,31 @@ def test_symmetric_file_listing_both_triangles_is_a_duplicate(tmp_path):
     assert (exc.value.line, exc.value.reason) == (0, "duplicate entry at 0-based flat (1, 0)")
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_a_symmetric_file_write_super_wrote_reads_without_an_index_sort(seed, tmp_path,
+                                                                       monkeypatch):
+    # mmread lists the lower triangle column by column, then the mirrors:
+    # read as rows, every column of the matrix arrives sorted
+    rng = np.random.default_rng(seed)
+    n, l = int(rng.integers(2, 30)), int(rng.integers(1, 5))
+    position = np.arange(l, dtype=np.float64)
+    s = compose_distance([random_graph(rng, n, directed=False) for _ in range(l)],
+                         np.abs(np.subtract.outer(position, position)), c=0.5)
+    path = tmp_path / "super.mtx"
+    write_super(s, path)
+    assert path.read_text().startswith(SYMMETRIC + "\n")
+    sorts, sort_indices = [], sparse.csc_array.sort_indices
+
+    def counting(mat):
+        sorts.append(mat.has_sorted_indices)
+        return sort_indices(mat)
+    monkeypatch.setattr(sparse.csc_array, "sort_indices", counting)
+    read = read_super(path)
+    assert False not in sorts  # no call found its indices unsorted
+    assert_bit_identical(read, s)
+    assert read.as_graph().symmetric
+
+
 def test_compose_distance_of_undirected_layers_writes_the_lower_triangle(tmp_path):
     layers, path = tmp_path / "layers.txt", tmp_path / "super.mtx"
     layers.write_text("layer a undirected\nlayer b undirected\nedge a x y 1.0\n"
