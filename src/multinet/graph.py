@@ -32,6 +32,7 @@ from scipy import sparse
 from .errors import (
     DanglingVertex,
     DimensionMismatch,
+    EmptyGraph,
     NoConvergence,
     NonPositiveScale,
     NotDetailedBalanced,
@@ -291,16 +292,14 @@ def reconstruct_adjacency(m: TransitionMatrix, gamma) -> LayerGraph:
 
 def stationary(m: TransitionMatrix | LayerGraph, tol: float = ITERATIVE_TOL,
                max_iter: int = 100_000) -> StationaryDistribution:
-    """Fixed point of the walk: ``|M pi - pi|_1 <= tol``, else NoConvergence.
+    """Fixed point of the walk: ``|M pi - pi|_1 <= tol``, else NoConvergence;
+    a walk on no vertices has none and raises EmptyGraph.
 
     A LayerGraph stands for its unbiased walk. When its matrix is exactly
     symmetric (every undirected graph and composition) the result is the
     closed form (|C|/n) d / vol(C) on each weakly connected component C,
     taken once one product confirms it; any other graph, or a closed form
-    that misses `tol`, goes through urw_transition as below. The symmetry
-    and the components are the graph's own facts (LayerGraph.symmetric,
-    components): a graph that already knows them, such as a component
-    slice, has neither decided again.
+    that misses `tol`, goes through urw_transition as below.
 
     A detailed-balanced chain starts from its exact balance-ratio vector,
     which is already fixed, with mass |C|/n on each weakly connected
@@ -308,6 +307,8 @@ def stationary(m: TransitionMatrix | LayerGraph, tol: float = ITERATIVE_TOL,
     half-lazy operator (x + Mx)/2, which shares every fixed point with M but
     is aperiodic, so bipartite structures converge too.
     """
+    if not m.n:
+        raise EmptyGraph("a walk on no vertices has no stationary distribution")
     counts_agree = None
     if isinstance(m, LayerGraph):
         pi = _degree_stationary(m, tol)
@@ -374,11 +375,10 @@ def _symmetric_components(mat):
 def is_detailed_balanced(m: TransitionMatrix, pi: StationaryDistribution,
                          tol: float = ITERATIVE_TOL) -> bool:
     """Whether probability flow u -> v balances v -> u under pi everywhere."""
+    if len(pi.pi) != m.n:
+        raise DimensionMismatch(f"pi has {len(pi.pi)} entries for a walk on {m.n} states")
     flow = m.matrix @ sparse.diags_array(pi.pi)
-    imbalance = flow - flow.T
-    if imbalance.nnz == 0:
-        return True
-    return float(np.abs(imbalance.data).max()) <= tol
+    return float(np.abs((flow - flow.T).data).max(initial=0.0)) <= tol
 
 
 def symmetrize_from_markov(m: TransitionMatrix, alpha: float,
@@ -426,8 +426,8 @@ def _balance_stationary(m: TransitionMatrix, tol, counts_agree=None) -> np.ndarr
     up = np.append(up[:n], n).astype(np.int64)
     step = np.zeros(n + 1)  # log pi_v - log pi_up[v]
     child = np.flatnonzero(up[:n] < n)
-    k = _entry_positions(mat, child, up[child])  # P(up -> child) is entry k
-    step[child] = np.log(mat.data[k]) - np.log(rev.data[k])
+    if child.size:  # scipy gives a sparse array, not a vector, for no indices
+        step[child] = np.log(mat[child, up[child]]) - np.log(mat[up[child], child])
     while (up < n).any():  # pointer jumping: sum the steps up to the hub
         step, up = step + step[up], up[up]
     top = np.full(count, -np.inf)
@@ -451,17 +451,6 @@ def _column_ranges(mat):
     size = mat.shape[1]
     width = max(1, size * _CHUNK // max(mat.nnz, 1))
     return [(lo, min(lo + width, size)) for lo in range(0, size, width)]
-
-
-def _entry_positions(mat, rows, cols):
-    """Positions of the stored entries (rows[i], cols[i]) of a canonical CSC:
-    one bisection of each column's sorted rows, all columns at once."""
-    lo, hi = mat.indptr[cols].astype(np.int64), mat.indptr[cols + 1].astype(np.int64)
-    while (open_ := lo < hi).any():
-        mid = (lo + hi) // 2
-        below = open_ & (mat.indices[np.where(open_, mid, 0)] < rows)
-        lo, hi = np.where(below, mid + 1, lo), np.where(open_ & ~below, mid, hi)
-    return lo
 
 
 def first_repeat(key):

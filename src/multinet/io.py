@@ -14,7 +14,7 @@ its subclasses. A byte that is not UTF-8 is a fault on its own line.
 
 Vertex labels are shared across layers; ids follow first appearance. The
 layered and the DIMACS readers scan a file once into flat typed buffers, 32
-and 40 bytes per edge, then find repeated edges (and DIMACS ids out of range)
+bytes per edge each, then find repeated edges (and DIMACS ids out of range)
 with array operations and raise at the earliest faulty line. A DIMACS ``.gr``
 file has one ``p sp <n> <m>`` header (counts below 2**31), m arc lines, arc
 ends in 1..n and finite lengths; an arc, or a category line, given again

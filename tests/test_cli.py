@@ -514,6 +514,15 @@ def test_exit_code_no_convergence(toy_path, capsys, monkeypatch):
                                        '"message": "residual 1.000e-03 after 7 iterations"}\n')
 
 
+@pytest.mark.parametrize("kind", ["undirected", "directed"])
+def test_analyze_stationary_of_a_layer_with_no_vertices(kind, tmp_path, capsys):
+    path = tmp_path / "empty.layers"
+    path.write_text(f"layer a {kind}\n")
+    assert main(["analyze", "--layers", str(path), "--stationary"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "EmptyGraph", "message": "a walk on no vertices has no stationary distribution"}
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.layers"
     bad.write_text("edge nowhere a b 1.0\n")

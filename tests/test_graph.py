@@ -21,6 +21,8 @@ from multinet import (
 )
 from multinet.errors import (
     DanglingVertex,
+    DimensionMismatch,
+    EmptyGraph,
     NoConvergence,
     NonPositiveScale,
     NotDetailedBalanced,
@@ -181,6 +183,23 @@ def test_detailed_balance_single_state():
     g = LayerGraph.from_edges(1, [(0, 0, 2.0)], directed=True)
     m = urw_transition(g)
     assert is_detailed_balanced(m, stationary(m))
+
+
+def test_detailed_balance_names_both_lengths_when_pi_does_not_fit():
+    m = urw_transition(LayerGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)], directed=False))
+    pi = StationaryDistribution(np.array([0.5, 0.5]))
+    with pytest.raises(DimensionMismatch, match="pi has 2 entries for a walk on 3 states"):
+        is_detailed_balanced(m, pi)
+
+
+@pytest.mark.parametrize("walk", [
+    LayerGraph(0, sparse.csc_array((0, 0)), directed=False),
+    LayerGraph(0, sparse.csc_array((0, 0)), directed=True),
+    TransitionMatrix(0, sparse.csc_array((0, 0))),
+], ids=["undirected graph", "directed graph", "transition matrix"])
+def test_stationary_of_a_walk_with_no_vertices_raises_empty_graph(walk):
+    with pytest.raises(EmptyGraph, match="a walk on no vertices has no stationary distribution"):
+        stationary(walk)
 
 
 def test_symmetrize_path_alpha_four():

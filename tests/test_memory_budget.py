@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from multinet import LayerGraph, cli, compose_distance, read_layers, urw_transition
+from multinet import (
+    LayerGraph,
+    cli,
+    compose_distance,
+    read_layers,
+    stationary,
+    urw_transition,
+)
 from multinet.io import read_super, write_super
 
 # bytes per stored entry. read_super holds the file's COO (16) next to the
@@ -31,6 +38,11 @@ STATIONARY_BUDGET = 40
 # one range of rows' scale factors and per-vertex vectors, about 15 on the
 # graph below; a scaled copy of all the weights next to the CSC took 21
 TRANSITION_BUDGET = 18
+# bytes per stored entry of a reversible walk's stationary(m, max_iter=0), the
+# balance route: the transition matrix's transposed copy (12), the spanning
+# forest and per-state vectors, about 29.4 on the grid below; reading each
+# forest edge's two probabilities by a batched bisection of the columns took 33.8
+BALANCE_BUDGET = 36
 # bytes per edge line. read_layers keeps 32 per edge in its buffers (layer,
 # ends, weight), about 34 with their growth; the repeated-edge check, then the
 # layers it builds, add about 40 at their peak: about 74 on the file below.
@@ -141,3 +153,20 @@ def test_a_directed_walk_keeps_its_bytes_per_entry_budget():
     urw_transition(g)
     peak = traced_peak(urw_transition, g)
     assert peak <= TRANSITION_BUDGET * g.matrix.nnz, f"{peak / g.matrix.nnz:.1f} bytes per entry"
+
+
+def test_a_reversible_walk_keeps_its_balance_budget():
+    """A 300 x 300 grid whose steps to the right weigh 1.5 and all others 1:
+    a symmetric pattern, weights biased one way, a reversible walk."""
+    side = 300
+    grid = np.arange(side * side).reshape(side, side)
+    left, right = grid[:, :-1].ravel(), grid[:, 1:].ravel()
+    low, high = grid[:-1, :].ravel(), grid[1:, :].ravel()
+    weights = np.concatenate([np.full(left.size, 1.5), np.ones(left.size + 2 * low.size)])
+    a = sparse.csc_array((weights, (np.concatenate([left, right, low, high]),
+                                    np.concatenate([right, left, high, low]))),
+                         shape=(side * side, side * side))
+    m = urw_transition(LayerGraph(side * side, a, directed=True))
+    stationary(m, max_iter=0)  # a first call loads csgraph
+    peak = traced_peak(lambda: stationary(m, max_iter=0))
+    assert peak <= BALANCE_BUDGET * m.matrix.nnz, f"{peak / m.matrix.nnz:.1f} bytes per entry"

@@ -282,3 +282,41 @@ def test_birth_death_chain_stays_finite():
     pi = stationary(m, max_iter=0).pi
     assert np.all(np.isfinite(pi))
     assert np.abs(pi - expect).sum() <= 1e-12
+
+
+def path_graph(n, rng):
+    """An undirected path 0 - 1 - ... - n-1 with random weights."""
+    k = np.arange(n - 1)
+    return LayerGraph.from_edges(n, np.column_stack([k, k + 1, rng.uniform(0.1, 10.0, n - 1)]),
+                                 directed=False)
+
+
+def pairs_and_loops(pairs, loops, rng):
+    """`pairs` two-state components, some with self-loops, then `loops`
+    states whose only edge is a self-loop."""
+    k = 2 * np.arange(pairs)
+    edges = [np.column_stack([k, k + 1, rng.uniform(0.1, 10.0, pairs)])]
+    looped = (k + rng.integers(0, 2, pairs))[rng.random(pairs) < 0.5]
+    edges.append(np.column_stack([looped, looped, rng.uniform(0.1, 10.0, looped.size)]))
+    alone = np.arange(2 * pairs, 2 * pairs + loops)
+    edges.append(np.column_stack([alone, alone, rng.uniform(0.1, 10.0, loops)]))
+    return LayerGraph.from_edges(2 * pairs + loops, np.concatenate(edges), directed=False)
+
+
+# balance-route shapes that the drawn graphs of at most 14 states cannot have:
+# a spanning forest 1,999 steps deep (11 rounds of pointer jumping), and a
+# forest of 700 trees, 500 of them one step deep and 200 a bare root
+BALANCE_PROBES = {
+    "path-2000": lambda rng: path_graph(2000, rng),
+    "500-pairs-200-loops": lambda rng: pairs_and_loops(500, 200, rng),
+}
+
+
+@pytest.mark.parametrize("name", list(BALANCE_PROBES))
+def test_large_reversible_walk_is_the_closed_form(name):
+    rng = np.random.default_rng(34)
+    g = BALANCE_PROBES[name](rng)
+    walk = urw_transition(reconstruct_adjacency(urw_transition(g), rng.uniform(0.1, 10.0, g.n)))
+    assert (walk.matrix != walk.matrix.T).nnz  # the balance ratios are not all 1
+    pi = stationary(walk, max_iter=0).pi
+    assert np.abs(pi - closed_form(g.matrix)).sum() <= 1e-12
