@@ -17,10 +17,20 @@ class DimensionMismatch(MultinetError):
     pass
 
 
-class DanglingVertex(MultinetError):
-    def __init__(self, vertex, message=None):
+class _InstanceFault(MultinetError):
+    """A fault at `vertex` in `layer`, worded by the subclass's `template`."""
+
+    def __init__(self, vertex, layer):
         self.vertex = vertex
-        super().__init__(message or f"vertex {vertex} has zero out-degree")
+        self.layer = layer
+        super().__init__(self.template.format(vertex=vertex, layer=layer))
+
+
+class DanglingVertex(_InstanceFault):
+    template = "vertex {vertex} has zero out-degree"
+
+    def __init__(self, vertex):  # a walk's vertex: no layer is named
+        super().__init__(vertex, None)
 
 
 class NonPositiveScale(MultinetError):
@@ -54,34 +64,19 @@ class DelayBelowOne(MultinetError):
 # composition
 
 
-class ZeroDiagonal(MultinetError):
-    def __init__(self, vertex, layer):
-        self.vertex = vertex
-        self.layer = layer
-        super().__init__(
-            f"ego matrix of vertex {vertex} has zero stay-probability in "
-            f"layer {layer}; composition undefined"
-        )
+class ZeroDiagonal(_InstanceFault):
+    template = ("ego matrix of vertex {vertex} has zero stay-probability in "
+                "layer {layer}; composition undefined")
 
 
-class ZeroDegree(MultinetError):
-    def __init__(self, vertex, layer):
-        self.vertex = vertex
-        self.layer = layer
-        super().__init__(
-            f"vertex {vertex} has zero degree in layer {layer} but its ego "
-            f"dynamics transition into that layer"
-        )
+class ZeroDegree(_InstanceFault):
+    template = ("vertex {vertex} has zero degree in layer {layer} but its ego "
+                "dynamics transition into that layer")
 
 
-class IsolatedInstance(MultinetError):
-    def __init__(self, vertex, layer):
-        self.vertex = vertex
-        self.layer = layer
-        super().__init__(
-            f"instance (vertex {vertex}, layer {layer}) has zero total "
-            f"out-weight; layer marginal undefined"
-        )
+class IsolatedInstance(_InstanceFault):
+    template = ("instance (vertex {vertex}, layer {layer}) has zero total "
+                "out-weight; layer marginal undefined")
 
 
 class Infeasible(MultinetError):

@@ -655,6 +655,9 @@ def _read_super_mm(path):
         # thread as an error unwinds aborts the interpreter
         try:
             rows, cols, entries = scipy.io.mminfo(str(path))[:3]  # the header alone
+        except (ValueError, OverflowError) as exc:  # a size-line fault, most named at no line
+            raise ParseError(size_line, re.sub(r"^Line \d+: ", "", str(exc)), path) from None
+        try:
             if not rows == cols == n * l:
                 raise ParseError(size_line, f"matrix size {(rows, cols)} is not n*l = {n * l} "
                                             "square", path)
