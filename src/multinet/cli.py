@@ -232,6 +232,8 @@ def _cmd_verify(args):
 def _cmd_analyze(args):
     if bool(args.super_path) == bool(args.layers):
         raise ValueError("analyze needs exactly one of --super or --layers")
+    if args.super_path and args.layer:
+        raise ValueError("--layer needs a layered file (--layers)")
     labels = layer_names = None
     if args.super_path:
         graph = mio.read_super(args.super_path)

@@ -28,24 +28,23 @@ a key repeated in one object on the line of its second occurrence, found by
 scanning the file again once the fault is known. Each ego matrix becomes a
 float64 array as soon as it is decoded. Super-adjacencies serialize to
 Matrix-Market coordinate files (a header comment records n, l and the
-layer-major indexing) or to a JSON block layout, picked by the file name
-alone: a name ending in ``.json`` is JSON, any other name Matrix Market, for
-writing and reading, and one ending in ``.gz`` or ``.bz2`` is refused. A
-matrix equal to its transpose is written under the ``symmetric`` banner, its
-entries with row >= col alone; any other under ``general``. The reader
-accepts both; under ``symmetric`` each entry off the diagonal also stands
-for its mirror, so one above the diagonal reads as its mirror, a file
-listing both triangles repeats every entry, and the matrix read is known to
-equal its transpose (``LayerGraph.symmetric`` of its graph) without a check.
-Both formats round-trip weights bit-identically; entry order and float
-spelling are not part of either format. Both reject indices out of range,
-non-numeric or non-finite weights and duplicate entries; the Matrix-Market
-reader also rejects a missing or foreign banner, a NUL byte, a line past the
-header comments with more than three tokens, and a size line whose size is
-not n*l or whose entry count the file's tokens do not match, both checked
-before scipy's reader, given the file's name, allocates for the entries.
-Either reader's COO entries are freed as soon as their canonical CSC exists,
-so read_super's SuperAdjacency check and its caller see only that CSC.
+layer-major indexing) under any name but one ending in ``.gz`` or ``.bz2``,
+which is refused for writing and reading alike. A matrix equal to its
+transpose is written under the ``symmetric`` banner, its entries with row >=
+col alone; any other under ``general``. The reader accepts both; under
+``symmetric`` each entry off the diagonal also stands for its mirror, so one
+above the diagonal reads as its mirror, a file listing both triangles
+repeats every entry, and the matrix read is known to equal its transpose
+(``LayerGraph.symmetric`` of its graph) without a check. Weights round-trip
+bit-identically; entry order and float spelling are not part of the format.
+The reader rejects indices out of range, non-numeric or non-finite weights,
+duplicate entries, a missing or foreign banner (so a file in any other
+layout fails at line 1), a NUL byte, a line past the header comments with
+more than three tokens, and a size line whose size is not n*l or whose
+entry count the file's tokens do not match, both checked before scipy's
+reader, given the file's name, allocates for the entries. The reader's COO
+entries are freed as soon as their canonical CSC exists, so read_super's
+SuperAdjacency check and its caller see only that CSC.
 """
 
 from __future__ import annotations
@@ -579,35 +578,9 @@ def _read_dimacs(path, arcs):
 # super-adjacency serialization
 
 
-def _is_json(path):
-    """The one format rule: a name ending in .json holds the JSON block
-    layout, any other name Matrix Market, and one ending in .gz or .bz2 is a
-    ValueError: scipy's reader decompresses it, the writer writes plain text."""
-    if str(path).endswith((".gz", ".bz2")):
-        raise ValueError("a super-adjacency file name may not end in .gz or .bz2")
-    return str(path).endswith(".json")
-
-
-def write_super(s: SuperAdjacency, path):
-    """Serialize a super-adjacency in the format its file name picks;
-    read_super restores it bit-identically."""
-    (_write_super_json if _is_json(path) else _write_super_mm)(s, path)
-
-
-def read_super(path) -> SuperAdjacency:
-    try:
-        read = _read_super_json if _is_json(path) else _read_super_mm
-    except ValueError as exc:  # raised before scipy's reader sees the name
-        raise ParseError(0, str(exc), path) from None
-    n, l, mat, mirrored = read(path)  # the reader's COO is gone: the check sees the CSC alone
-    try:
-        s = SuperAdjacency(n=n, l=l, matrix=mat)
-    except ValueError as exc:
-        raise ParseError(0, str(exc), path) from None
-    if mirrored:  # each entry was read with its mirror: the matrix equals its transpose
-        vars(s.as_graph())["symmetric"] = True
-    return s
-
+# refused before any file is opened: scipy's reader would decompress the plain
+# text that write_super writes under such a name
+_COMPRESSED = "a super-adjacency file name may not end in .gz or .bz2"
 
 # the banners read_super accepts; write_super picks symmetric for a matrix equal
 # to its transpose and lists only its entries on and below the diagonal
@@ -615,7 +588,12 @@ _BANNERS = (b"%%MatrixMarket matrix coordinate real general",
             b"%%MatrixMarket matrix coordinate real symmetric")
 
 
-def _write_super_mm(s, path):
+def write_super(s: SuperAdjacency, path):
+    """Serialize a super-adjacency as a Matrix Market file under any name but
+    one ending in .gz or .bz2 (a ValueError); read_super restores it
+    bit-identically."""
+    if str(path).endswith((".gz", ".bz2")):
+        raise ValueError(_COMPRESSED)
     import scipy.io  # imported here: only Matrix Market files need it, 0.02 s of start-up
     mat, symmetry = s.matrix, "general"
     if s.as_graph().symmetric:
@@ -625,6 +603,19 @@ def _write_super_mm(s, path):
         scipy.io.mmwrite(handle, mat, field="real", symmetry=symmetry,
                          comment=f" multinet super-adjacency n={s.n} l={s.l} "
                                  "indexing=layer-major flat=layer*n+vertex (1-based below)")
+
+
+def read_super(path) -> SuperAdjacency:
+    if str(path).endswith((".gz", ".bz2")):
+        raise ParseError(0, _COMPRESSED, path)
+    n, l, mat, mirrored = _read_super_mm(path)  # its COO is gone: the check sees the CSC alone
+    try:
+        s = SuperAdjacency(n=n, l=l, matrix=mat)
+    except ValueError as exc:
+        raise ParseError(0, str(exc), path) from None
+    if mirrored:  # each entry was read with its mirror: the matrix equals its transpose
+        vars(s.as_graph())["symmetric"] = True
+    return s
 
 
 def _lower_triangle(mat):
@@ -706,54 +697,7 @@ def _scan(handle, path):
     return tokens
 
 
-def _write_super_json(s, path):
-    coo = s.matrix.tocoo(copy=False)
-    (bi, u), (bj, v) = np.divmod(coo.row, s.n), np.divmod(coo.col, s.n)
-    order = np.lexsort((v, u, bj, bi))
-    cuts = np.flatnonzero(np.diff(bi[order]) | np.diff(bj[order])) + 1
-    diagonal, off = [[] for _ in range(s.l)], {}
-    for k in filter(len, np.split(order, cuts)):  # one sorted run per block
-        i, j, w = int(bi[k[0]]), int(bj[k[0]]), coo.data[k].tolist()
-        if i == j:
-            diagonal[i] = list(zip(u[k].tolist(), v[k].tolist(), w))
-        else:
-            off[f"{i},{j}"] = list(zip(u[k].tolist(), w))
-    write_json({"n": s.n, "l": s.l, "diagonal_blocks": diagonal,
-                "off_diagonal_blocks": off}, path)
-
-
-def _count(value, path, key):
-    """A JSON number that is an integer in 1..2**31 - 1, as an int; else a
-    ParseError naming `key`. Two such counts keep n * l within int64."""
-    count = _numbers(value, path, key, ())
-    if not (count == np.floor(count) and 1 <= count < 2**31):
-        raise ParseError(0, f"{key} must be an integer from 1 to 2**31 - 1", path)
-    return int(count)
-
-
-def _read_super_json(path):
-    payload = read_json(path)
-    try:
-        n, l = (_count(payload[key], path, key) for key in ("n", "l"))
-        blocks = [((i, i), _numbers(t, path, f"diagonal block {i}").reshape(len(t), 3))
-                  for i, t in enumerate(payload["diagonal_blocks"])]
-        if len(blocks) != l:
-            raise ValueError(f"{len(blocks)} diagonal blocks for l = {l}")
-        for key, pairs in payload.get("off_diagonal_blocks", {}).items():
-            entries = _numbers(pairs, path, f"off-diagonal block {key!r}").reshape(len(pairs), 2)
-            blocks.append((tuple(map(int, key.split(","))), entries[:, [0, 0, 1]]))
-        offset = np.repeat([ij for ij, _ in blocks], [len(t) for _, t in blocks], axis=0)
-        table = np.concatenate([t for _, t in blocks] + [np.empty((0, 3))])
-        index = table[:, :2]
-        if not np.all((index == np.floor(index)) & (index >= 0) & (index < n)):
-            raise ValueError(f"a vertex index is not an integer in 0..{n - 1}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(0, f"malformed super-adjacency JSON: {exc}", path) from None
-    flat = (offset.reshape(-1, 2) * n + index).astype(np.int64)
-    return n, l, _csc_of_entries(path, n * l, flat[:, 0], flat[:, 1], table[:, 2]), False
-
-
-def _csc_of_entries(path, size, rows, cols, vals, mirrored=False):
+def _csc_of_entries(path, size, rows, cols, vals, mirrored):
     """The canonical CSC of flat COO arrays; rejects what summing would hide.
     A `mirrored` matrix is read as its transpose, itself: mmread gives a file
     write_super wrote as its lower triangle, column by column, then the

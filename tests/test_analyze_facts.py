@@ -117,12 +117,11 @@ def test_report_is_the_one_recomputed_from_public_calls(tmp_path_factory, seed, 
     s = stack(np.random.default_rng(seed), n, l, groups, directed, presence)
     flags = [*flags, "--largest-component"] if largest else flags
     expected = recomputed(s, flags, 42, tmp / "expected.json")
-    # the writer's banner (symmetric exactly when the matrix is), the same
-    # matrix under the general banner, and the JSON layout, which has none
-    paths = [tmp / "super.mtx", tmp / "general.mtx", tmp / "super.json"]
+    # the writer's banner (symmetric exactly when the matrix is) and the same
+    # matrix under the general banner
+    paths = [tmp / "super.mtx", tmp / "general.mtx"]
     write_super(s, paths[0])
     write_general(s, paths[1])
-    write_super(s, paths[2])
     symmetric = (s.matrix != s.matrix.T).nnz == 0
     assert paths[0].read_text().startswith(
         "%%MatrixMarket matrix coordinate real " + ("symmetric" if symmetric else "general"))
@@ -151,15 +150,16 @@ def counted(monkeypatch):
 
 @pytest.mark.parametrize("flags", [["--stationary", "--layer-load"], ["--bisect"]])
 @pytest.mark.parametrize("name, symmetry_checks", [
-    ("super.json", 1),
-    # the symmetric banner decides it: each entry was read with its mirror
+    # the general banner leaves one check; under the symmetric banner each
+    # entry was read with its mirror, which decides it
+    ("general.mtx", 1),
     ("super.mtx", 0),
 ])
 def test_each_fact_is_decided_once(name, symmetry_checks, flags, tmp_path, counted):
     s = stack(np.random.default_rng(7), 40, 3, 2)
     assert (s.matrix != s.matrix.T).nnz == 0
     path = tmp_path / name
-    write_super(s, path)
+    (write_general if name == "general.mtx" else write_super)(s, path)
     counted.update(connected_components=0, _is_symmetric=0)
     code, report = analyze(path, [*flags, "--largest-component"], tmp_path / "report.json")
     assert code == 0 and b"restricted_to_component" in report

@@ -323,7 +323,7 @@ def test_compose_json_name_round_trips_through_analyze(tmp_path, temporal_path, 
     out = tmp_path / "s.json"
     assert main(["compose", "--layers", str(temporal_path), "--mode", "distance",
                  "--coupling", "0.5", "--out", str(out)]) == 0
-    json.loads(out.read_text())  # the name picked the JSON block layout
+    assert out.read_text().startswith("%%MatrixMarket matrix coordinate real symmetric\n")
     assert main(["analyze", "--super", str(out), "--layer-load"]) == 0
     assert abs(sum(json.loads(capsys.readouterr().out)["layer_load"]) - 1.0) <= 1e-12
 
@@ -475,6 +475,8 @@ ANALYZE_USAGE = {
                       "unknown layer 'nope'; the layers are ['phone', 'email', 'facebook']"),
     "layer load on a layer": (["--layers", "{layers}", "--layer", "phone", "--layer-load"],
                               "--layer-load needs a super-adjacency (--super)"),
+    "layer of a super-adjacency": (["--super", "{super}", "--layer", "nope"],
+                                   "--layer needs a layered file (--layers)"),
 }
 
 
@@ -579,6 +581,9 @@ def test_exit_code_non_utf8_input(tmp_path, capsys, flag, name):
 # stdlib ValueError leaks (exit 1). name: (file name, content, argv with
 # {bad} for the file, error name, message)
 NOT_UTF8 = b"\xff\xfe not utf-8\n"
+# a super-adjacency file of any other layout fails on its first line
+BANNER_FAULT = ("expected the banner '%%MatrixMarket matrix coordinate real general' or "
+                "'%%MatrixMarket matrix coordinate real symmetric'")
 READER_FAULTS = {
     "pi file, trailing comma": (
         "pi.json", b'{"alice": [0.5, 0.5, 0.0],}',
@@ -587,10 +592,13 @@ READER_FAULTS = {
     "JSON super-adjacency, trailing comma": (
         "super.json", b'{"n": 2,\n "l": 1,\n}',
         ["analyze", "--super", "{bad}", "--stationary"],
-        "ParseError", "{bad}:3: Expecting property name enclosed in double quotes (column 1)"),
+        "ParseError", "{bad}:1: " + BANNER_FAULT),
+    "JSON super-adjacency, the old block layout": (
+        "super.json", b'{"n": 2, "l": 1, "diagonal_blocks": [[[0, 1, 1.5], [1, 0, 1.5]]]}',
+        ["analyze", "--super", "{bad}", "--stationary"], "ParseError", "{bad}:1: " + BANNER_FAULT),
     "JSON super-adjacency, not UTF-8": (
         "super.json", NOT_UTF8, ["analyze", "--super", "{bad}", "--stationary"],
-        "ParseError", "{bad}:1: not UTF-8 text (invalid start byte)"),
+        "ParseError", "{bad}:1: " + BANNER_FAULT),
     "bias file, not UTF-8": (
         "bias.json", NOT_UTF8, ["transform", "--layers", "{toy}", "--bias-file", "{bad}"],
         "ParseError", "{bad}:1: not UTF-8 text (invalid start byte)"),

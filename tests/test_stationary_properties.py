@@ -233,7 +233,7 @@ DIRECTED_CHAINS = {
 
 @pytest.mark.parametrize("name", [
     pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, raises=NoConvergence, reason="needs ROADMAP item 3's LU phase"))
+        strict=True, raises=NoConvergence, reason="needs ROADMAP item 2's LU phase"))
     if name == "eps-link-1e-06" else name for name in DIRECTED_CHAINS])
 def test_directed_chain_is_the_lazy_limit(name):
     m = DIRECTED_CHAINS[name]
